@@ -54,9 +54,6 @@ class CurvatureExpr:
             return "always-geq"
         return "depends"
 
-    def is_nonpositive(self) -> bool:
-        return self.compare(CurvatureExpr()) == "always-less" or (not self.a and not self.b)
-
     def __str__(self) -> str:
         parts = []
         if self.a:
@@ -95,7 +92,6 @@ def _fmt_pi(q: Fraction, unit: str) -> str:
 
 PI = CurvatureExpr(Fraction(1))
 FOUR_PI = CurvatureExpr(Fraction(4))
-FOUR_PI_OVER_K0 = CurvatureExpr(Fraction(0), Fraction(4))
 
 
 def region_curvature(degrees: Sequence[int], boundary: bool = False) -> CurvatureExpr:

@@ -119,23 +119,11 @@ def decide_verdict(m) -> str:
     k = len(m)
     if k <= 4:
         return "Cor1"
-    run = 0
-    mx = mn = None
-    mxc = mnc = 0
-    for x in m:
-        run += x
-        if mx is None or run > mx:
-            mx, mxc = run, 1
-        elif run == mx:
-            mxc += 1
-        if mn is None or run < mn:
-            mn, mnc = run, 1
-        elif run == mn:
-            mnc += 1
-    if run != 0:
+    if sum(m) != 0:
         return "Unknown"
     if 2 * k <= 18:
         return "Cor3"
+    _, mxc, _, mnc = attainment_counts(m)
     if mxc <= 4 and mnc <= 4:
         return "Cor2"
     return "Unknown"

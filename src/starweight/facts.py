@@ -34,6 +34,7 @@ from .words import (
     Word,
     canonical_cyclic_class,
     cyclically_reduce,
+    letter_key,
     max_root,
     strip_conjugation,
 )
@@ -97,11 +98,12 @@ class FactBase:
             return None
         return next(iter(fs)) if fs else ""
 
-    def _lex(self, w: Word):
-        index = {name: i for i, name in enumerate(self.order)}
-        return [(index.get(n, len(index)), n, 0 if e > 0 else 1) for n, e in w.expand()]
-
     def _build_rules(self):
+        key = letter_key(self.order)
+
+        def size(w: Word):
+            return len(w), [key(lt) for lt in w.expand()]
+
         for fd in self.decls:
             if fd.kind != "eq":
                 continue
@@ -111,7 +113,7 @@ class FactBase:
                 raise FactError(f"eq fact spans factors: {u} = {v}")
             if u == v:
                 continue
-            big, small = (u, v) if (len(u), self._lex(u)) > (len(v), self._lex(v)) else (v, u)
+            big, small = (u, v) if size(u) > size(v) else (v, u)
             self.rules.append((big.expand(), small))
             self.rules.append((big.inverse().expand(), small.inverse()))
 
@@ -512,10 +514,6 @@ def _strip_g(w: Word, g: str) -> Word:
     while letters and letters[-1][0] == g:
         letters.pop()
     return Word(letters)
-
-
-def exponent_of(w: Word, g: str) -> int:
-    return sum(e for n, e in w.letters if n == g)
 
 
 def _affine_solvable(const: int, exps: list[int]) -> bool:

@@ -86,9 +86,6 @@ class RelativePresentation:
                 return f
         raise KeyError(name)
 
-    def coefficient_names(self) -> set[str]:
-        return {g for gs in self.generators.values() for g in gs}
-
 
 @dataclass
 class Scenario:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .scenario import INDETERMINATE, RelativePresentation
-from .words import Word
+from .words import Word, least_rotation
 
 Vertex = tuple[str, int]  # (indeterminate name, +1 or -1)
 
@@ -201,25 +201,10 @@ def is_reduced(traversals: list[Traversal], cyclic: bool = False) -> bool:
     return True
 
 
-def is_closed(traversals: list[Traversal]) -> bool:
-    if not traversals:
-        return False
-    for a, b in zip(traversals, traversals[1:]):
-        if a.end != b.start:
-            return False
-    return traversals[-1].end == traversals[0].start
-
-
 def canonical_atom_cycle(traversals: list[Traversal]) -> tuple:
     """Canonical form of the atom sequence under rotation and inversion;
     positive orientations sort before inverted ones."""
-    atoms = list(path_atoms(traversals))
-    inv = [(s, -d) for s, d in reversed(atoms)]
-    candidates = []
-    for seq in (atoms, inv):
-        for i in range(len(seq)):
-            candidates.append(tuple(seq[i:] + seq[:i]))
-    return min(candidates, key=lambda c: [(s, 0 if d > 0 else 1) for s, d in c])
+    return least_rotation(path_atoms(traversals), lambda a: (a[0], a[1] < 0), inverse=True)
 
 
 def export_dot(g: StarGraph) -> str:

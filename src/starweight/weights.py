@@ -37,7 +37,7 @@ from .stargraph import (
     path_label,
     vertex_name,
 )
-from .words import Word, canonical_cyclic_class
+from .words import Word, canonical_cyclic_class, least_rotation
 
 
 class WeightError(ValueError):
@@ -412,7 +412,7 @@ def _skeletons(
                     results.append((path, marked | {len(path) - 1}))
             if len(path) >= max_len:
                 continue
-            for t in _moves(g, cur):
+            for t in g.incident(cur):
                 backtrack = t.edge is path[-1].edge and t.direction == -path[-1].direction
                 new_marked = marked
                 if backtrack:
@@ -431,10 +431,6 @@ def _skeletons(
                         continue  # zero runs are vertex-simple; revisits belong to pumps
                     stack.append((path + (t,), pos_used, run_seen | {t.end}, new_marked))
     return results
-
-
-def _moves(g: StarGraph, v: Vertex) -> list[Traversal]:
-    return g.incident(v)
 
 
 def enumerate_light_cycles(
@@ -519,13 +515,9 @@ def reduced_closed_walks(
 
 
 def canonical_atom_edge_cycle(path: tuple[Traversal, ...]) -> tuple:
-    seq = [(t.edge.edge_id, t.direction) for t in path]
-    inv = [(e, -d) for e, d in reversed(seq)]
-    cands = []
-    for s in (seq, inv):
-        for i in range(len(s)):
-            cands.append(tuple(s[i:] + s[:i]))
-    return min(cands)
+    """Canonical (edge_id, direction) sequence under rotation and inversion;
+    direction -1 sorts before +1."""
+    return least_rotation([(t.edge.edge_id, t.direction) for t in path], inverse=True)
 
 
 # -- trivial-label cycles ----------------------------------------------

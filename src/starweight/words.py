@@ -7,7 +7,9 @@ own; scenarios supply a symbol table when factor membership matters.
 
 Cyclic words (conjugacy classes) are represented by a deterministic
 canonical rotation: lexicographically least under the declared symbol
-order, with inverse letters ordered after positive ones.
+order, with inverse letters ordered after positive ones.  ``least_rotation``
+is the single canonical-rotation rule; the cyclic forms of star-graph paths
+(``canonical_atom_cycle``, ``canonical_atom_edge_cycle``) use it as well.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ def free_reduce(w: Word | Iterable[Letter]) -> Word:
     return Word(w)
 
 
-def _letter_key(order: Sequence[str] | None):
+def letter_key(order: Sequence[str] | None):
+    """Sort key of a letter: declared symbol order, inverse after positive."""
     if order is None:
         return lambda lt: (lt[0], 0 if lt[1] > 0 else 1)
     index = {name: i for i, name in enumerate(order)}
@@ -146,9 +149,25 @@ def _letter_key(order: Sequence[str] | None):
     return key
 
 
-def _rotations(expanded: tuple[Letter, ...]):
-    for i in range(len(expanded)):
-        yield expanded[i:] + expanded[:i]
+def least_rotation(seq: Sequence, key=None, inverse: bool = False) -> tuple:
+    """Lexicographically least rotation of ``seq``, comparing ``key(x)``.
+
+    ``key`` is applied once per element.  With ``inverse`` the rotations of
+    the inverse sequence (reversed, each ``(name, sign)`` pair sign-flipped)
+    compete as well, so the result is constant on rotation/inversion orbits.
+    """
+    seq = tuple(seq)
+    candidates = [seq]
+    if inverse:
+        candidates.append(tuple((n, -e) for n, e in reversed(seq)))
+    best_key, best, start = None, seq, 0
+    for cand in candidates:
+        keys = list(cand if key is None else map(key, cand))
+        for i in range(len(cand)):
+            k = keys[i:] + keys[:i]
+            if best_key is None or k < best_key:
+                best_key, best, start = k, cand, i
+    return best[start:] + best[:start]
 
 
 def strip_conjugation(w: Word) -> tuple[Word, Word]:
@@ -168,18 +187,7 @@ def cyclically_reduce(w: Word, order: Sequence[str] | None = None) -> Word:
     the declared symbol order; deterministic across runs.
     """
     _, core = strip_conjugation(w)
-    if not core:
-        return core
-    key = _letter_key(order)
-    best = min(_rotations(core.expand()), key=lambda rot: [key(lt) for lt in rot])
-    return Word(best)
-
-
-def is_cyclically_reduced(w: Word) -> bool:
-    letters = w.letters
-    if len(letters) <= 1:
-        return True
-    return letters[0][0] != letters[-1][0]
+    return Word(least_rotation(core.expand(), letter_key(order)))
 
 
 def canonical_cyclic_class(w: Word, order: Sequence[str] | None = None) -> Word:
@@ -188,13 +196,7 @@ def canonical_cyclic_class(w: Word, order: Sequence[str] | None = None) -> Word:
     Constant on each rotation/inversion orbit, injective across orbits.
     """
     _, core = strip_conjugation(w)
-    if not core:
-        return core
-    key = _letter_key(order)
-    candidates = list(_rotations(core.expand()))
-    candidates += list(_rotations(core.inverse().expand()))
-    best = min(candidates, key=lambda rot: [key(lt) for lt in rot])
-    return Word(best)
+    return Word(least_rotation(core.expand(), letter_key(order), inverse=True))
 
 
 def syllable_length(w: Word, split: tuple[set[str], set[str]]) -> int:

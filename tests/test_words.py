@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -89,13 +90,28 @@ def test_canonical_class_distinguishes():
 def test_canonical_class_constant_on_orbits():
     order = ["a", "b"]
     words = [W("a b"), W("a b^-1 a b"), W("a^2 b^-1"), W("a b a^-1 b^-1")]
+    rng = random.Random(1980)
+    for _ in range(200):
+        words.append(Word((rng.choice(order), rng.choice((1, -1))) for _ in range(rng.randrange(1, 9))))
+
+    def least(seqs):
+        # brute force: every rotation of every sequence, keyed per rotation
+        rots = [seq[i:] + seq[:i] for seq in seqs for i in range(len(seq))]
+        if not rots:
+            return Word()
+        return Word(min(rots, key=lambda r: [(order.index(n), 0 if e > 0 else 1) for n, e in r]))
+
     for w in words:
         exp = w.expand()
+        core = strip_conjugation(w)[1]
         rep = canonical_cyclic_class(w, order)
+        assert rep == least([core.expand(), core.inverse().expand()])
         for i in range(len(exp)):
             rot = Word(exp[i:] + exp[:i])
             assert canonical_cyclic_class(rot, order) == rep
             assert canonical_cyclic_class(rot.inverse(), order) == rep
+            assert cyclically_reduce(rot, order) == least([core.expand()])
+            assert cyclically_reduce(rot.inverse(), order) == least([core.inverse().expand()])
 
 
 @pytest.mark.parametrize(
