@@ -116,6 +116,8 @@ def pair_pattern(m: list[int]) -> bool:
 def decide_verdict(m) -> str:
     """Verdict for an exponent vector without report construction; single
     source of the decision chain used by classify."""
+    if not m or 0 in m:
+        raise EquationError("need k >= 1 nonzero exponents")
     k = len(m)
     if k <= 4:
         return "Cor1"

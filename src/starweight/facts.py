@@ -221,9 +221,9 @@ class FactBase:
             expanded = cur.expand()
             for i in range(len(expanded)):
                 rot = Word(expanded[i:] + expanded[:i])
-                n = cyclically_reduce(self.normalize_any(rot), self.order)
-                if len(n) < len(cur):
-                    cur = n
+                _, core = strip_conjugation(self.normalize_any(rot))
+                if len(core) < len(cur):
+                    cur = cyclically_reduce(core, self.order)
                     changed = True
                     break
         return cur
@@ -316,13 +316,6 @@ class FactBase:
         if v:
             return v
         return self._refute_notincyclic(n)
-
-    def refute_family(self, base: Word, pump: Word) -> Verdict:
-        """Refute base * pump^m = 1 uniformly for all integers m >= 1.
-
-        ``base`` must already be rotated so the pump is appended at its end.
-        """
-        return self.refute_template([base], [pump])
 
     def refute_template(self, segments: Sequence[Word], pumps: Sequence[Word]) -> Verdict:
         """Refute the cyclic template w0 p0^m0 w1 p1^m1 ... for all mi >= 1.

@@ -42,7 +42,6 @@ class Constraint:
 @dataclass
 class SearchConfig:
     max_iterations: int = 64
-    snap: bool = True  # prefer weights in {0, 1/2, 1} when still verifying
 
     def __post_init__(self):
         if self.max_iterations < 1:
@@ -66,69 +65,53 @@ class SearchOutcome:
 def solve_feasible(
     variables: list[str], constraints: list[Constraint]
 ) -> dict[str, Fraction] | None:
-    """Phase-1 simplex with Bland's rule; None when infeasible."""
+    """Phase-1 simplex with Bland's rule; None when infeasible.
+
+    Each row is negated where needed so that its rhs is nonnegative and it
+    is ``>=`` only when the rhs is positive; exactly those rows get an
+    artificial.  Tableau columns: structural | one slack per row (+1 on a
+    ``<=`` row, -1 on a ``>=`` row) | artificials in row order | rhs.  Row m
+    holds the reduced costs of min sum(artificials) and is pivoted in place
+    with the constraint rows, so its rhs entry is minus the objective.  A
+    basic column's reduced cost is exactly 0, so Bland's rule enters the
+    first negative one.
+    """
     var_index = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
+    n, m = len(variables), len(constraints)
     rows = []
-    senses = []
     for c in constraints:
         row = [Fraction(0)] * n
         for v, coef in c.coeffs:
             row[var_index[v]] += coef
-        rhs = c.rhs
-        sense = c.sense
-        if rhs < 0:  # normalize to nonnegative rhs
-            row = [-x for x in row]
-            rhs = -rhs
-            sense = "<=" if sense == ">=" else ">="
-        rows.append((row, rhs))
-        senses.append(sense)
+        rhs, geq = c.rhs, c.sense == ">="
+        if rhs < 0 or (geq and rhs == 0):
+            row, rhs, geq = [-x for x in row], -rhs, not geq
+        rows.append((row, rhs, geq))
 
-    m = len(rows)
-    # columns: structural | slack/surplus (one per row) | artificials
-    art_rows = [i for i, s in enumerate(senses) if s == ">=" and rows[i][1] > 0]
-    n_art = len(art_rows)
+    n_art = sum(geq for _, _, geq in rows)
     width = n + m + n_art
-    tab = []
-    basis = []
-    art_col_of = {}
-    for k, i in enumerate(art_rows):
-        art_col_of[i] = n + m + k
-    for i, ((row, rhs), sense) in enumerate(zip(rows, senses)):
+    tab, basis = [], []
+    art = n + m  # next artificial column
+    cost = [Fraction(0)] * (width + 1)
+    for i, (row, rhs, geq) in enumerate(rows):
         line = row + [Fraction(0)] * (m + n_art) + [rhs]
-        line[n + i] = Fraction(1) if sense == "<=" else Fraction(-1)
-        if i in art_col_of:
-            line[art_col_of[i]] = Fraction(1)
-            basis.append(art_col_of[i])
+        line[n + i] = Fraction(-1) if geq else Fraction(1)
+        if geq:
+            line[art] = Fraction(1)
+            basis.append(art)
+            art += 1
+            cost = [z - x for z, x in zip(cost, line)]
         else:
-            if sense == ">=":  # rhs == 0: surplus column can start basic
-                line[n + i] = Fraction(1)  # flip row sign: -sum + s = 0
-                for j in range(n):
-                    line[j] = -line[j]
             basis.append(n + i)
         tab.append(line)
+    cost[n + m : width] = [Fraction(0)] * n_art
+    tab.append(cost)
 
-    cost = [Fraction(0)] * width
-    for i in art_rows:
-        cost[art_col_of[i]] = Fraction(1)
-    # reduced cost row for min sum(artificials)
-    z = [Fraction(0)] * (width + 1)
-    for i, b in enumerate(basis):
-        if cost[b]:
-            for j in range(width + 1):
-                z[j] += tab[i][j]
     while True:
-        entering = -1
-        for j in range(width):
-            if j in basis:
-                continue
-            if cost[j] - z[j] < 0:
-                entering = j
-                break
-        if entering < 0:
+        entering = next((j for j in range(width) if tab[m][j] < 0), None)
+        if entering is None:
             break
-        leaving = -1
-        best = None
+        leaving, best = -1, None
         for i in range(m):
             a = tab[i][entering]
             if a > 0:
@@ -138,19 +121,16 @@ def solve_feasible(
         if leaving < 0:
             break  # unbounded phase 1 cannot happen; be safe
         piv = tab[leaving][entering]
-        tab[leaving] = [x / piv for x in tab[leaving]]
-        for i in range(m):
-            if i != leaving and tab[i][entering]:
-                f = tab[i][entering]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leaving])]
+        pivot = tab[leaving] = [x / piv for x in tab[leaving]]
+        support = [(j, y) for j, y in enumerate(pivot) if y]  # only these columns change
+        for i, line in enumerate(tab):
+            f = line[entering]
+            if f and i != leaving:
+                for j, y in support:
+                    line[j] -= f * y
         basis[leaving] = entering
-        z = [Fraction(0)] * (width + 1)
-        for i, b in enumerate(basis):
-            if cost[b]:
-                for j in range(width + 1):
-                    z[j] += tab[i][j]
 
-    if z[width] != 0:
+    if tab[m][width]:
         return None
     values = {v: Fraction(0) for v in variables}
     for i, b in enumerate(basis):
@@ -228,13 +208,10 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
             Constraint(((e.edge_id, Fraction(1)),), "<=", Fraction(1), f"bound {e.edge_id} <= 1")
         )
     for ri in range(len(s.presentation.relators)):
-        corners = [e.edge_id for e in g.edges if e.relator == ri]
-        counts: dict[str, int] = {}
-        for c in corners:
-            counts[c] = counts.get(c, 0) + 1
-        coeffs = tuple(sorted((e, Fraction(c)) for e, c in counts.items()))
+        # corner edge ids are distinct, so each has coefficient 1
+        coeffs = tuple(sorted((e.edge_id, Fraction(1)) for e in g.edges if e.relator == ri))
         constraints.append(
-            Constraint(coeffs, "<=", Fraction(len(corners) - 2), f"relator {ri} condition")
+            Constraint(coeffs, "<=", Fraction(len(coeffs) - 2), f"relator {ri} condition")
         )
 
     seen_cuts: set[tuple] = set()
@@ -249,14 +226,12 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
                 constraints,
                 certificate=infeasible_certificate(variables, constraints),
             )
-        candidates = []
-        if cfg.snap:
-            snapped = _snap(values)
-            if all(c.satisfied(snapped) for c in constraints):
-                candidates.append(snapped)
-            uniform = {v: Fraction(1, 2) for v in variables}
-            if all(c.satisfied(uniform) for c in constraints):
-                candidates.append(uniform)
+        # prefer weights in {0, 1/2, 1} while they still satisfy every constraint
+        candidates = [
+            cand
+            for cand in (_snap(values), {v: Fraction(1, 2) for v in variables})
+            if all(c.satisfied(cand) for c in constraints)
+        ]
         candidates.append(values)
         report = None
         chosen = None

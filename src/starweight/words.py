@@ -129,13 +129,6 @@ def word_from_tokens(tokens: Sequence[str]) -> Word:
     return Word(letters)
 
 
-def free_reduce(w: Word | Iterable[Letter]) -> Word:
-    """Freely reduce; idempotent (Word construction already reduces)."""
-    if isinstance(w, Word):
-        return Word(w.letters)
-    return Word(w)
-
-
 def letter_key(order: Sequence[str] | None):
     """Sort key of a letter: declared symbol order, inverse after positive."""
     if order is None:

@@ -188,6 +188,14 @@ def test_classify_singular_short_never_unknown():
     assert count > 1_000_000
 
 
+@pytest.mark.parametrize("m", [[], [1, 0, -1, 0, 0], [0, 1, -1]])
+def test_decide_verdict_rejects_invalid_vectors(m):
+    from starweight.equations import decide_verdict
+
+    with pytest.raises(EquationError):
+        decide_verdict(m)
+
+
 def test_decide_verdict_matches_classify():
     rng = random.Random(99)
     for _ in range(2000):

@@ -71,7 +71,7 @@ def test_unknown_is_the_contract():
 
 def test_refute_family_pump_only():
     fb = fb_from(["neq a2 a4"])
-    assert fb.refute_family(Word(), W("a2^-1 a4")).refuted
+    assert fb.refute_template([Word()], [W("a2^-1 a4")]).refuted
 
 
 def test_refute_family_notincyclic_after_rewrite():
@@ -79,18 +79,18 @@ def test_refute_family_notincyclic_after_rewrite():
     # fact.  Oracle (integers, A = Z additively): a2 = 2, a3 = a4 = -2,
     # a1 = 5: base + m*pump = (-2 - 5) + m*(-4) != 0 for all m >= 1.
     fb = fb_from(["eq a2 a3^-1", "eq a4 a3", "notincyclic a1 a2"])
-    v = fb.refute_family(W("a1^-1 a4"), W("a2^-1 a4"))
+    v = fb.refute_template([W("a1^-1 a4")], [W("a2^-1 a4")])
     assert v.refuted and v.rule == "R3"
 
 
 def test_refute_family_unknown_without_facts():
     fb = fb_from([])
-    assert not fb.refute_family(W("a1^-1 a4"), W("a2^-1 a4")).refuted
+    assert not fb.refute_template([W("a1^-1 a4")], [W("a2^-1 a4")]).refuted
 
 
 def test_refute_family_conjugated_pump():
     fb = fb_from(["notincyclic b1 b2"], gens="a1", gens_b="b1 b2")
-    v = fb.refute_family(W("b1"), W("b1^-1 b2 b1"))
+    v = fb.refute_template([W("b1")], [W("b1^-1 b2 b1")])
     assert v.refuted
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,136 @@ def test_simplex_infeasible():
         Constraint((("x", Fraction(1)),), ">=", Fraction(2), "lo"),
     ]
     assert solve_feasible(["x"], cons) is None
+
+
+def _reference_solve_feasible(
+    variables: list[str], constraints: list[Constraint]
+) -> dict[str, Fraction] | None:
+    """The earlier solver, kept verbatim as the oracle: phase-1 simplex with
+    Bland's rule; None when infeasible."""
+    var_index = {v: i for i, v in enumerate(variables)}
+    n = len(variables)
+    rows = []
+    senses = []
+    for c in constraints:
+        row = [Fraction(0)] * n
+        for v, coef in c.coeffs:
+            row[var_index[v]] += coef
+        rhs = c.rhs
+        sense = c.sense
+        if rhs < 0:  # normalize to nonnegative rhs
+            row = [-x for x in row]
+            rhs = -rhs
+            sense = "<=" if sense == ">=" else ">="
+        rows.append((row, rhs))
+        senses.append(sense)
+
+    m = len(rows)
+    # columns: structural | slack/surplus (one per row) | artificials
+    art_rows = [i for i, s in enumerate(senses) if s == ">=" and rows[i][1] > 0]
+    n_art = len(art_rows)
+    width = n + m + n_art
+    tab = []
+    basis = []
+    art_col_of = {}
+    for k, i in enumerate(art_rows):
+        art_col_of[i] = n + m + k
+    for i, ((row, rhs), sense) in enumerate(zip(rows, senses)):
+        line = row + [Fraction(0)] * (m + n_art) + [rhs]
+        line[n + i] = Fraction(1) if sense == "<=" else Fraction(-1)
+        if i in art_col_of:
+            line[art_col_of[i]] = Fraction(1)
+            basis.append(art_col_of[i])
+        else:
+            if sense == ">=":  # rhs == 0: surplus column can start basic
+                line[n + i] = Fraction(1)  # flip row sign: -sum + s = 0
+                for j in range(n):
+                    line[j] = -line[j]
+            basis.append(n + i)
+        tab.append(line)
+
+    cost = [Fraction(0)] * width
+    for i in art_rows:
+        cost[art_col_of[i]] = Fraction(1)
+    # reduced cost row for min sum(artificials)
+    z = [Fraction(0)] * (width + 1)
+    for i, b in enumerate(basis):
+        if cost[b]:
+            for j in range(width + 1):
+                z[j] += tab[i][j]
+    while True:
+        entering = -1
+        for j in range(width):
+            if j in basis:
+                continue
+            if cost[j] - z[j] < 0:
+                entering = j
+                break
+        if entering < 0:
+            break
+        leaving = -1
+        best = None
+        for i in range(m):
+            a = tab[i][entering]
+            if a > 0:
+                ratio = tab[i][width] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
+                    best, leaving = ratio, i
+        if leaving < 0:
+            break  # unbounded phase 1 cannot happen; be safe
+        piv = tab[leaving][entering]
+        tab[leaving] = [x / piv for x in tab[leaving]]
+        for i in range(m):
+            if i != leaving and tab[i][entering]:
+                f = tab[i][entering]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leaving])]
+        basis[leaving] = entering
+        z = [Fraction(0)] * (width + 1)
+        for i, b in enumerate(basis):
+            if cost[b]:
+                for j in range(width + 1):
+                    z[j] += tab[i][j]
+
+    if z[width] != 0:
+        return None
+    values = {v: Fraction(0) for v in variables}
+    for i, b in enumerate(basis):
+        if b < n:
+            values[variables[b]] = tab[i][width]
+    return values
+
+def _random_lp(rng):
+    variables = [f"x{i}" for i in range(rng.randint(1, 5))]
+    constraints = [
+        Constraint(
+            tuple((v, Fraction(rng.randint(-3, 3))) for v in variables),
+            rng.choice(["<=", ">="]),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+            f"c{k}",
+        )
+        for k in range(rng.randint(1, 7))
+    ]
+    return variables, constraints
+
+
+def test_simplex_matches_reference_on_random_lps():
+    # identical answers pin the pivot sequence, which the search output
+    # (weights, iteration counts, certificates) depends on
+    rng = random.Random(1954)
+    infeasible = 0
+    for _ in range(2000):
+        variables, constraints = _random_lp(rng)
+        expected = _reference_solve_feasible(variables, constraints)
+        got = solve_feasible(variables, constraints)
+        if expected is None:
+            infeasible += 1
+            assert got is None, (variables, constraints)
+        else:
+            assert got is not None and list(got.items()) == list(expected.items()), (
+                variables,
+                constraints,
+            )
+    assert 500 < infeasible < 1500
 
 
 def test_search_gamma8_finds_zero_one_function():
