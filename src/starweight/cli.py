@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .curvature import CurvatureExpr, region_curvature
+from .curvature import region_curvature
 from .equations import EquationError, classify, parse_equation
 from .facts import FactBase, FactError
 from .scenario import INDETERMINATE, Scenario, ScenarioError, parse_scenario, print_scenario

@@ -94,9 +94,6 @@ class StarGraph:
                 out.append(Traversal(e, -1))
         return out
 
-    def degree(self, v: Vertex) -> int:
-        return sum((e.src == v) + (e.dst == v) for e in self.edges)
-
     def resolve(self, key: str) -> Edge:
         """Resolve an edge id or label alias to an edge."""
         if key in self.by_id:

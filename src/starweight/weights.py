@@ -5,17 +5,26 @@ passes the weight test when every relator's corners c1..cn satisfy
 sum(1 - w(ci)) >= 2 and every admissible closed path (nonempty, cyclically
 reduced, label trivial in a factor) has weight >= 2.
 
-``enumerate_light_cycles`` lists all closed paths of weight below the
-threshold as finitely many *cycle families*: a base path plus pumpable
-zero-weight cycles, each pump with an independent multiplicity m >= 0
-(pure zero-cycle power families are displayed with m >= 1).  The
-decomposition is exact as long as every zero-weight component contains at
-most one independent cycle; richer zero subgraphs raise an error rather
+One rooted depth-first walker, ``_closed_walks``, enumerates every closed
+path used here, each rotation/inversion class from its least edge only.
+
+``enumerate_light_cycles`` walks around the zero-weight subgraph and lists
+all closed paths of weight below the threshold as finitely many *cycle
+families*: a base path plus pumpable zero-weight cycles, each pump with an
+independent multiplicity m >= 0 (pure zero-cycle power families are
+displayed with m >= 1).  Paths with equal label sequences give one family.
+The decomposition is exact as long as every zero-weight component contains
+at most one independent cycle; richer zero subgraphs raise an error rather
 than risk an incomplete list.
 
+``reduced_closed_walks`` walks with an empty zero subgraph and so lists the
+cyclically reduced closed walks up to a length: the guard of the weight
+test, the fallback cuts of the search and ``enumerate_trivial_cycles``.
+
 ``verify_weight_test`` refutes every family's full expansion set through
-the fact base and reports the survivors; the verdict is Aspherical exactly
-when the relator condition holds and nothing survives.
+the fact base, reports any unrefuted short light walk no survivor covers,
+and reports the survivors; the verdict is Aspherical exactly when the
+relator condition holds and nothing survives.
 """
 
 from __future__ import annotations
@@ -317,6 +326,9 @@ class CycleFamily:
         return out
 
     def dedup_key(self) -> tuple:
+        """Label-atom classes of the expansions with each pump up to twice.
+        Paths whose label sequences are equal (over different edges, say)
+        have equal keys and so give one family."""
         keys = {canonical_atom_cycle(list(w)) for w in self.expansions_upto(2)}
         return tuple(sorted(keys))
 
@@ -367,48 +379,55 @@ def zero_cycle_families(g: StarGraph, wf: WeightFunction) -> tuple[_ZeroSubgraph
     return zsub, families
 
 
-def _skeletons(
+MAX_MARKED = 4  # backtrack junctions per skeleton, each mended by a mandatory pump
+
+
+def _closed_walks(
     g: StarGraph,
     wf: WeightFunction,
     threshold: Fraction,
-    zsub: "_ZeroSubgraph",
-    budget: int = 2_000_000,
-    max_marked: int = 4,
-    max_len: int = 40,
+    zsub: _ZeroSubgraph,
+    max_len: int,
+    budget: int,
 ) -> list[tuple[tuple[Traversal, ...], frozenset]]:
-    """Closed paths with >= 1 positive edge, positive weight < threshold and
-    vertex-simple zero runs.  A traversal may immediately backtrack when a
-    zero-weight pump exists at the turning vertex; such junctions are marked
-    and a pump insertion there is mandatory (the bare base is not reduced).
-    Returns (path, marked junction indices)."""
-    positive = [
-        t
-        for e in g.edges
-        if wf[e.edge_id] > 0
-        for t in (Traversal(e, +1), Traversal(e, -1))
-    ]
+    """(path, marked) per closed walk of at most max_len traversals that
+    uses an edge outside the zero subgraph, weighs less than threshold on
+    those edges and runs vertex-simply over zero-subgraph edges, in DFS
+    order.  A walk may backtrack (at the seam too) only where a zero pump
+    exists at the turning vertex; marked holds those junctions, where a pump
+    insertion is mandatory.
+
+    Rooting: the DFS starts from the forward traversal of each edge outside
+    the zero subgraph, in ``g.edges`` order, and never steps onto such an
+    edge of lower index.  Inversion flips every direction, so each
+    rotation/inversion class reaches the forward traversal of its least
+    edge, and pruned subtrees keep the order of the rest: the first path per
+    class is the one an unrooted DFS from both directions of every edge
+    finds first.  Only classes whose zero run returns to the vertex of a
+    zero backtrack are lost, as such a run is vertex-simple in one
+    orientation only; that junction lies on the zero cycle, whose pumps all
+    start or end with the backtracked edge, so the walk yields no family.
+    """
+    zero = {e.edge_id for e in zsub.edges}
+    rank = {e.edge_id: i for i, e in enumerate(g.edges)}
     results: list[tuple[tuple[Traversal, ...], frozenset]] = []
     steps = 0
-    for t0 in positive:
-        if wf[t0.edge.edge_id] >= threshold:
+    for root, e0 in enumerate(g.edges):
+        if e0.edge_id in zero or wf[e0.edge_id] >= threshold:
             continue
-        stack = [((t0,), wf[t0.edge.edge_id], frozenset([t0.end]), frozenset())]
+        t0 = Traversal(e0, +1)
+        stack = [((t0,), wf[e0.edge_id], frozenset([t0.end]), frozenset())]
         while stack:
-            path, pos_used, run_seen, marked = stack.pop()
+            path, used, run_seen, marked = stack.pop()
             steps += 1
             if steps > budget:
-                raise WeightError("light-cycle enumeration budget exceeded")
+                raise WeightError("closed-walk enumeration budget exceeded")
             cur = path[-1].end
             if cur == t0.start:
                 # internal junctions are reduced-or-marked by construction
-                seam_backtrack = (
-                    path[-1].edge is t0.edge
-                    and path[-1].direction == -t0.direction
-                    and len(path) > 1
-                )
-                if not seam_backtrack:
+                if path[-1].edge is not e0 or path[-1].direction > 0:
                     results.append((path, marked))
-                elif len(marked) < max_marked and zsub.pumps_at(cur):
+                elif len(marked) < MAX_MARKED and zsub.pumps_at(cur):
                     results.append((path, marked | {len(path) - 1}))
             if len(path) >= max_len:
                 continue
@@ -416,20 +435,18 @@ def _skeletons(
                 backtrack = t.edge is path[-1].edge and t.direction == -path[-1].direction
                 new_marked = marked
                 if backtrack:
-                    if len(marked) >= max_marked or not zsub.pumps_at(cur):
+                    if len(marked) >= MAX_MARKED or not zsub.pumps_at(cur):
                         continue
                     new_marked = marked | {len(path) - 1}
-                w = wf[t.edge.edge_id]
-                if w > 0:
-                    if pos_used + w >= threshold:
+                if t.edge.edge_id not in zero:
+                    w = wf[t.edge.edge_id]
+                    if rank[t.edge.edge_id] < root or used + w >= threshold:
                         continue
-                    stack.append((path + (t,), pos_used + w, frozenset([t.end]), new_marked))
+                    stack.append((path + (t,), used + w, frozenset([t.end]), new_marked))
                 elif backtrack:
-                    stack.append((path + (t,), pos_used, frozenset([t.end]), new_marked))
-                else:
-                    if t.end in run_seen:
-                        continue  # zero runs are vertex-simple; revisits belong to pumps
-                    stack.append((path + (t,), pos_used, run_seen | {t.end}, new_marked))
+                    stack.append((path + (t,), used, frozenset([t.end]), new_marked))
+                elif t.end not in run_seen:  # revisits belong to pumps
+                    stack.append((path + (t,), used, run_seen | {t.end}, new_marked))
     return results
 
 
@@ -438,7 +455,9 @@ def enumerate_light_cycles(
 ) -> list[CycleFamily]:
     """Complete family list of reduced closed paths of weight < threshold.
 
-    Raises DegenerateZeroCycleError for an empty-label zero cycle and
+    Paths with equal label sequences give one family, which shows the edges
+    and weight of the first of them the walker found.  Raises
+    DegenerateZeroCycleError for an empty-label zero cycle and
     EntangledZeroSubgraphError when a zero component has cycle rank >= 2
     (the family decomposition would not be exhaustive there).
     """
@@ -446,10 +465,8 @@ def enumerate_light_cycles(
         raise WeightError("threshold must be positive")
     wf.require_total(g)
     zsub, families = zero_cycle_families(g, wf)
-    seen: dict[tuple, CycleFamily] = {}
-    for fam in families:
-        seen[fam.dedup_key()] = fam
-    for base, marked in _skeletons(g, wf, threshold, zsub):
+    seen = {fam.dedup_key(): fam for fam in families}
+    for base, marked in _closed_walks(g, wf, threshold, zsub, max_len=40, budget=2_000_000):
         n = len(base)
         optional: list[Pump] = []
         mandatory_opts: dict[int, list[Pump]] = {q: [] for q in marked}
@@ -469,14 +486,11 @@ def enumerate_light_cycles(
         for chosen in itertools.product(*(mandatory_opts[q] for q in mand_points)):
             pumps = tuple(sorted(optional + list(chosen), key=lambda p: p.insert_after))
             fam = CycleFamily(base, pumps, wf.weight_of(base), "cycle")
-            key = fam.dedup_key()
-            if key not in seen:
-                seen[key] = fam
-    ordered = sorted(seen.values(), key=lambda f: (f.weight, f.display()))
-    return ordered
+            seen.setdefault(fam.dedup_key(), fam)
+    return sorted(seen.values(), key=lambda f: (f.weight, f.display()))
 
 
-# -- brute-force oracle ------------------------------------------------
+# -- cyclically reduced closed walks -------------------------------------
 
 
 def reduced_closed_walks(
@@ -488,29 +502,12 @@ def reduced_closed_walks(
 ) -> list[tuple[Traversal, ...]]:
     """All cyclically reduced closed walks up to max_len, one per canonical
     (rotation/inversion) class; optionally only those of weight < threshold."""
+    if wf is None or threshold is None:
+        wf, threshold = WeightFunction({e.edge_id: Fraction(0) for e in g.edges}), Fraction(1)
+    # an empty zero subgraph allows no backtrack and imposes no simple runs
     out: dict[tuple, tuple[Traversal, ...]] = {}
-    steps = 0
-    starts = [t for e in g.edges for t in (Traversal(e, +1), Traversal(e, -1))]
-    for t0 in starts:
-        if wf is not None and threshold is not None and wf[t0.edge.edge_id] >= threshold:
-            continue
-        stack = [((t0,), wf[t0.edge.edge_id] if wf else Fraction(0))]
-        while stack:
-            path, used = stack.pop()
-            steps += 1
-            if steps > budget:
-                raise WeightError("walk enumeration budget exceeded")
-            if path[-1].end == t0.start and is_reduced(list(path), cyclic=True):
-                out.setdefault(canonical_atom_edge_cycle(path), path)
-            if len(path) == max_len:
-                continue
-            for t in g.incident(path[-1].end):
-                if t.edge is path[-1].edge and t.direction == -path[-1].direction:
-                    continue
-                w = wf[t.edge.edge_id] if wf else Fraction(0)
-                if threshold is not None and wf is not None and used + w >= threshold:
-                    continue
-                stack.append((path + (t,), used + w))
+    for path, _ in _closed_walks(g, wf, threshold, _ZeroSubgraph(g, []), max_len, budget):
+        out.setdefault(canonical_atom_edge_cycle(path), path)
     return [out[k] for k in sorted(out)]
 
 

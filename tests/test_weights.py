@@ -1,21 +1,32 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import starweight
 from starweight.facts import FactBase
 from starweight.scenario import parse_scenario
-from starweight.stargraph import build_star_graph, path_label
+from starweight.stargraph import (
+    StarGraph,
+    Traversal,
+    build_star_graph,
+    canonical_atom_cycle,
+    is_reduced,
+    path_label,
+)
 from starweight.weights import (
     DegenerateZeroCycleError,
     EntangledZeroSubgraphError,
     WeightError,
     WeightFunction,
+    _closed_walks,
     canonical_atom_edge_cycle,
     check_relator_condition,
     enumerate_light_cycles,
     enumerate_trivial_cycles,
     reduced_closed_walks,
     verify_weight_test,
+    zero_cycle_families,
 )
 from starweight.words import Word, canonical_cyclic_class, word_from_tokens
 
@@ -343,3 +354,209 @@ fact: notincyclic a4 a2
     ):
         assert key(expected) in cycles, expected
     assert key("a2 a4^-1 a2 a4^-1") not in cycles  # (a2 a4^-1)^2 refuted, torsion-free
+
+
+# -- the rooted walker against the unrooted DFS it replaced -------------------
+
+CORPUS = Path(starweight.__file__).parent / "corpus"
+
+
+def _corpus():
+    out = []
+    for path in sorted(CORPUS.glob("*.scn")):
+        s = parse_scenario(path.read_text(), name=path.stem)
+        out.append((s, build_star_graph(s.presentation)))
+    return out
+
+
+def _grid_text(k, q):
+    """Relator a1 t ... ak t, facts ai != 1 and ai != aj, weight 1/q per corner."""
+    gens = [f"a{i}" for i in range(1, k + 1)]
+    lines = ["factor A noncyclic nontrivial", "gens A: " + " ".join(gens), "indet: t"]
+    lines.append("relator: " + " ".join(f"{x} t" for x in gens))
+    lines += [f"fact: neq {x} 1" for x in gens]
+    lines += [f"fact: neq {x} {y}" for i, x in enumerate(gens) for y in gens[i + 1 :]]
+    lines += [f"weight: 0.{c} = 1/{q}" for c in range(k)]
+    return "\n".join(lines) + "\n"
+
+
+# The two DFS copies the rooted walker replaced, kept verbatim as oracles:
+# both start from both directions of every edge and keep every rotation.
+
+
+def _reference_skeletons(
+    g: StarGraph,
+    wf: WeightFunction,
+    threshold: Fraction,
+    zsub: "_ZeroSubgraph",
+    budget: int = 2_000_000,
+    max_marked: int = 4,
+    max_len: int = 40,
+) -> list[tuple[tuple[Traversal, ...], frozenset]]:
+    """Closed paths with >= 1 positive edge, positive weight < threshold and
+    vertex-simple zero runs.  A traversal may immediately backtrack when a
+    zero-weight pump exists at the turning vertex; such junctions are marked
+    and a pump insertion there is mandatory (the bare base is not reduced).
+    Returns (path, marked junction indices)."""
+    positive = [
+        t
+        for e in g.edges
+        if wf[e.edge_id] > 0
+        for t in (Traversal(e, +1), Traversal(e, -1))
+    ]
+    results: list[tuple[tuple[Traversal, ...], frozenset]] = []
+    steps = 0
+    for t0 in positive:
+        if wf[t0.edge.edge_id] >= threshold:
+            continue
+        stack = [((t0,), wf[t0.edge.edge_id], frozenset([t0.end]), frozenset())]
+        while stack:
+            path, pos_used, run_seen, marked = stack.pop()
+            steps += 1
+            if steps > budget:
+                raise WeightError("light-cycle enumeration budget exceeded")
+            cur = path[-1].end
+            if cur == t0.start:
+                # internal junctions are reduced-or-marked by construction
+                seam_backtrack = (
+                    path[-1].edge is t0.edge
+                    and path[-1].direction == -t0.direction
+                    and len(path) > 1
+                )
+                if not seam_backtrack:
+                    results.append((path, marked))
+                elif len(marked) < max_marked and zsub.pumps_at(cur):
+                    results.append((path, marked | {len(path) - 1}))
+            if len(path) >= max_len:
+                continue
+            for t in g.incident(cur):
+                backtrack = t.edge is path[-1].edge and t.direction == -path[-1].direction
+                new_marked = marked
+                if backtrack:
+                    if len(marked) >= max_marked or not zsub.pumps_at(cur):
+                        continue
+                    new_marked = marked | {len(path) - 1}
+                w = wf[t.edge.edge_id]
+                if w > 0:
+                    if pos_used + w >= threshold:
+                        continue
+                    stack.append((path + (t,), pos_used + w, frozenset([t.end]), new_marked))
+                elif backtrack:
+                    stack.append((path + (t,), pos_used, frozenset([t.end]), new_marked))
+                else:
+                    if t.end in run_seen:
+                        continue  # zero runs are vertex-simple; revisits belong to pumps
+                    stack.append((path + (t,), pos_used, run_seen | {t.end}, new_marked))
+    return results
+
+
+def _reference_reduced_closed_walks(
+    g: StarGraph,
+    max_len: int,
+    wf: WeightFunction | None = None,
+    threshold: Fraction | None = None,
+    budget: int = 5_000_000,
+) -> list[tuple[Traversal, ...]]:
+    """All cyclically reduced closed walks up to max_len, one per canonical
+    (rotation/inversion) class; optionally only those of weight < threshold."""
+    out: dict[tuple, tuple[Traversal, ...]] = {}
+    steps = 0
+    starts = [t for e in g.edges for t in (Traversal(e, +1), Traversal(e, -1))]
+    for t0 in starts:
+        if wf is not None and threshold is not None and wf[t0.edge.edge_id] >= threshold:
+            continue
+        stack = [((t0,), wf[t0.edge.edge_id] if wf else Fraction(0))]
+        while stack:
+            path, used = stack.pop()
+            steps += 1
+            if steps > budget:
+                raise WeightError("walk enumeration budget exceeded")
+            if path[-1].end == t0.start and is_reduced(list(path), cyclic=True):
+                out.setdefault(canonical_atom_edge_cycle(path), path)
+            if len(path) == max_len:
+                continue
+            for t in g.incident(path[-1].end):
+                if t.edge is path[-1].edge and t.direction == -path[-1].direction:
+                    continue
+                w = wf[t.edge.edge_id] if wf else Fraction(0)
+                if threshold is not None and wf is not None and used + w >= threshold:
+                    continue
+                stack.append((path + (t,), used + w))
+    return [out[k] for k in sorted(out)]
+
+
+def test_reduced_closed_walks_match_reference():
+    # same paths in the same order: the first walk found per class survives rooting
+    weighted = 0
+    for s, g in _corpus():
+        assert reduced_closed_walks(g, 4) == _reference_reduced_closed_walks(g, 4), s.name
+        if s.weights:
+            weighted += 1
+            wf = WeightFunction.from_scenario(s, g)
+            want = _reference_reduced_closed_walks(g, 10, wf, Fraction(2))
+            assert reduced_closed_walks(g, 10, wf, Fraction(2)) == want, s.name
+    assert weighted == 49
+
+
+def _first_per_class(skeletons):
+    first = {}
+    for path, marked in skeletons:
+        first.setdefault(canonical_atom_edge_cycle(path), (path, marked))
+    return list(first.items())
+
+
+def _unmendable(zsub, path, marked):
+    """Some marked junction admits no pump that keeps it reduced."""
+    def mends(q, prefix, cycle):
+        back = [t.reverse() for t in reversed(prefix)]
+        return is_reduced([path[q], *prefix, *cycle, *back, path[(q + 1) % len(path)]])
+
+    return any(
+        not any(mends(q, prefix, cycle) for prefix, cycle in zsub.pumps_at(path[q].end))
+        for q in marked
+    )
+
+
+def test_closed_walks_first_skeleton_per_class_matches_reference():
+    # the reference also keeps classes whose only valid orientation is the one
+    # rooting skips; each has an unmendable junction and so yields no family
+    cases = [(s.name, s, g) for s, g in _corpus() if s.weights]
+    for k, q in ((4, 3), (4, 4), (5, 3)):
+        s = parse_scenario(_grid_text(k, q), name=f"grid k={k} q={q}")
+        cases.append((s.name, s, build_star_graph(s.presentation)))
+    checked = dropped = 0
+    for name, s, g in cases:
+        wf = WeightFunction.from_scenario(s, g)
+        try:
+            zsub, _ = zero_cycle_families(g, wf)
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            continue
+        want = _first_per_class(_reference_skeletons(g, wf, Fraction(2), zsub))
+        got = _first_per_class(_closed_walks(g, wf, Fraction(2), zsub, 40, 2_000_000))
+        kept = {key for key, _ in got}
+        assert got == [item for item in want if item[0] in kept], name
+        for key, (path, marked) in want:
+            if key not in kept:
+                assert _unmendable(zsub, path, marked), (name, path)
+                dropped += 1
+        checked += 1
+    assert checked >= 40 and dropped > 0
+
+
+def test_families_cover_every_light_walk_to_length_10():
+    # families are deduplicated by label atoms (px20_w's loops 1.0 and 1.2
+    # both read b2), so coverage is compared by atoms, not by edge ids
+    checked = 0
+    for s, g in _corpus():
+        if not s.weights:
+            continue
+        wf = WeightFunction.from_scenario(s, g)
+        try:
+            fams = enumerate_light_cycles(g, wf)
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            continue
+        covered = {canonical_atom_cycle(list(w)) for f in fams for w in f.expansions_upto(10)}
+        for w in _reference_reduced_closed_walks(g, 10, wf, Fraction(2)):
+            assert canonical_atom_cycle(list(w)) in covered, (s.name, w)
+        checked += 1
+    assert checked >= 40
