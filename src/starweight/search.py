@@ -8,6 +8,17 @@ discovered by the verifier on the previous candidate.  Family cuts use the
 minimal member of the family (pumps only add nonnegative weight, so it
 dominates the whole family).  Everything is exact Fraction arithmetic with
 Bland's rule, so runs are deterministic.
+
+Where the zero-weight subgraph is entangled or degenerate there are no
+families, and the search cuts light walks directly (``_fallback_cuts``).
+These cuts are necessary: the verifier's guard reports every unrefuted
+light walk of length <= 6 as a potential violation, so every weight
+function it accepts gives each such walk weight >= 2.  A cut is the
+walk's edge-count vector c with c.w >= 2.  Weights are >= 0, so when
+c <= c' in every coordinate, c.w >= 2 implies c'.w >= 2: the cut of c'
+is redundant and dropping it leaves the feasible region unchanged.  The
+same test keeps out any new cut that a held cut already implies.
+Budget exhaustion of the walk enumeration ends the search as gave-up.
 """
 
 from __future__ import annotations
@@ -17,10 +28,10 @@ from fractions import Fraction
 
 from .facts import FactBase
 from .scenario import Scenario
-from .stargraph import StarGraph, Traversal, build_star_graph, is_reduced, path_label
+from .stargraph import StarGraph, build_star_graph, path_label
 from .weights import (
     DegenerateZeroCycleError,
-    EntangledZeroSubgraphError,
+    WalkBudgetError,
     WeightFunction,
     reduced_closed_walks,
     verify_weight_test,
@@ -162,22 +173,39 @@ def _fallback_cuts(
     fb: FactBase,
     values: dict[str, Fraction],
     max_len: int = 6,
-) -> list[Constraint]:
+) -> list[tuple[dict[str, int], str]]:
     """When the family decomposition is unavailable (entangled or degenerate
-    zero subgraph), cut every unrefuted light walk up to a bounded length."""
+    zero subgraph), cut the minimal unrefuted light walks up to a bounded
+    length: shortest first, and a walk whose cut an earlier cut implies is
+    skipped before its label is refuted.  Each cut is its edge-count vector
+    and its label."""
     wf = WeightFunction(values)
+    kept: list[dict[str, int]] = []
     cuts = []
-    for walk in reduced_closed_walks(g, max_len, wf, Fraction(2), budget=400_000):
-        if fb.refute_trivial(path_label(walk)):
+    walks = reduced_closed_walks(g, max_len, wf, Fraction(2), budget=400_000)
+    for walk in sorted(walks, key=len):
+        counts = _edge_counts(walk)
+        if _implied(counts, kept) or fb.refute_trivial(path_label(walk)):
             continue
-        cuts.append(_cut_from_path(walk, "light walk " + _path_desc(walk)))
+        kept.append(counts)
+        cuts.append((counts, "light walk " + _path_desc(walk)))
     return cuts
 
 
-def _cut_from_path(path, label: str) -> Constraint:
+def _edge_counts(path) -> dict[str, int]:
     counts: dict[str, int] = {}
     for t in path:
         counts[t.edge.edge_id] = counts.get(t.edge.edge_id, 0) + 1
+    return counts
+
+
+def _implied(counts: dict[str, int], kept: list[dict[str, int]]) -> bool:
+    """Some kept count vector is <= counts everywhere, so with weights >= 0
+    its cut implies the cut of counts."""
+    return any(all(counts.get(e, 0) >= c for e, c in k.items()) for k in kept)
+
+
+def _cut(counts: dict[str, int], label: str) -> Constraint:
     coeffs = tuple(sorted((e, Fraction(c)) for e, c in counts.items()))
     return Constraint(coeffs, ">=", Fraction(2), label)
 
@@ -194,6 +222,21 @@ def _snap(values: dict[str, Fraction]) -> dict[str, Fraction]:
     return snapped
 
 
+def _base_constraints(g: StarGraph, relator_count: int) -> list[Constraint]:
+    """w(e) <= 1 per edge and the relator condition per relator."""
+    constraints = [
+        Constraint(((e.edge_id, Fraction(1)),), "<=", Fraction(1), f"bound {e.edge_id} <= 1")
+        for e in g.edges
+    ]
+    for ri in range(relator_count):
+        # corner edge ids are distinct, so each has coefficient 1
+        coeffs = tuple(sorted((e.edge_id, Fraction(1)) for e in g.edges if e.relator == ri))
+        constraints.append(
+            Constraint(coeffs, "<=", Fraction(len(coeffs) - 2), f"relator {ri} condition")
+        )
+    return constraints
+
+
 def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcome:
     cfg = cfg or SearchConfig()
     g = build_star_graph(s.presentation) if s.presentation.relators else None
@@ -202,19 +245,9 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
     fb = FactBase(s.presentation, s.fact_decls)
 
     variables = [e.edge_id for e in g.edges]
-    constraints: list[Constraint] = []
-    for e in g.edges:
-        constraints.append(
-            Constraint(((e.edge_id, Fraction(1)),), "<=", Fraction(1), f"bound {e.edge_id} <= 1")
-        )
-    for ri in range(len(s.presentation.relators)):
-        # corner edge ids are distinct, so each has coefficient 1
-        coeffs = tuple(sorted((e.edge_id, Fraction(1)) for e in g.edges if e.relator == ri))
-        constraints.append(
-            Constraint(coeffs, "<=", Fraction(len(coeffs) - 2), f"relator {ri} condition")
-        )
+    constraints = _base_constraints(g, len(s.presentation.relators))
 
-    seen_cuts: set[tuple] = set()
+    held: list[dict[str, int]] = []  # count vectors of the cuts in constraints
     last_violations: list[str] = []
     for iteration in range(1, cfg.max_iterations + 1):
         values = solve_feasible(variables, constraints)
@@ -233,38 +266,27 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
             if all(c.satisfied(cand) for c in constraints)
         ]
         candidates.append(values)
-        report = None
-        chosen = None
-        for cand in candidates:
-            trial = scenario_with_weights(s, cand)
-            try:
-                rep = verify_weight_test(trial)
-            except DegenerateZeroCycleError:
-                rep = None
-            if rep is not None and rep.verdict == "Aspherical":
-                report, chosen = rep, cand
-                break
-            if chosen is None:
-                report, chosen = rep, cand
-        if report is not None and report.verdict == "Aspherical":
-            return SearchOutcome("found", chosen, iteration, constraints)
-
-        new_cuts = []
-        if report is None or report.notes:
-            # degenerate or entangled zero subgraph: bounded direct cuts
-            new_cuts.extend(_fallback_cuts(g, fb, chosen))
-            last_violations = ["zero-weight subgraph not analyzable"]
-        else:
-            last_violations = [fv.family.display() for fv in report.violations]
-            for fv in report.violations:
-                new_cuts.append(
-                    _cut_from_path(fv.family.base, "admissible-candidate " + fv.family.display())
-                )
+        try:
+            report, chosen = _verify_candidates(s, candidates)
+            if report is not None and report.verdict == "Aspherical":
+                return SearchOutcome("found", chosen, iteration, constraints)
+            if report is None or report.notes:
+                # degenerate or entangled zero subgraph: bounded direct cuts
+                new_cuts = _fallback_cuts(g, fb, chosen)
+                last_violations = ["zero-weight subgraph not analyzable"]
+            else:
+                last_violations = [fv.family.display() for fv in report.violations]
+                new_cuts = [
+                    (_edge_counts(fv.family.base), "admissible-candidate " + fv.family.display())
+                    for fv in report.violations
+                ]
+        except WalkBudgetError as e:
+            return SearchOutcome("gave-up", None, iteration, constraints, last_violations=[str(e)])
         added = False
-        for cut in new_cuts:
-            if cut.coeffs not in seen_cuts:
-                seen_cuts.add(cut.coeffs)
-                constraints.append(cut)
+        for counts, label in new_cuts:
+            if not _implied(counts, held):
+                held.append(counts)
+                constraints.append(_cut(counts, label))
                 added = True
         if not added:
             return SearchOutcome(
@@ -273,6 +295,21 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
     return SearchOutcome(
         "gave-up", None, cfg.max_iterations, constraints, last_violations=last_violations
     )
+
+
+def _verify_candidates(s: Scenario, candidates: list[dict[str, Fraction]]):
+    """(report, candidate) of the first Aspherical candidate, else of the
+    first one; report is None for a degenerate zero cycle."""
+    first = None
+    for cand in candidates:
+        try:
+            rep = verify_weight_test(scenario_with_weights(s, cand))
+        except DegenerateZeroCycleError:
+            rep = None
+        if rep is not None and rep.verdict == "Aspherical":
+            return rep, cand
+        first = first or (rep, cand)
+    return first
 
 
 def _path_desc(path) -> str:

@@ -53,6 +53,10 @@ class WeightError(ValueError):
     pass
 
 
+class WalkBudgetError(WeightError):
+    """``_closed_walks`` ran out of steps: a resource limit, not bad input."""
+
+
 class DegenerateZeroCycleError(ValueError):
     """A zero-weight cycle with an empty label: families collapse."""
 
@@ -421,7 +425,7 @@ def _closed_walks(
             path, used, run_seen, marked = stack.pop()
             steps += 1
             if steps > budget:
-                raise WeightError("closed-walk enumeration budget exceeded")
+                raise WalkBudgetError("closed-walk enumeration budget exceeded")
             cur = path[-1].end
             if cur == t0.start:
                 # internal junctions are reduced-or-marked by construction
@@ -632,7 +636,7 @@ def verify_weight_test(
     }
     try:
         walks = reduced_closed_walks(g, guard_len, wf, threshold, budget=400_000)
-    except WeightError:
+    except WalkBudgetError:
         walks = []
         notes.append(f"guard enumeration over length <= {guard_len} skipped (budget)")
     for w in walks:

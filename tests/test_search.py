@@ -1,18 +1,36 @@
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import starweight
+import starweight.search as search_module
+from starweight.cli import main
+from starweight.facts import FactBase
 from starweight.scenario import parse_scenario
 from starweight.search import (
     Constraint,
     SearchConfig,
+    _base_constraints,
+    _cut,
+    _edge_counts,
+    _fallback_cuts,
+    _path_desc,
     search_weights,
     scenario_with_weights,
     solve_feasible,
     weight_lines,
 )
-from starweight.weights import verify_weight_test
+from starweight.stargraph import build_star_graph, path_label
+from starweight.weights import (
+    WalkBudgetError,
+    WeightError,
+    WeightFunction,
+    reduced_closed_walks,
+    verify_weight_test,
+)
 
 GAMMA8 = """\
 factor A noncyclic nontrivial
@@ -196,8 +214,6 @@ def test_search_paper_assignment_satisfies_generated_constraints():
     assert out.found
     # the hand-picked assignment: 1 on both identity edges and a3, 0 elsewhere
     paper = {}
-    from starweight.stargraph import build_star_graph
-
     g = build_star_graph(s.presentation)
     for e in g.edges:
         label = e.label_str()
@@ -238,3 +254,108 @@ def test_search_emits_pasteable_weight_lines():
 def test_search_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_iterations=0)
+
+
+# -- minimal fallback cuts ----------------------------------------------------
+
+CORPUS = Path(starweight.__file__).parent / "corpus"
+STEMS = sorted(p.stem for p in CORPUS.glob("*.scn"))
+
+# w0 + w1 + w2 <= 1 from the relator, yet no fact refutes a_i = a_j, so every
+# cut a_i a_j^-1 needs w_i + w_j >= 2: infeasible by hand
+INFEASIBLE_K3 = """\
+factor A noncyclic nontrivial
+gens A: a1 a2 a3
+indet: t
+relator: a1 t a2 t a3 t
+fact: neq a1 1
+fact: neq a2 1
+fact: neq a3 1
+"""
+
+
+def _bare_text(stem):
+    text = (CORPUS / f"{stem}.scn").read_text(encoding="utf-8")
+    return "".join(l + "\n" for l in text.splitlines() if not l.startswith("weight:"))
+
+
+def _bare(stem):
+    return parse_scenario(_bare_text(stem), name=stem)
+
+
+def _at_zero(s):
+    """Star graph, fact base, the all-zero weights (the first LP vertex) and
+    every light walk of length <= 6 under them."""
+    g = build_star_graph(s.presentation)
+    fb = FactBase(s.presentation, s.fact_decls)
+    zero = {e.edge_id: Fraction(0) for e in g.edges}
+    walks = reduced_closed_walks(g, 6, WeightFunction(zero), Fraction(2))
+    return g, fb, zero, walks
+
+
+def _geq(a, b):
+    return all(a.get(e, 0) >= c for e, c in b.items())
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_fallback_cuts_are_the_minimal_unrefuted_walks(stem):
+    g, fb, zero, walks = _at_zero(_bare(stem))
+    cuts = _fallback_cuts(g, fb, zero)
+    by_label = {"light walk " + _path_desc(w): w for w in walks}
+    for counts, label in cuts:
+        assert not fb.refute_trivial(path_label(by_label[label])), label
+        assert counts == _edge_counts(by_label[label])
+    for a, b in itertools.permutations(cuts, 2):
+        assert not _geq(b[0], a[0]), (a, b)
+    # a walk above no cut must be refuted: every unrefuted walk is implied
+    for w in walks:
+        if not any(_geq(_edge_counts(w), counts) for counts, _ in cuts):
+            assert fb.refute_trivial(path_label(w)), _path_desc(w)
+
+
+@pytest.mark.parametrize(
+    "stem, text, feasible",
+    [("px4_w0", None, True), ("px4_w1", None, True), ("infeasible_k3", INFEASIBLE_K3, False)],
+)
+def test_pruned_cuts_keep_feasibility(stem, text, feasible):
+    s = parse_scenario(text, name=stem) if text else _bare(stem)
+    g, fb, zero, walks = _at_zero(s)
+    base = _base_constraints(g, len(s.presentation.relators))
+    variables = [e.edge_id for e in g.edges]
+    pruned = [_cut(counts, label) for counts, label in _fallback_cuts(g, fb, zero)]
+    rows = {}  # one row per distinct count vector, as exact-match deduplication keeps
+    for w in walks:
+        cut = _cut(_edge_counts(w), _path_desc(w))
+        if cut.coeffs not in rows and not fb.refute_trivial(path_label(w)):
+            rows[cut.coeffs] = cut
+    unpruned = list(rows.values())
+    assert len(pruned) < len(unpruned)
+    assert (solve_feasible(variables, base + pruned) is not None) is feasible
+    assert (solve_feasible(variables, base + unpruned) is not None) is feasible
+
+
+@pytest.mark.parametrize("stem", ["px", "sec3_case1_w2", "sec3_case2_w", "sec3_lemma32_w"])
+def test_search_infeasible_corpus_certificate_is_infeasible(stem):
+    out = search_weights(_bare(stem))
+    assert out.status == "infeasible"
+    named = [c for c in out.constraints if c.label in set(out.certificate)]
+    assert len(named) == len(out.certificate)
+    assert solve_feasible(sorted({v for c in out.constraints for v, _ in c.coeffs}), named) is None
+
+
+def test_walk_budget_is_gave_up_not_an_input_error(monkeypatch, tmp_path, capsys):
+    def tiny_budget(g, max_len, wf=None, threshold=None, budget=0):
+        return reduced_closed_walks(g, max_len, wf, threshold, budget=1)
+
+    s = _bare("px4_w0")
+    with pytest.raises(WalkBudgetError, match="^closed-walk enumeration budget exceeded$"):
+        tiny_budget(build_star_graph(s.presentation), 6)
+    assert issubclass(WalkBudgetError, WeightError)
+    monkeypatch.setattr(search_module, "reduced_closed_walks", tiny_budget)
+    out = search_weights(s)
+    assert out.status == "gave-up" and out.weights is None
+    assert out.last_violations == ["closed-walk enumeration budget exceeded"]
+    path = tmp_path / "px4_w0.scn"
+    path.write_text(_bare_text("px4_w0"))
+    assert main(["search-weights", str(path)]) == 1  # a negative outcome, not exit 2
+    assert "unresolved: closed-walk enumeration budget exceeded" in capsys.readouterr().out
