@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / Aspherical / Solvable; 1 = verified negative
 (potential violations, Unknown verdict, corpus mismatch); 2 = usage or
-input error.  All output is deterministic for golden-file regression.
+input error; 3 = a resource limit (the closed-walk budget) was reached and
+nothing is claimed.  All output is deterministic for golden-file regression.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .scenario import INDETERMINATE, Scenario, ScenarioError, parse_scenario, pr
 from .search import SearchConfig, search_weights, weight_lines
 from .stargraph import GraphError, build_star_graph, export_dot, vertex_name
 from .weights import (
+    WalkBudgetError,
     WeightError,
     WeightFunction,
     enumerate_light_cycles,
@@ -27,7 +29,7 @@ from .weights import (
     verify_weight_test,
 )
 
-USAGE_ERROR, NEGATIVE, OK = 2, 1, 0
+RESOURCE_LIMIT, USAGE_ERROR, NEGATIVE, OK = 3, 2, 1, 0
 
 
 def _load(path: str) -> Scenario:
@@ -291,6 +293,9 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else OK
     try:
         return args.func(args)
+    except WalkBudgetError as e:
+        sys.stderr.write(f"error: {e}\n")
+        return RESOURCE_LIMIT
     except (
         ScenarioError,
         GraphError,

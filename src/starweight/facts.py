@@ -79,7 +79,7 @@ class FactBase:
         self._build_rules()
         self.neq1: set[Word] = set()
         self.notincyclic: list[tuple[Word, str]] = []  # (g-stripped core, g)
-        self._power_cache: dict[tuple[str, str], int | None] = {}
+        self._power_cache: dict[tuple[Word, str, int], int | None] = {}
         self._build_queries()
 
     # -- construction ------------------------------------------------
@@ -179,18 +179,16 @@ class FactBase:
     def as_power_of(self, w: Word, g: str, limit: int = 8) -> int | None:
         """Exponent k with w = g^k provable from the Eq facts, if any.
 
-        Bounded search; a hit is a theorem, a miss proves nothing.
+        Bounded search; a hit is a theorem, a miss proves nothing.  Answers
+        are cached per (w, g, limit): the facts never change.
         """
-        gw = Word([(g, 1)])
-        for k in range(-limit, limit + 1):
-            if not self.normalize_any(w * gw ** (-k)):
-                return k
-        return None
-
-    def _letter_power_of(self, name: str, g: str) -> int | None:
-        key = (name, g)
+        key = (w, g, limit)
         if key not in self._power_cache:
-            self._power_cache[key] = self.as_power_of(Word([(name, 1)]), g)
+            self._power_cache[key] = None
+            for k in range(-limit, limit + 1):
+                if not self.normalize_any(w * Word([(g, -k)])):
+                    self._power_cache[key] = k
+                    break
         return self._power_cache[key]
 
     def _g_substitute(self, w: Word, g: str) -> Word | None:
@@ -202,7 +200,7 @@ class FactBase:
             if n == g:
                 out.append((n, e))
                 continue
-            k = self._letter_power_of(n, g)
+            k = self.as_power_of(Word([(n, 1)]), g)
             if k is None:
                 out.append((n, e))
             else:
@@ -213,20 +211,36 @@ class FactBase:
 
     def _cyclic_normalize(self, w: Word) -> Word:
         """Normalize a conjugacy-class representative, allowing rewrites
-        across the rotation seam whenever they shorten the word."""
+        across the rotation seam whenever they shorten the word.
+
+        The rotations are tried only while some rule pattern occurs in the
+        cyclic word.  The check is exact: ``cur`` is cyclically reduced, so
+        each rotation is a freely reduced word of the same letters, and a
+        rotation in which no pattern occurs is its own normal form and
+        cannot be shorter than ``cur``.
+        """
         cur = cyclically_reduce(self.normalize_any(w), self.order)
-        changed = True
-        while changed:
-            changed = False
-            expanded = cur.expand()
+        while self._occurs_cyclically(expanded := cur.expand()):
             for i in range(len(expanded)):
                 rot = Word(expanded[i:] + expanded[:i])
                 _, core = strip_conjugation(self.normalize_any(rot))
                 if len(core) < len(cur):
                     cur = cyclically_reduce(core, self.order)
-                    changed = True
                     break
+            else:
+                break
         return cur
+
+    def _occurs_cyclically(self, expanded: tuple) -> bool:
+        """Does some rule pattern occur in the cyclic word, seam included?"""
+        n = len(expanded)
+        doubled = expanded + expanded
+        return any(
+            doubled[i : i + len(pat)] == pat
+            for pat, _ in self.rules
+            if len(pat) <= n
+            for i in range(n)
+        )
 
     # -- syllables -----------------------------------------------------
 
@@ -262,7 +276,10 @@ class FactBase:
     def _refute_notincyclic(self, w: Word) -> Verdict:
         """R3: some rotation/inversion of w, with letters provably in <g>
         rewritten as g-powers, reads g^s x g^t with x the forbidden core of
-        a NotInCyclic fact (or collapses to a nonzero g-power)."""
+        a NotInCyclic fact (or collapses to a nonzero g-power).
+
+        w is cyclically reduced, so every rotation of its letters is freely
+        reduced and x compares with the core letter by letter."""
         for core, g in self.notincyclic:
             variants = [w]
             sub = self._g_substitute(w, g)
@@ -275,13 +292,13 @@ class FactBase:
                         return _refuted(
                             "R2", f"{w} = {sub} is a nonzero power of {g} and {g} != 1"
                         )
+            forbidden = {core.expand(), core.inverse().expand()}
             for base in variants:
                 for cand in (base, base.inverse()):
                     expanded = cand.expand()
                     for i in range(max(len(expanded), 1)):
-                        rot = expanded[i:] + expanded[:i]
-                        x = _strip_g(Word(rot), g)
-                        if x and (x == core or x == core.inverse()):
+                        x = _g_trimmed(expanded[i:] + expanded[:i], g)
+                        if x and x in forbidden:
                             return _refuted(
                                 "R3",
                                 f"{w} = 1 forces {core} into <{g}>, contradicting notincyclic",
@@ -501,12 +518,17 @@ class FactBase:
 
 
 def _strip_g(w: Word, g: str) -> Word:
-    letters = list(w.expand())
-    while letters and letters[0][0] == g:
-        letters.pop(0)
-    while letters and letters[-1][0] == g:
-        letters.pop()
-    return Word(letters)
+    return Word(_g_trimmed(w.expand(), g))
+
+
+def _g_trimmed(letters: tuple, g: str) -> tuple:
+    """The letters without their leading and trailing g-letters."""
+    i, j = 0, len(letters)
+    while i < j and letters[i][0] == g:
+        i += 1
+    while j > i and letters[j - 1][0] == g:
+        j -= 1
+    return letters[i:j]
 
 
 def _affine_solvable(const: int, exps: list[int]) -> bool:

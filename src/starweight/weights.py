@@ -6,7 +6,12 @@ sum(1 - w(ci)) >= 2 and every admissible closed path (nonempty, cyclically
 reduced, label trivial in a factor) has weight >= 2.
 
 One rooted depth-first walker, ``_closed_walks``, enumerates every closed
-path used here, each rotation/inversion class from its least edge only.
+path used here, each rotation/inversion class from its least edge only.  It
+scales the weights and the threshold once by their least common
+denominator and adds and compares ints; family weights stay Fractions.  It
+turns back over an edge only where a zero pump can mend the backtrack, the
+same test the family builder applies to every marked junction, so it drops
+exactly the skeletons that yield no family, before walking their subtrees.
 
 ``enumerate_light_cycles`` walks around the zero-weight subgraph and lists
 all closed paths of weight below the threshold as finitely many *cycle
@@ -30,6 +35,7 @@ relator condition holds and nothing survives.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -176,6 +182,7 @@ class _ZeroSubgraph:
                         stack.append(t.end)
             comps.append(comp)
         self.cycles: dict[int, tuple[Traversal, ...]] = {}
+        self._pumps: dict[Vertex, list] = {}
         for ci, comp in enumerate(comps):
             ces = [e for e in zero_edges if e.src in comp]
             rank = len(ces) - len(comp) + 1
@@ -245,7 +252,13 @@ class _ZeroSubgraph:
         return out
 
     def pumps_at(self, v: Vertex) -> list[tuple[tuple[Traversal, ...], tuple[Traversal, ...]]]:
-        """(prefix, cycle) pairs anchorable at v, both cycle directions."""
+        """(prefix, cycle) pairs anchorable at v, both cycle directions;
+        computed once per vertex."""
+        if v not in self._pumps:
+            self._pumps[v] = self._find_pumps(v)
+        return self._pumps[v]
+
+    def _find_pumps(self, v: Vertex) -> list[tuple[tuple[Traversal, ...], tuple[Traversal, ...]]]:
         ci = self.component.get(v)
         if ci is None or ci not in self.cycles:
             return []
@@ -397,9 +410,16 @@ def _closed_walks(
     """(path, marked) per closed walk of at most max_len traversals that
     uses an edge outside the zero subgraph, weighs less than threshold on
     those edges and runs vertex-simply over zero-subgraph edges, in DFS
-    order.  A walk may backtrack (at the seam too) only where a zero pump
-    exists at the turning vertex; marked holds those junctions, where a pump
-    insertion is mandatory.
+    order.  A walk may backtrack (at the seam too) only where it can be
+    mended: some pump p at the turning vertex makes ``t p t^-1`` reduced for
+    the arriving traversal t.  marked holds those junctions, where a pump
+    insertion is mandatory.  A walk with an unmendable backtrack has no
+    reduced instance, so it yields no family, and neither does any walk
+    through it: its subtree is skipped.
+
+    Weights and threshold are scaled once by their least common
+    denominator, so the walk adds and compares ints, exactly as the
+    Fractions they stand for would compare.
 
     Rooting: the DFS starts from the forward traversal of each edge outside
     the zero subgraph, in ``g.edges`` order, and never steps onto such an
@@ -414,13 +434,28 @@ def _closed_walks(
     """
     zero = {e.edge_id for e in zsub.edges}
     rank = {e.edge_id: i for i, e in enumerate(g.edges)}
+    exact = {e.edge_id: Fraction(wf[e.edge_id]) for e in g.edges if e.edge_id not in zero}
+    scale = math.lcm(Fraction(threshold).denominator, *(w.denominator for w in exact.values()))
+    weight = {k: int(w * scale) for k, w in exact.items()}
+    limit = int(threshold * scale)
+    mendable: dict[tuple[str, int], bool] = {}
+
+    def mends(t: Traversal) -> bool:
+        key = (t.edge.edge_id, t.direction)
+        if key not in mendable:
+            mendable[key] = any(
+                is_reduced([t, *Pump(0, prefix, cycle).instance(1), t.reverse()])
+                for prefix, cycle in zsub.pumps_at(t.end)
+            )
+        return mendable[key]
+
     results: list[tuple[tuple[Traversal, ...], frozenset]] = []
     steps = 0
     for root, e0 in enumerate(g.edges):
-        if e0.edge_id in zero or wf[e0.edge_id] >= threshold:
+        if e0.edge_id in zero or weight[e0.edge_id] >= limit:
             continue
         t0 = Traversal(e0, +1)
-        stack = [((t0,), wf[e0.edge_id], frozenset([t0.end]), frozenset())]
+        stack = [((t0,), weight[e0.edge_id], frozenset([t0.end]), frozenset())]
         while stack:
             path, used, run_seen, marked = stack.pop()
             steps += 1
@@ -431,7 +466,7 @@ def _closed_walks(
                 # internal junctions are reduced-or-marked by construction
                 if path[-1].edge is not e0 or path[-1].direction > 0:
                     results.append((path, marked))
-                elif len(marked) < MAX_MARKED and zsub.pumps_at(cur):
+                elif len(marked) < MAX_MARKED and mends(path[-1]):
                     results.append((path, marked | {len(path) - 1}))
             if len(path) >= max_len:
                 continue
@@ -439,12 +474,12 @@ def _closed_walks(
                 backtrack = t.edge is path[-1].edge and t.direction == -path[-1].direction
                 new_marked = marked
                 if backtrack:
-                    if len(marked) >= MAX_MARKED or not zsub.pumps_at(cur):
+                    if len(marked) >= MAX_MARKED or not mends(path[-1]):
                         continue
                     new_marked = marked | {len(path) - 1}
                 if t.edge.edge_id not in zero:
-                    w = wf[t.edge.edge_id]
-                    if rank[t.edge.edge_id] < root or used + w >= threshold:
+                    w = weight[t.edge.edge_id]
+                    if rank[t.edge.edge_id] < root or used + w >= limit:
                         continue
                     stack.append((path + (t,), used + w, frozenset([t.end]), new_marked))
                 elif backtrack:
@@ -484,8 +519,6 @@ def enumerate_light_cycles(
                     mandatory_opts[i].append(p)
                 else:
                     optional.append(p)
-        if any(not opts for opts in mandatory_opts.values()):
-            continue  # a marked junction with no mendable pump: no instances
         mand_points = sorted(mandatory_opts)
         for chosen in itertools.product(*(mandatory_opts[q] for q in mand_points)):
             pumps = tuple(sorted(optional + list(chosen), key=lambda p: p.insert_after))

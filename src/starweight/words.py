@@ -75,9 +75,12 @@ class Word:
     def expand(self) -> tuple[Letter, ...]:
         """Single-exponent letters, e.g. t^2 -> (t,1),(t,1)."""
         out: list[Letter] = []
-        for n, e in self.letters:
-            s = 1 if e > 0 else -1
-            out.extend((n, s) for _ in range(abs(e)))
+        for lt in self.letters:
+            n, e = lt
+            if e == 1 or e == -1:
+                out.append(lt)
+            else:
+                out.extend([(n, 1 if e > 0 else -1)] * abs(e))
         return tuple(out)
 
     def names(self) -> set[str]:

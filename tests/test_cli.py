@@ -1,5 +1,6 @@
 import pytest
 
+import starweight.weights as weights_module
 from starweight.cli import main
 
 GAMMA8 = """\
@@ -137,3 +138,29 @@ def test_corpus_run_deterministic(tmp_path, capsys):
     first = capsys.readouterr().out
     main(["corpus", "run", str(tmp_path)])
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-weights", "{f}"],
+        ["check-weights", "{f}", "--json"],
+        ["cycles", "{f}"],
+        ["trivial-cycles", "{f}", "--length", "2"],
+        ["corpus", "run", "{d}"],
+    ],
+)
+def test_walk_budget_is_a_resource_limit_not_an_input_error(argv, monkeypatch, tmp_path, capsys):
+    walk = weights_module._closed_walks
+
+    def tiny_budget(g, wf, threshold, zsub, max_len, budget):
+        return walk(g, wf, threshold, zsub, max_len, 1)
+
+    monkeypatch.setattr(weights_module, "_closed_walks", tiny_budget)
+    (tmp_path / "g8.scn").write_text(GAMMA8)
+    (tmp_path / "manifest.txt").write_text("g8.scn aspherical sec4 Gamma_8\n")
+    args = [a.format(f=tmp_path / "g8.scn", d=tmp_path) for a in argv]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closed-walk enumeration budget exceeded\n"

@@ -1,10 +1,14 @@
 import random
+import zlib
+from pathlib import Path
 
 import pytest
 
+import starweight
+from starweight.cli import main
 from starweight.facts import FactBase, FactError
-from starweight.scenario import FactDecl, parse_scenario
-from starweight.words import Word, word_from_tokens
+from starweight.scenario import INDETERMINATE, FactDecl, parse_scenario
+from starweight.words import Word, cyclically_reduce, strip_conjugation, word_from_tokens
 
 
 def W(text):
@@ -198,3 +202,90 @@ def test_soundness_by_integer_models(seed):
         for w, v in refutes:
             if v.refuted:
                 assert eval_word(w, values) != 0, f"false refutation of {w} in {values}"
+
+
+# -- the seam fast path and the power cache against the code they replaced --
+
+CORPUS = Path(starweight.__file__).parent / "corpus"
+
+
+def _corpus_factbases():
+    for path in sorted(CORPUS.glob("*.scn")):
+        s = parse_scenario(path.read_text(), name=path.stem)
+        yield s.name, FactBase(s.presentation, s.fact_decls)
+
+
+def _reference_cyclic_normalize(self, w: Word) -> Word:
+    """Normalize a conjugacy-class representative, allowing rewrites
+    across the rotation seam whenever they shorten the word."""
+    cur = cyclically_reduce(self.normalize_any(w), self.order)
+    changed = True
+    while changed:
+        changed = False
+        expanded = cur.expand()
+        for i in range(len(expanded)):
+            rot = Word(expanded[i:] + expanded[:i])
+            _, core = strip_conjugation(self.normalize_any(rot))
+            if len(core) < len(cur):
+                cur = cyclically_reduce(core, self.order)
+                changed = True
+                break
+    return cur
+
+
+def _reference_as_power_of(self, w: Word, g: str, limit: int = 8) -> int | None:
+    gw = Word([(g, 1)])
+    for k in range(-limit, limit + 1):
+        if not self.normalize_any(w * gw ** (-k)):
+            return k
+    return None
+
+
+def test_cyclic_normalize_matches_reference_on_random_words():
+    checked = 0
+    for name, fb in _corpus_factbases():
+        if not fb.rules:
+            continue
+        rng = random.Random(zlib.crc32(name.encode()))
+        gens = [n for n in fb.order if fb.factor_of[n] != INDETERMINATE]
+        for _ in range(200):
+            w = Word(
+                (rng.choice(gens), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 10))
+            )
+            assert fb._cyclic_normalize(w) == _reference_cyclic_normalize(fb, w), (name, w)
+        checked += 1
+    assert checked >= 20
+
+
+def test_cyclic_normalize_rewrites_across_the_seam():
+    # a4 a1 occurs in the cyclic word a1 a2 a4 only across the seam
+    fb = fb_from(["eq a4 a1 = a3"])
+    w = W("a1 a2 a4")
+    assert fb.normalize_any(w) == w and cyclically_reduce(w, fb.order) == w
+    assert fb._cyclic_normalize(w) == W("a2 a3") == _reference_cyclic_normalize(fb, w)
+
+
+def test_power_cache_matches_uncached_answers_on_corpus_queries(monkeypatch):
+    queries = []
+    cached = FactBase.as_power_of
+
+    def record(self, w, g, limit=8):
+        k = cached(self, w, g, limit)
+        queries.append((self, w, g, limit, k))
+        return k
+
+    monkeypatch.setattr(FactBase, "as_power_of", record)
+    assert main(["corpus", "run", str(CORPUS)]) == 0
+    monkeypatch.setattr(FactBase, "as_power_of", cached)
+    assert len(queries) > 100
+    limited = 0
+    fresh_of = {}
+    for fb, w, g, limit, k in queries:
+        if fb not in fresh_of:
+            fresh_of[fb] = FactBase(fb.presentation, fb.decls)
+        fresh = fresh_of[fb]  # answers through the reference, which caches nothing
+        assert k == _reference_as_power_of(fresh, w, g, limit), (w, g)
+        # a second limit on the same (w, g) must not read the first answer
+        assert fb.as_power_of(w, g, 1) == _reference_as_power_of(fresh, w, g, 1), (w, g)
+        limited += k is not None and abs(k) > 1
+    assert limited > 0

@@ -560,3 +560,81 @@ def test_families_cover_every_light_walk_to_length_10():
             assert canonical_atom_cycle(list(w)) in covered, (s.name, w)
         checked += 1
     assert checked >= 40
+
+
+# -- the pruned walker against the reference, path for path -------------------
+
+
+def _rooted(g, zsub, path):
+    """A path the rooted walker walks: it starts with the forward traversal
+    of its least edge outside the zero subgraph."""
+    zero = {e.edge_id for e in zsub.edges}
+    rank = {e.edge_id: i for i, e in enumerate(g.edges)}
+    least = min(rank[t.edge.edge_id] for t in path if t.edge.edge_id not in zero)
+    return path[0].direction > 0 and rank[path[0].edge.edge_id] == least
+
+
+def _pruned_reference(g, wf, threshold, zsub):
+    return [
+        (path, marked)
+        for path, marked in _reference_skeletons(g, wf, threshold, zsub)
+        if _rooted(g, zsub, path) and not _unmendable(zsub, path, marked)
+    ]
+
+
+def test_closed_walks_are_the_rooted_mendable_reference_skeletons():
+    # rooting keeps the reference's DFS order, and a refused backtrack drops
+    # exactly the paths with an unmendable marked junction
+    cases = [(s.name, s, g) for s, g in _corpus() if s.weights]
+    for k, q in ((4, 3), (4, 4), (5, 3)):
+        s = parse_scenario(_grid_text(k, q), name=f"grid k={k} q={q}")
+        cases.append((s.name, s, build_star_graph(s.presentation)))
+    checked = pruned = 0
+    for name, s, g in cases:
+        wf = WeightFunction.from_scenario(s, g)
+        try:
+            zsub, _ = zero_cycle_families(g, wf)
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            continue
+        got = _closed_walks(g, wf, Fraction(2), zsub, 40, 2_000_000)
+        rooted = [
+            (p, m) for p, m in _reference_skeletons(g, wf, Fraction(2), zsub) if _rooted(g, zsub, p)
+        ]
+        assert got == [(p, m) for p, m in rooted if not _unmendable(zsub, p, m)], name
+        pruned += len(rooted) - len(got)
+        checked += 1
+    assert checked >= 40 and pruned > 0
+
+
+SEVENTHS = SEC3_BASE.format(exp="^2") + """\
+weight: label:a1 = 4/7
+weight: label:a2 = 0
+weight: label:a3 = 5/7
+weight: label:a4 = 0
+weight: label:1 = 6/7
+"""
+THIRDS = _grid_text(4, 3).replace("weight: 0.3 = 1/3", "weight: 0.3 = 2/3")
+
+
+@pytest.mark.parametrize(
+    "text, threshold, exact",
+    [
+        (THIRDS, Fraction(5, 3), True),  # 2/3 + 1/3 + 1/3 + 1/3
+        (THIRDS, Fraction(7, 4), False),
+        (SEVENTHS, Fraction(5, 3), False),
+        (SEVENTHS, Fraction(7, 4), False),  # 12/7 < 7/4 lies just below the threshold
+        (SEVENTHS, Fraction(12, 7), True),  # 6/7 + 6/7
+    ],
+    ids=["thirds-5/3", "thirds-7/4", "sevenths-5/3", "sevenths-7/4", "sevenths-12/7"],
+)
+def test_closed_walks_integer_scaling_matches_fraction_reference(text, threshold, exact):
+    # the walker compares scaled ints, the reference compares Fractions
+    s = parse_scenario(text)
+    g = build_star_graph(s.presentation)
+    wf = WeightFunction.from_scenario(s, g)
+    zsub, _ = zero_cycle_families(g, wf)
+    got = _closed_walks(g, wf, threshold, zsub, 40, 2_000_000)
+    assert got and got == _pruned_reference(g, wf, threshold, zsub)
+    assert all(wf.weight_of(p) < threshold for p, _ in got)
+    above = _reference_skeletons(g, wf, threshold + Fraction(1, 1000), zsub)
+    assert any(wf.weight_of(p) == threshold for p, _ in above) == exact

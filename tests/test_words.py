@@ -161,3 +161,22 @@ def test_max_root():
     assert root == W("a2^-1 a4") and d == 3
     root, d = max_root(W("a1 a2"))
     assert d == 1
+
+
+def _reference_expand(w):
+    out = []
+    for n, e in w.letters:
+        s = 1 if e > 0 else -1
+        out.extend((n, s) for _ in range(abs(e)))
+    return tuple(out)
+
+
+def test_expand_matches_generator_form():
+    rng = random.Random(1977)
+    for _ in range(500):
+        w = Word(
+            (rng.choice("abc"), rng.choice([e for e in range(-5, 6) if e]))
+            for _ in range(rng.randrange(0, 8))
+        )
+        assert w.expand() == _reference_expand(w), w
+        assert all(abs(e) == 1 for _, e in w.expand())
