@@ -81,18 +81,17 @@ class StarGraph:
             {v for e in edges for v in (e.src, e.dst)}, key=lambda v: (v[0], -v[1])
         )
         self._alias: dict[str, list[str]] = {}
+        adjacent: dict[Vertex, list[Traversal]] = {v: [] for v in self.vertices}
         for e in edges:
             self._alias.setdefault(e.label_str(), []).append(e.edge_id)
+            adjacent[e.src].append(Traversal(e, +1))
+            adjacent[e.dst].append(Traversal(e, -1))
+        self._incident = {v: tuple(ts) for v, ts in adjacent.items()}
 
-    def incident(self, v: Vertex) -> list[Traversal]:
-        """Outgoing traversals at v, in deterministic edge order."""
-        out = []
-        for e in self.edges:
-            if e.src == v:
-                out.append(Traversal(e, +1))
-            if e.dst == v:
-                out.append(Traversal(e, -1))
-        return out
+    def incident(self, v: Vertex) -> tuple[Traversal, ...]:
+        """Outgoing traversals at v, in deterministic edge order; built once,
+        a tuple so that no caller can change it."""
+        return self._incident.get(v, ())
 
     def resolve(self, key: str) -> Edge:
         """Resolve an edge id or label alias to an edge."""
@@ -177,10 +176,7 @@ def _adjacent_factor(p: RelativePresentation, labels: list[Word], ci: int) -> st
 
 
 def path_label(traversals: Iterable[Traversal]) -> Word:
-    w = Word()
-    for t in traversals:
-        w = w * t.label
-    return w
+    return Word([lt for t in traversals for lt in t.label.letters])
 
 
 def path_atoms(traversals: Iterable[Traversal]) -> tuple[tuple[str, int], ...]:

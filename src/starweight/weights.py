@@ -102,7 +102,10 @@ class WeightFunction:
             raise WeightError(f"missing weight for edge {edge_id}")
 
     def weight_of(self, traversals) -> Fraction:
-        return sum((self[t.edge.edge_id] for t in traversals), Fraction(0))
+        """Exact sum: numerators over the lcm of the denominators, one Fraction."""
+        ws = [self[t.edge.edge_id] for t in traversals]
+        d = math.lcm(*(w.denominator for w in ws))
+        return Fraction(sum(w.numerator * (d // w.denominator) for w in ws), d)
 
 
 @dataclass(frozen=True)
@@ -673,10 +676,11 @@ def verify_weight_test(
         walks = []
         notes.append(f"guard enumeration over length <= {guard_len} skipped (budget)")
     for w in walks:
+        # reported iff unrefuted and uncovered, so the cheap test goes first
         label = path_label(w)
-        if fb.refute_trivial(label):
+        if covered and canonical_cyclic_class(label, fb.order) in covered:
             continue
-        if canonical_cyclic_class(label, fb.order) in covered:
+        if fb.refute_trivial(label):
             continue
         fam = CycleFamily(w, (), wf.weight_of(w), "cycle")
         verdicts.append(FamilyVerdict(fam, UNKNOWN, witness="guard walk not covered"))

@@ -42,6 +42,13 @@ class Word:
     def __init__(self, letters: Iterable[Letter] = ()):
         object.__setattr__(self, "letters", _merge(letters))
 
+    @classmethod
+    def _reduced(cls, letters: tuple[Letter, ...]) -> "Word":
+        """Trusted constructor: ``letters`` are already freely reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __setattr__(self, *a):
         raise AttributeError("Word is immutable")
 
@@ -59,10 +66,18 @@ class Word:
         return bool(self.letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        """Both operands are reduced, so only their junction can merge."""
+        a, b = self.letters, other.letters
+        i, j = len(a), 0
+        while i and j < len(b) and a[i - 1][0] == b[j][0]:
+            e = a[i - 1][1] + b[j][1]
+            if e:
+                return Word._reduced(a[: i - 1] + ((b[j][0], e),) + b[j + 1 :])
+            i, j = i - 1, j + 1
+        return Word._reduced(a[:i] + b[j:])
 
     def inverse(self) -> "Word":
-        return Word((n, -e) for n, e in reversed(self.letters))
+        return Word._reduced(tuple((n, -e) for n, e in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "Word":
         if k < 0:

@@ -8,7 +8,13 @@ import starweight
 from starweight.cli import main
 from starweight.facts import FactBase, FactError
 from starweight.scenario import INDETERMINATE, FactDecl, parse_scenario
-from starweight.words import Word, cyclically_reduce, strip_conjugation, word_from_tokens
+from starweight.words import (
+    Word,
+    canonical_cyclic_class,
+    cyclically_reduce,
+    strip_conjugation,
+    word_from_tokens,
+)
 
 
 def W(text):
@@ -289,3 +295,65 @@ def test_power_cache_matches_uncached_answers_on_corpus_queries(monkeypatch):
         assert fb.as_power_of(w, g, 1) == _reference_as_power_of(fresh, w, g, 1), (w, g)
         limited += k is not None and abs(k) > 1
     assert limited > 0
+
+
+# -- the neq lookup and the refutation memo against the code they replaced --
+
+
+def _record_corpus_queries(monkeypatch, name):
+    """(fact base, word, answer) for every call of FactBase.<name> made by
+    one ``corpus run``."""
+    queries = []
+    method = getattr(FactBase, name)
+
+    def record(self, w):
+        answer = method(self, w)
+        queries.append((self, w, answer))
+        return answer
+
+    monkeypatch.setattr(FactBase, name, record)
+    assert main(["corpus", "run", str(CORPUS)]) == 0
+    monkeypatch.setattr(FactBase, name, method)
+    return queries
+
+
+def _reference_neq_classes(fb):
+    return {
+        canonical_cyclic_class(
+            fb._cyclic_normalize(fb.normalize_any(fd.lhs * fd.rhs.inverse())), fb.order
+        )
+        for fd in fb.decls
+        if fd.kind == "neq"
+    }
+
+
+def test_neq_lookup_matches_canonical_class_lookup_on_corpus_queries(monkeypatch):
+    queries = _record_corpus_queries(monkeypatch, "_neq1_match")
+    classes = {}
+    hits = 0
+    for fb, w, answer in queries:
+        if fb not in classes:
+            classes[fb] = _reference_neq_classes(fb)
+        want = canonical_cyclic_class(fb._cyclic_normalize(w), fb.order) in classes[fb]
+        assert answer == want, w
+        # the inverse class is matched as well
+        assert fb._neq1_match(w.inverse()) == want, w
+        hits += answer
+    assert len(queries) > 1000 and 0 < hits < len(queries)
+
+
+def test_remembered_refutations_match_a_fresh_fact_base(monkeypatch):
+    queries = _record_corpus_queries(monkeypatch, "refute_trivial")
+    asked = {}
+    repeats = 0
+    for fb, w, v in queries:
+        repeats += v.refuted and (fb, w) in asked
+        asked.setdefault((fb, w), v)
+    for (fb, w), v in asked.items():
+        fresh = FactBase(fb.presentation, fb.decls).refute_trivial(w)
+        assert (v.refuted, v.rule, v.trace) == (fresh.refuted, fresh.rule, fresh.trace), w
+        again = fb.refute_trivial(w)
+        assert again is v if v.refuted else again == v  # a refutation is served from the memo
+    assert repeats > 0  # some answers came from the memo
+    for fb in {fb for fb, _ in asked}:
+        assert all(v.refuted for v in fb._refuted.values())  # no Unknown is kept

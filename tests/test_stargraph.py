@@ -1,8 +1,26 @@
+from pathlib import Path
+
 import pytest
 
+import starweight
 from starweight.scenario import parse_scenario
-from starweight.stargraph import GraphError, build_star_graph, export_dot, vertex_name
+from starweight.stargraph import (
+    GraphError,
+    Traversal,
+    build_star_graph,
+    export_dot,
+    path_label,
+    vertex_name,
+)
+from starweight.weights import (
+    DegenerateZeroCycleError,
+    EntangledZeroSubgraphError,
+    WeightFunction,
+    enumerate_light_cycles,
+)
 from starweight.words import Word, word_from_tokens
+
+CORPUS = Path(starweight.__file__).parent / "corpus"
 
 
 def graph_of(text):
@@ -118,3 +136,54 @@ relator: b1 Y b3 Y^-1
     assert loops == ["a1^-1", "a3", "b1", "b2", "b3"]
     nonloops = [e for e in g.edges if not e.is_loop]
     assert sorted(e.label_str() for e in nonloops) == ["1", "1"]
+
+
+def _corpus_graphs():
+    for path in sorted(CORPUS.glob("*.scn")):
+        s = parse_scenario(path.read_text(), name=path.stem)
+        yield s, build_star_graph(s.presentation)
+
+
+def _reference_incident(g, v):
+    out = []
+    for e in g.edges:
+        if e.src == v:
+            out.append(Traversal(e, +1))
+        if e.dst == v:
+            out.append(Traversal(e, -1))
+    return out
+
+
+def test_incident_is_the_edge_scan_as_a_tuple():
+    for s, g in _corpus_graphs():
+        for v in g.vertices + [("nowhere", 1)]:
+            got = g.incident(v)
+            assert isinstance(got, tuple) and list(got) == _reference_incident(g, v), s.name
+            assert g.incident(v) is got  # built once
+
+
+def _reference_path_label(traversals):
+    """The left fold of full-merge products that path_label replaced."""
+    w = Word()
+    for t in traversals:
+        letters = t.edge.label.letters
+        if t.direction < 0:
+            letters = tuple((n, -e) for n, e in reversed(letters))
+        w = Word(w.letters + letters)
+    return w
+
+
+def test_path_label_matches_left_fold_on_corpus_family_expansions():
+    checked = 0
+    for s, g in _corpus_graphs():
+        if not s.weights:
+            continue
+        try:
+            fams = enumerate_light_cycles(g, WeightFunction.from_scenario(s, g))
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            continue
+        for f in fams:
+            for path in f.expansions_upto(3):
+                assert path_label(path) == _reference_path_label(path), (s.name, path)
+                checked += 1
+    assert checked > 1000

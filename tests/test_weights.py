@@ -1,9 +1,12 @@
+import random
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import starweight
+import starweight.weights as weights_module
 from starweight.facts import FactBase
 from starweight.scenario import parse_scenario
 from starweight.stargraph import (
@@ -17,6 +20,7 @@ from starweight.stargraph import (
 from starweight.weights import (
     DegenerateZeroCycleError,
     EntangledZeroSubgraphError,
+    WalkBudgetError,
     WeightError,
     WeightFunction,
     _closed_walks,
@@ -638,3 +642,136 @@ def test_closed_walks_integer_scaling_matches_fraction_reference(text, threshold
     assert all(wf.weight_of(p) < threshold for p, _ in got)
     above = _reference_skeletons(g, wf, threshold + Fraction(1, 1000), zsub)
     assert any(wf.weight_of(p) == threshold for p, _ in above) == exact
+
+
+# -- the guard of the weight test ----------------------------------------------
+
+
+def test_guard_reports_an_unrefuted_uncovered_walk(monkeypatch):
+    # without a neq a2 a4 fact the two-edge walk a2 a4^-1 stays unrefuted; with
+    # no families to cover it, only the guard can report it
+    text = SEC3_BASE.format(exp="") + PAIRWISE_DISTINCT.replace("fact: neq a2 a4\n", "")
+    s = parse_scenario(text + FN1_WEIGHTS, name="mutated")
+    assert not any(v.witness == "guard walk not covered" for v in verify_weight_test(s).families)
+    monkeypatch.setattr(weights_module, "enumerate_light_cycles", lambda *a, **k: [])
+    report = verify_weight_test(s)
+    assert report.verdict == "PotentialViolations"
+    assert report.violations and all(
+        v.witness == "guard walk not covered" and not v.family.pumps for v in report.violations
+    )
+    g, fb = build_star_graph(s.presentation), FactBase(s.presentation, s.fact_decls)
+    walks = reduced_closed_walks(g, 6, WeightFunction.from_scenario(s, g), Fraction(2))
+    unrefuted = [w for w in walks if not fb.refute_trivial(path_label(w))]
+    assert 0 < len(unrefuted) < len(walks)
+    assert [v.family.base for v in report.violations] == unrefuted
+    survivors = {canonical_cyclic_class(v.family.base_label(), ORDER) for v in report.violations}
+    assert cls("a2 a4^-1") in survivors
+
+
+def test_guard_budget_note_forbids_aspherical(monkeypatch):
+    def exhausted(*a, **k):
+        raise WalkBudgetError("closed-walk enumeration budget exceeded")
+
+    assert verify_weight_test(scenario_fn1()).verdict == "Aspherical"
+    monkeypatch.setattr(weights_module, "reduced_closed_walks", exhausted)
+    report = verify_weight_test(scenario_fn1())
+    assert report.notes == ["guard enumeration over length <= 6 skipped (budget)"]
+    assert all(rc.passed for rc in report.relator_checks) and not report.violations
+    assert report.verdict == "PotentialViolations"
+
+
+# -- weight_of against the running Fraction sum ---------------------------------
+
+
+def test_weight_of_matches_fraction_sum():
+    def reference(wf, path):
+        return sum((wf[t.edge.edge_id] for t in path), Fraction(0))
+
+    checked = 0
+    for s, g in _corpus():
+        if not s.weights:
+            continue
+        wf = WeightFunction.from_scenario(s, g)
+        for path in reduced_closed_walks(g, 4):
+            assert wf.weight_of(path) == reference(wf, path), (s.name, path)
+            checked += 1
+    rng = random.Random(zlib.crc32(b"weight_of"))
+    s, g = next((s, g) for s, g in _corpus() if s.name == "px1_w0")
+    for _ in range(200):
+        denominators = [rng.randrange(1, 13) for _ in g.edges]
+        wf = WeightFunction(
+            {e.edge_id: Fraction(rng.randrange(0, d + 1), d) for e, d in zip(g.edges, denominators)}
+        )
+        path = [rng.choice(g.incident(v)) for v in rng.choices(g.vertices, k=rng.randrange(0, 9))]
+        assert wf.weight_of(path) == reference(wf, path)
+        checked += 1
+    empty = WeightFunction({}).weight_of(())
+    assert empty == 0 and isinstance(empty, Fraction)
+    assert checked > 1000
+
+
+# -- completeness on random small star graphs -------------------------------------
+
+RANDOM_WEIGHTS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1)]
+
+
+def _random_one_relator(rng):
+    """A one-relator scenario with 2-4 corners over indeterminates t, u and
+    coefficients over two factors, and a weight from RANDOM_WEIGHTS per edge."""
+    coefficients = ["a1", "a2", "a1^-1", "a2^2", "b1", "b1^-1", "b2"]
+    while True:
+        tokens = []
+        for _ in range(rng.randint(2, 4)):
+            tokens += rng.sample(coefficients, rng.choice([0, 1, 1, 1, 2]))
+            tokens.append(rng.choice(["t", "t^-1", "u", "u^-1"]))
+        text = (
+            "factor A noncyclic nontrivial\nfactor B noncyclic nontrivial\n"
+            "gens A: a1 a2\ngens B: b1 b2\nindet: t u\nrelator: " + " ".join(tokens) + "\n"
+        )
+        p = parse_scenario(text, name="random").presentation
+        corners = sum(abs(e) for n, e in p.relators[0].letters if n in ("t", "u"))
+        if 2 <= corners <= 4:  # free cancellation can drop corners
+            g = build_star_graph(p)
+            return g, WeightFunction({e.edge_id: rng.choice(RANDOM_WEIGHTS) for e in g.edges})
+
+
+def _expansions_to_length(fam, max_len):
+    """The expansions of fam with at most max_len traversals: those of
+    ``expansions_upto(max_len)`` that short, without building the rest."""
+    if fam.kind == "power":
+        return [fam.base * m for m in range(1, max_len // len(fam.base) + 1)]
+    points = sorted({p.insert_after for p in fam.pumps})
+    mandatory = fam.mandatory_points()
+    out = []
+
+    def extend(i, ms, length):
+        if i == len(points):
+            out.append(fam.expansion(ms))
+            return
+        if points[i] not in mandatory:
+            extend(i + 1, ms, length)
+        for pi, p in enumerate(fam.pumps):
+            m = 1
+            while p.insert_after == points[i] and length + len(p.instance(m)) <= max_len:
+                extend(i + 1, {**ms, pi: m}, length + len(p.instance(m)))
+                m += 1
+
+    extend(0, {}, len(fam.base))
+    return out
+
+
+def test_families_cover_every_light_walk_on_random_small_star_graphs():
+    rng = random.Random(zlib.crc32(b"random small star graphs"))
+    checked = pumped = 0
+    for _ in range(250):
+        g, wf = _random_one_relator(rng)
+        try:
+            fams = enumerate_light_cycles(g, wf)
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            continue
+        covered = {canonical_atom_cycle(list(w)) for f in fams for w in _expansions_to_length(f, 10)}
+        for w in _reference_reduced_closed_walks(g, 10, wf, Fraction(2)):
+            assert canonical_atom_cycle(list(w)) in covered, (g.signature(), wf.values, w)
+        checked += 1
+        pumped += any(f.pumps or f.kind == "power" for f in fams)
+    assert checked >= 200 and pumped >= 15

@@ -180,3 +180,36 @@ def test_expand_matches_generator_form():
         )
         assert w.expand() == _reference_expand(w), w
         assert all(abs(e) == 1 for _, e in w.expand())
+
+
+def _reference_product(a, b):
+    return Word(a.letters + b.letters)
+
+
+def _reference_inverse(w):
+    return Word((n, -e) for n, e in reversed(w.letters))
+
+
+def test_junction_product_and_inverse_match_full_merge():
+    rng = random.Random(1983)
+
+    def letters(n):
+        return [(rng.choice("abc"), rng.choice([-2, -1, 1, 2, 3])) for _ in range(n)]
+
+    deep_merges = 0
+    for _ in range(1000):
+        a = Word(letters(rng.randrange(0, 7)))
+        # b opens by undoing a tail of a, so the junction cancels through
+        # several letters before a random letter may merge
+        k = rng.randrange(0, len(a.letters) + 1)
+        undo = _reference_inverse(Word(a.letters[len(a.letters) - k :]))
+        b = Word(list(undo.letters) + letters(rng.randrange(0, 4)))
+        product = a * b
+        assert product == _reference_product(a, b), (a, b)
+        assert product.letters == _reference_product(a, b).letters
+        assert b * a == _reference_product(b, a), (b, a)
+        assert a.inverse() == _reference_inverse(a) and b.inverse() == _reference_inverse(b)
+        assert a * a.inverse() == Word() and (a * b).inverse() == b.inverse() * a.inverse()
+        lost = len(a.letters) + len(b.letters) - len(product.letters)
+        deep_merges += lost >= 5 and lost % 2 == 1  # >= 2 cancellations, then a merge
+    assert deep_merges > 20
