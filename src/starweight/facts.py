@@ -127,8 +127,7 @@ class FactBase:
     def _build_queries(self):
         for fd in self.decls:
             if fd.kind == "neq":
-                w = self.normalize_any(fd.lhs * fd.rhs.inverse())
-                n = self._cyclic_normalize(w)
+                n = self._cyclic_normalize(fd.lhs * fd.rhs.inverse())
                 if not n:
                     raise FactError(f"inconsistent facts: {fd.lhs} = {fd.rhs} follows from eq facts")
                 self.neq1 |= {n, cyclically_reduce(n.inverse(), self.order)}
