@@ -73,7 +73,7 @@ class FactBase:
     ``as_power_of`` per (word, g, limit), and ``refute_trivial`` per word,
     but only where it refuted.  Unknowns are not kept: they are the common
     answer on large inputs (grid k=6, w=1/5 has 51 650 surviving labels),
-    and keeping them raised that cell's peak RSS from 87 MB to 116 MB.
+    and keeping them raised that cell's peak RSS from 81 MB to 116 MB.
     """
 
     def __init__(self, presentation: RelativePresentation, decls: Iterable[FactDecl]):
