@@ -12,12 +12,13 @@ Bland's rule, so runs are deterministic.
 Where the zero-weight subgraph is entangled or degenerate there are no
 families, and the search cuts light walks directly (``_fallback_cuts``).
 These cuts are necessary: the verifier's guard reports every unrefuted
-light walk of length <= 6 as a potential violation, so every weight
-function it accepts gives each such walk weight >= 2.  A cut is the
-walk's edge-count vector c with c.w >= 2.  Weights are >= 0, so when
-c <= c' in every coordinate, c.w >= 2 implies c'.w >= 2: the cut of c'
-is redundant and dropping it leaves the feasible region unchanged.  The
-same test keeps out any new cut that a held cut already implies.
+light walk of length <= ``weights.GUARD_LEN`` (6) as a potential
+violation, so every weight function it accepts gives each such walk
+weight >= 2.  A cut is the walk's edge-count vector c with c.w >= 2.
+Weights are >= 0, so when c <= c' in every coordinate, c.w >= 2 implies
+c'.w >= 2: the cut of c' is redundant and dropping it leaves the feasible
+region unchanged.  The same test keeps out any new cut that a held cut
+already implies.
 Budget exhaustion of the walk enumeration ends the search as gave-up.
 """
 
@@ -30,6 +31,8 @@ from .facts import FactBase
 from .scenario import Scenario
 from .stargraph import StarGraph, build_star_graph, path_label
 from .weights import (
+    GUARD_BUDGET,
+    GUARD_LEN,
     DegenerateZeroCycleError,
     WalkBudgetError,
     WeightFunction,
@@ -153,18 +156,13 @@ def solve_feasible(
 def infeasible_certificate(
     variables: list[str], constraints: list[Constraint]
 ) -> list[str]:
-    """Greedy minimal-ish violated subset: drop constraints that stay
-    infeasible without them."""
+    """Minimal infeasible subset from one deletion pass: a constraint found
+    necessary stays so, as dropping more only widens the feasible region."""
     active = list(constraints)
-    changed = True
-    while changed:
-        changed = False
-        for c in list(active):
-            rest = [x for x in active if x is not c]
-            if solve_feasible(variables, rest) is None:
-                active = rest
-                changed = True
-                break
+    for c in constraints:
+        rest = [x for x in active if x is not c]
+        if solve_feasible(variables, rest) is None:
+            active = rest
     return [c.label for c in active]
 
 
@@ -172,17 +170,16 @@ def _fallback_cuts(
     g: StarGraph,
     fb: FactBase,
     values: dict[str, Fraction],
-    max_len: int = 6,
 ) -> list[tuple[dict[str, int], str]]:
     """When the family decomposition is unavailable (entangled or degenerate
-    zero subgraph), cut the minimal unrefuted light walks up to a bounded
-    length: shortest first, and a walk whose cut an earlier cut implies is
-    skipped before its label is refuted.  Each cut is its edge-count vector
-    and its label."""
+    zero subgraph), cut the minimal unrefuted light walks up to the guard's
+    length ``GUARD_LEN``: shortest first, and a walk whose cut an earlier
+    cut implies is skipped before its label is refuted.  Each cut is its
+    edge-count vector and its label."""
     wf = WeightFunction(values)
     kept: list[dict[str, int]] = []
     cuts = []
-    walks = reduced_closed_walks(g, max_len, wf, Fraction(2), budget=400_000)
+    walks = reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=GUARD_BUDGET)
     for walk in sorted(walks, key=len):
         counts = _edge_counts(walk)
         if _implied(counts, kept) or fb.refute_trivial(path_label(walk)):

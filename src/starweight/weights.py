@@ -20,7 +20,10 @@ independent multiplicity m >= 0 (pure zero-cycle power families are
 displayed with m >= 1).  Paths with equal label sequences give one family.
 The decomposition is exact as long as every zero-weight component contains
 at most one independent cycle; richer zero subgraphs raise an error rather
-than risk an incomplete list.
+than risk an incomplete list.  Within that bound a zero component with a
+cycle is the cycle with trees hanging off it, so each of its vertices
+reaches the cycle along exactly one tree path: its pumps are that path, the
+cycle (either direction) based where the path lands, and the path back.
 
 ``reduced_closed_walks`` walks with an empty zero subgraph and so lists the
 cyclically reduced closed walks up to a length: the guard of the weight
@@ -136,10 +139,6 @@ class Pump:
     cycle: tuple[Traversal, ...]  # component cycle based at the prefix end
     mandatory: bool = False  # base backtracks here; m >= 1 required
 
-    @property
-    def m_min(self) -> int:
-        return 1 if self.mandatory else 0
-
     def instance(self, m: int) -> tuple[Traversal, ...]:
         back = tuple(t.reverse() for t in reversed(self.prefix))
         return self.prefix + self.cycle * m + back
@@ -162,31 +161,32 @@ def _atom_str(t: Traversal) -> str:
 
 
 class _ZeroSubgraph:
-    def __init__(self, g: StarGraph, zero_edges: list[Edge]):
-        self.g = g
+    """Zero-weight components, their cycles (``cycles``, in component order)
+    and the pumps at each vertex.  A component of cycle rank >= 2 raises
+    EntangledZeroSubgraphError, so one with a cycle is that cycle with trees
+    hanging off it: each vertex has exactly one tree path to the cycle, which
+    one walk out from the cycle records as it builds the pumps."""
+
+    def __init__(self, zero_edges: list[Edge]):
         self.edges = zero_edges
-        self.adj: dict[Vertex, list[Traversal]] = {}
+        adj: dict[Vertex, list[Traversal]] = {}
         for e in zero_edges:
-            self.adj.setdefault(e.src, []).append(Traversal(e, +1))
-            self.adj.setdefault(e.dst, []).append(Traversal(e, -1))
-        self.component: dict[Vertex, int] = {}
-        comps: list[set[Vertex]] = []
-        for v in sorted(self.adj, key=lambda v: (v[0], -v[1])):
-            if v in self.component:
+            adj.setdefault(e.src, []).append(Traversal(e, +1))
+            adj.setdefault(e.dst, []).append(Traversal(e, -1))
+        self.cycles: list[tuple[Traversal, ...]] = []
+        self._pumps: dict[Vertex, list] = {}  # vertex -> [(prefix, cycle)]
+        seen: set[Vertex] = set()
+        for v in sorted(adj, key=lambda v: (v[0], -v[1])):
+            if v in seen:
                 continue
             comp = {v}
             stack = [v]
             while stack:
-                u = stack.pop()
-                self.component[u] = len(comps)
-                for t in self.adj.get(u, []):
+                for t in adj[stack.pop()]:
                     if t.end not in comp:
                         comp.add(t.end)
                         stack.append(t.end)
-            comps.append(comp)
-        self.cycles: dict[int, tuple[Traversal, ...]] = {}
-        self._pumps: dict[Vertex, list] = {}
-        for ci, comp in enumerate(comps):
+            seen |= comp
             ces = [e for e in zero_edges if e.src in comp]
             rank = len(ces) - len(comp) + 1
             if rank >= 2:
@@ -195,8 +195,23 @@ class _ZeroSubgraph:
                     + ", ".join(sorted(vertex_name(v) for v in comp))
                     + " has multiple independent cycles"
                 )
-            if rank == 1:
-                self.cycles[ci] = self._find_cycle(ces)
+            if rank == 0:
+                continue
+            cycle = self._find_cycle(ces)
+            self.cycles.append(cycle)
+            # at a cycle vertex: the cycle based there, in both directions
+            for i, t in enumerate(cycle):
+                based = cycle[i:] + cycle[:i]
+                back = tuple(x.reverse() for x in reversed(based))
+                self._pumps[t.start] = [((), based), ((), back)]
+            # off the cycle: the same two behind the vertex's one tree path
+            stack = [t.start for t in cycle]
+            while stack:
+                u = stack.pop()
+                for t in adj[u]:
+                    if t.end not in self._pumps:
+                        self._pumps[t.end] = [((t.reverse(),) + p, c) for p, c in self._pumps[u]]
+                        stack.append(t.end)
 
     @staticmethod
     def _find_cycle(edges: list[Edge]) -> tuple[Traversal, ...]:
@@ -234,58 +249,9 @@ class _ZeroSubgraph:
         assert cur == start and len(walk) == len(remaining)
         return tuple(walk)
 
-    def simple_paths(self, src: Vertex, dst: Vertex) -> list[tuple[Traversal, ...]]:
-        """Vertex-simple zero paths src -> dst (empty path when src == dst)."""
-        out: list[tuple[Traversal, ...]] = []
-        if src == dst:
-            out.append(())
-        stack: list[tuple[Vertex, tuple[Traversal, ...], frozenset]] = [
-            (src, (), frozenset([src]))
-        ]
-        while stack:
-            v, path, seen = stack.pop()
-            for t in self.adj.get(v, []):
-                if t.end in seen:
-                    continue
-                np = path + (t,)
-                if t.end == dst:
-                    out.append(np)
-                else:
-                    stack.append((t.end, np, seen | {t.end}))
-        return out
-
     def pumps_at(self, v: Vertex) -> list[tuple[tuple[Traversal, ...], tuple[Traversal, ...]]]:
-        """(prefix, cycle) pairs anchorable at v, both cycle directions;
-        computed once per vertex."""
-        if v not in self._pumps:
-            self._pumps[v] = self._find_pumps(v)
-        return self._pumps[v]
-
-    def _find_pumps(self, v: Vertex) -> list[tuple[tuple[Traversal, ...], tuple[Traversal, ...]]]:
-        ci = self.component.get(v)
-        if ci is None or ci not in self.cycles:
-            return []
-        cycle = self.cycles[ci]
-        cycle_vertices = {t.start for t in cycle}
-        out = []
-        if v in cycle_vertices:
-            prefixes: list[tuple[Traversal, ...]] = [()]
-            anchors = [v]
-        else:
-            # tree paths from v whose interior stays off the cycle
-            prefixes, anchors = [], []
-            for w in sorted(cycle_vertices, key=lambda x: (x[0], -x[1])):
-                for p in self.simple_paths(v, w):
-                    if all(t.start not in cycle_vertices for t in p):
-                        prefixes.append(p)
-                        anchors.append(w)
-        for prefix, w in zip(prefixes, anchors):
-            i = next(k for k, t in enumerate(cycle) if t.start == w)
-            based = cycle[i:] + cycle[:i]
-            reversed_based = tuple(t.reverse() for t in reversed(based))
-            out.append((prefix, based))
-            out.append((prefix, reversed_based))
-        return out
+        """(prefix, cycle) pairs anchorable at v, both cycle directions."""
+        return self._pumps.get(v, [])
 
 
 # -- cycle families ----------------------------------------------------
@@ -325,25 +291,31 @@ class CycleFamily:
                     out.extend(p.instance(ms[pi]))
         return tuple(out)
 
+    def _shapes(self):
+        """(insertion points, pump indices) per pump shape: every set of
+        points that holds all mandatory points, fewest points first, with
+        one pump per point."""
+        mandatory = self.mandatory_points()
+        by_point: dict[int, list[int]] = {}
+        for pi, p in enumerate(self.pumps):
+            by_point.setdefault(p.insert_after, []).append(pi)
+        points = sorted(by_point)
+        for r in range(len(points) + 1):
+            for qs in itertools.combinations(points, r):
+                if mandatory <= set(qs):
+                    for pis in itertools.product(*(by_point[q] for q in qs)):
+                        yield qs, pis
+
     def expansions_upto(self, mmax: int) -> list[tuple[Traversal, ...]]:
+        """Every expansion with each inserted pump repeated 1..mmax times,
+        in no particular order."""
         if self.kind == "power":
             return [self.base * m for m in range(1, mmax + 1)]
-        out = []
-        mandatory = self.mandatory_points()
-        choices: list[list[tuple[int, int]]] = []  # per point: (pump idx, m)
-        points = sorted({p.insert_after for p in self.pumps})
-        for q in points:
-            opts: list[tuple[int, int] | None] = []
-            if q not in mandatory:
-                opts.append(None)
-            for pi, p in enumerate(self.pumps):
-                if p.insert_after == q:
-                    opts.extend((pi, m) for m in range(max(1, p.m_min), mmax + 1))
-            choices.append(opts)
-        for combo in itertools.product(*choices) if choices else [()]:
-            ms = {pi: m for c in combo if c for pi, m in [c]}
-            out.append(self.expansion(ms))
-        return out
+        return [
+            self.expansion(dict(zip(pis, ms)))
+            for _, pis in self._shapes()
+            for ms in itertools.product(range(1, mmax + 1), repeat=len(pis))
+        ]
 
     def dedup_key(self) -> tuple:
         """Label-atom classes of the expansions with each pump up to twice.
@@ -356,38 +328,20 @@ class CycleFamily:
         """(segments, pumps) pairs whose refutation covers every expansion."""
         if self.kind == "power":
             return [([Word()], [self.base_label()])]
-        mandatory = self.mandatory_points()
         out: list[tuple[list[Word], list[Word]]] = []
-        if not mandatory:
-            out.append(([self.base_label()], []))
-        points = sorted({p.insert_after for p in self.pumps})
-        by_point = {q: [p for p in self.pumps if p.insert_after == q] for q in points}
-        for r in range(1, len(points) + 1):
-            for combo in itertools.combinations(points, r):
-                if not mandatory <= set(combo):
-                    continue
-                for choice in itertools.product(*(by_point[q] for q in combo)):
-                    segments = []
-                    pump_words = []
-                    qs = list(combo)
-                    for j, q in enumerate(qs):
-                        prev = qs[j - 1]
-                        if j == 0:
-                            chunk = self.base[qs[-1] + 1 :] + self.base[: q + 1]
-                        else:
-                            chunk = self.base[prev + 1 : q + 1]
-                        segments.append(path_label(chunk))
-                        pump_words.append(choice[j].label())
-                    out.append((segments, pump_words))
+        for qs, pis in self._shapes():
+            # segment j runs from after point j-1 to point j, cyclically
+            chunks = [self.base[qs[-1] + 1 :] + self.base[: qs[0] + 1]] if qs else [self.base]
+            chunks += [self.base[a + 1 : b + 1] for a, b in zip(qs, qs[1:])]
+            out.append(([path_label(c) for c in chunks], [self.pumps[pi].label() for pi in pis]))
         return out
 
 
 def zero_cycle_families(g: StarGraph, wf: WeightFunction) -> tuple[_ZeroSubgraph, list[CycleFamily]]:
     zero_edges = [e for e in g.edges if wf[e.edge_id] == 0]
-    zsub = _ZeroSubgraph(g, zero_edges)
+    zsub = _ZeroSubgraph(zero_edges)
     families = []
-    for ci in sorted(zsub.cycles):
-        cycle = zsub.cycles[ci]
+    for cycle in zsub.cycles:
         label = path_label(cycle)
         if not canonical_cyclic_class(label):
             raise DegenerateZeroCycleError(
@@ -546,7 +500,7 @@ def reduced_closed_walks(
         wf, threshold = WeightFunction({e.edge_id: Fraction(0) for e in g.edges}), Fraction(1)
     # an empty zero subgraph allows no backtrack and imposes no simple runs
     out: dict[tuple, tuple[Traversal, ...]] = {}
-    for path, _ in _closed_walks(g, wf, threshold, _ZeroSubgraph(g, []), max_len, budget):
+    for path, _ in _closed_walks(g, wf, threshold, _ZeroSubgraph([]), max_len, budget):
         out.setdefault(canonical_atom_edge_cycle(path), path)
     return [out[k] for k in sorted(out)]
 
@@ -642,20 +596,19 @@ def _refute_family_all(fb: FactBase, fam: CycleFamily) -> tuple[Verdict, str]:
     return (last if last is not None else UNKNOWN), ""
 
 
-def verify_weight_test(
-    s: Scenario,
-    threshold: Fraction = Fraction(2),
-    guard_len: int = 6,
-) -> WeightTestReport:
+GUARD_LEN = 6  # the guard walks every light closed walk up to this length
+GUARD_BUDGET = 400_000  # walker steps for the guard; exhausting it forbids Aspherical
+
+
+def verify_weight_test(s: Scenario) -> WeightTestReport:
     """Run the full weight test for a scenario carrying weights."""
     g = build_star_graph(s.presentation)
     fb = FactBase(s.presentation, s.fact_decls)
     wf = WeightFunction.from_scenario(s, g)
-    wf.require_total(g)
     relator_checks = check_relator_condition(g, wf)
     notes: list[str] = []
     try:
-        families = enumerate_light_cycles(g, wf, threshold)
+        families = enumerate_light_cycles(g, wf)
     except EntangledZeroSubgraphError as e:
         return WeightTestReport(s.name, g, wf, relator_checks, [], notes=[str(e)])
     verdicts = []
@@ -668,13 +621,13 @@ def verify_weight_test(
         canonical_cyclic_class(path_label(w), fb.order)
         for fv in verdicts
         if not fv.refuted
-        for w in fv.family.expansions_upto(max(guard_len, 3))
+        for w in fv.family.expansions_upto(GUARD_LEN)
     }
     try:
-        walks = reduced_closed_walks(g, guard_len, wf, threshold, budget=400_000)
+        walks = reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=GUARD_BUDGET)
     except WalkBudgetError:
         walks = []
-        notes.append(f"guard enumeration over length <= {guard_len} skipped (budget)")
+        notes.append(f"guard enumeration over length <= {GUARD_LEN} skipped (budget)")
     for w in walks:
         # reported iff unrefuted and uncovered, so the cheap test goes first
         label = path_label(w)

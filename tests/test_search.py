@@ -18,6 +18,7 @@ from starweight.search import (
     _edge_counts,
     _fallback_cuts,
     _path_desc,
+    infeasible_certificate,
     search_weights,
     scenario_with_weights,
     solve_feasible,
@@ -196,6 +197,49 @@ def test_simplex_matches_reference_on_random_lps():
                 constraints,
             )
     assert 500 < infeasible < 1500
+
+
+def _reference_infeasible_certificate(variables, constraints):
+    """The certificate loop that restarted its scan after every drop, kept
+    verbatim as an oracle."""
+    active = list(constraints)
+    changed = True
+    while changed:
+        changed = False
+        for c in list(active):
+            rest = [x for x in active if x is not c]
+            if search_module.solve_feasible(variables, rest) is None:
+                active = rest
+                changed = True
+                break
+    return [c.label for c in active]
+
+
+def test_certificate_matches_the_restart_loop_on_random_infeasible_lps(monkeypatch):
+    # a constraint found necessary stays necessary as more are dropped, so
+    # one deletion pass returns the labels the restart loop returns
+    calls = [0]
+
+    def counted(variables, constraints):
+        calls[0] += 1
+        return solve_feasible(variables, constraints)
+
+    monkeypatch.setattr(search_module, "solve_feasible", counted)
+    rng = random.Random(1961)
+    checked = shrunk = reference_calls = one_pass_calls = 0
+    while checked < 2000:
+        variables, constraints = _random_lp(rng)
+        if solve_feasible(variables, constraints) is not None:
+            continue
+        calls[0] = 0
+        want = _reference_infeasible_certificate(variables, constraints)
+        reference_calls += calls[0]
+        calls[0] = 0
+        assert infeasible_certificate(variables, constraints) == want, constraints
+        one_pass_calls += calls[0]
+        checked += 1
+        shrunk += len(want) < len(constraints)
+    assert shrunk >= 1000 and one_pass_calls < reference_calls
 
 
 def test_search_gamma8_finds_zero_one_function():

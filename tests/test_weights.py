@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 import zlib
 from fractions import Fraction
 from pathlib import Path
@@ -23,6 +25,7 @@ from starweight.weights import (
     WalkBudgetError,
     WeightError,
     WeightFunction,
+    _ZeroSubgraph,
     _closed_walks,
     canonical_atom_edge_cycle,
     check_relator_condition,
@@ -775,3 +778,256 @@ def test_families_cover_every_light_walk_on_random_small_star_graphs():
         checked += 1
         pumped += any(f.pumps or f.kind == "power" for f in fams)
     assert checked >= 200 and pumped >= 15
+
+
+# -- the zero subgraph against the simple-path search it replaced -----------------
+
+
+class _ReferenceZeroSubgraph:
+    """Component map, simple-path search and pump search of the zero subgraph
+    as they stood before the pumps were built in one tree walk, kept
+    verbatim as an oracle (the cycle finder is unchanged and shared)."""
+
+    _find_cycle = staticmethod(_ZeroSubgraph._find_cycle)
+
+    def __init__(self, g, zero_edges):
+        self.g = g
+        self.edges = zero_edges
+        self.adj = {}
+        for e in zero_edges:
+            self.adj.setdefault(e.src, []).append(Traversal(e, +1))
+            self.adj.setdefault(e.dst, []).append(Traversal(e, -1))
+        self.component = {}
+        comps = []
+        for v in sorted(self.adj, key=lambda v: (v[0], -v[1])):
+            if v in self.component:
+                continue
+            comp = {v}
+            stack = [v]
+            while stack:
+                u = stack.pop()
+                self.component[u] = len(comps)
+                for t in self.adj.get(u, []):
+                    if t.end not in comp:
+                        comp.add(t.end)
+                        stack.append(t.end)
+            comps.append(comp)
+        self.cycles = {}
+        self._pumps = {}
+        for ci, comp in enumerate(comps):
+            ces = [e for e in zero_edges if e.src in comp]
+            rank = len(ces) - len(comp) + 1
+            if rank >= 2:
+                raise EntangledZeroSubgraphError(
+                    "zero-weight component at "
+                    + ", ".join(sorted(weights_module.vertex_name(v) for v in comp))
+                    + " has multiple independent cycles"
+                )
+            if rank == 1:
+                self.cycles[ci] = self._find_cycle(ces)
+
+    def simple_paths(self, src, dst):
+        """Vertex-simple zero paths src -> dst (empty path when src == dst)."""
+        out = []
+        if src == dst:
+            out.append(())
+        stack = [(src, (), frozenset([src]))]
+        while stack:
+            v, path, seen = stack.pop()
+            for t in self.adj.get(v, []):
+                if t.end in seen:
+                    continue
+                np = path + (t,)
+                if t.end == dst:
+                    out.append(np)
+                else:
+                    stack.append((t.end, np, seen | {t.end}))
+        return out
+
+    def pumps_at(self, v):
+        if v not in self._pumps:
+            self._pumps[v] = self._find_pumps(v)
+        return self._pumps[v]
+
+    def _find_pumps(self, v):
+        ci = self.component.get(v)
+        if ci is None or ci not in self.cycles:
+            return []
+        cycle = self.cycles[ci]
+        cycle_vertices = {t.start for t in cycle}
+        out = []
+        if v in cycle_vertices:
+            prefixes = [()]
+            anchors = [v]
+        else:
+            # tree paths from v whose interior stays off the cycle
+            prefixes, anchors = [], []
+            for w in sorted(cycle_vertices, key=lambda x: (x[0], -x[1])):
+                for p in self.simple_paths(v, w):
+                    if all(t.start not in cycle_vertices for t in p):
+                        prefixes.append(p)
+                        anchors.append(w)
+        for prefix, w in zip(prefixes, anchors):
+            i = next(k for k, t in enumerate(cycle) if t.start == w)
+            based = cycle[i:] + cycle[:i]
+            reversed_based = tuple(t.reverse() for t in reversed(based))
+            out.append((prefix, based))
+            out.append((prefix, reversed_based))
+        return out
+
+
+def _random_many_corners(rng):
+    """A one-relator star graph with 3-9 corners over indeterminates t, u, v
+    and each edge of weight zero with probability 0.6: the zero subgraph
+    often has long trees hanging off its cycle."""
+    coefficients = ["a1", "a2", "a1^-1", "b1", "b1^-1"]
+    while True:
+        tokens = []
+        for _ in range(rng.randint(3, 9)):
+            tokens += rng.sample(coefficients, rng.choice([0, 1, 1, 2]))
+            tokens.append(rng.choice(["t", "t^-1", "u", "u^-1", "v", "v^-1"]))
+        text = (
+            "factor A noncyclic nontrivial\nfactor B noncyclic nontrivial\n"
+            "gens A: a1 a2\ngens B: b1\nindet: t u v\nrelator: " + " ".join(tokens) + "\n"
+        )
+        p = parse_scenario(text, name="random").presentation
+        if any(n in ("t", "u", "v") for n, _ in p.relators[0].letters):
+            g = build_star_graph(p)
+            return g, [e for e in g.edges if rng.random() < 0.6]
+
+
+def test_pumps_match_the_simple_path_search_they_replace():
+    rng = random.Random(zlib.crc32(b"zero subgraph pumps"))
+    cases = []
+    for s, g in _corpus():
+        if s.weights:
+            wf = WeightFunction.from_scenario(s, g)
+            cases.append((s.name, g, [e for e in g.edges if wf[e.edge_id] == 0]))
+    for i in range(1000):
+        g, wf = _random_one_relator(rng)
+        cases.append((f"small {i}", g, [e for e in g.edges if wf[e.edge_id] == 0]))
+    for i in range(3000):
+        cases.append((f"many corners {i}", *_random_many_corners(rng)))
+    compared = entangled = long_prefixes = 0
+    for name, g, zero in cases:
+        try:
+            want = _ReferenceZeroSubgraph(g, zero)
+        except EntangledZeroSubgraphError as e:
+            with pytest.raises(EntangledZeroSubgraphError, match=f"^{re.escape(str(e))}$"):
+                _ZeroSubgraph(zero)
+            entangled += 1
+            continue
+        got = _ZeroSubgraph(zero)
+        assert got.cycles == [want.cycles[ci] for ci in sorted(want.cycles)], name
+        for v in g.vertices:
+            assert got.pumps_at(v) == want.pumps_at(v), (name, v)
+            long_prefixes += sum(len(prefix) >= 2 for prefix, _ in got.pumps_at(v))
+        compared += 1
+    assert compared >= 3000 and entangled >= 200 and long_prefixes >= 500
+
+
+# -- pump shapes against the two enumerations they replaced -----------------------
+
+
+def _reference_expansions_upto(fam, mmax):
+    """``CycleFamily.expansions_upto`` before the shapes were shared, verbatim
+    but for ``max(1, p.m_min)``, which was always 1."""
+    if fam.kind == "power":
+        return [fam.base * m for m in range(1, mmax + 1)]
+    out = []
+    mandatory = fam.mandatory_points()
+    choices = []  # per point: (pump idx, m)
+    points = sorted({p.insert_after for p in fam.pumps})
+    for q in points:
+        opts = []
+        if q not in mandatory:
+            opts.append(None)
+        for pi, p in enumerate(fam.pumps):
+            if p.insert_after == q:
+                opts.extend((pi, m) for m in range(1, mmax + 1))
+        choices.append(opts)
+    for combo in itertools.product(*choices) if choices else [()]:
+        ms = {pi: m for c in combo if c for pi, m in [c]}
+        out.append(fam.expansion(ms))
+    return out
+
+
+def _reference_templates(fam):
+    """``CycleFamily.templates`` before the shapes were shared, verbatim."""
+    if fam.kind == "power":
+        return [([Word()], [fam.base_label()])]
+    mandatory = fam.mandatory_points()
+    out = []
+    if not mandatory:
+        out.append(([fam.base_label()], []))
+    points = sorted({p.insert_after for p in fam.pumps})
+    by_point = {q: [p for p in fam.pumps if p.insert_after == q] for q in points}
+    for r in range(1, len(points) + 1):
+        for combo in itertools.combinations(points, r):
+            if not mandatory <= set(combo):
+                continue
+            for choice in itertools.product(*(by_point[q] for q in combo)):
+                segments = []
+                pump_words = []
+                qs = list(combo)
+                for j, q in enumerate(qs):
+                    prev = qs[j - 1]
+                    if j == 0:
+                        chunk = fam.base[qs[-1] + 1 :] + fam.base[: q + 1]
+                    else:
+                        chunk = fam.base[prev + 1 : q + 1]
+                    segments.append(path_label(chunk))
+                    pump_words.append(choice[j].label())
+                out.append((segments, pump_words))
+    return out
+
+
+def _random_family(rng, g):
+    """A cycle family over g's traversals: a random base of 1-8 steps, and at
+    up to three of its positions one or two random pumps, all mandatory or
+    all optional.  Shapes and expansions do not need a closed base."""
+    steps = [t for v in g.vertices for t in g.incident(v)]
+    base = tuple(rng.choice(steps) for _ in range(rng.randint(1, 8)))
+    pumps = []
+    for q in sorted(rng.sample(range(len(base)), min(len(base), rng.randint(0, 3)))):
+        mandatory = rng.random() < 0.4
+        for _ in range(rng.randint(1, 2)):
+            prefix = tuple(rng.choice(steps) for _ in range(rng.randint(0, 2)))
+            cycle = tuple(rng.choice(steps) for _ in range(rng.randint(1, 3)))
+            pumps.append(weights_module.Pump(q, prefix, cycle, mandatory))
+    return weights_module.CycleFamily(base, tuple(pumps), Fraction(0), "cycle")
+
+
+def _edge_ids(paths):
+    return sorted(tuple((t.edge.edge_id, t.direction) for t in w) for w in paths)
+
+
+def test_templates_and_expansions_match_the_enumerations_they_replace():
+    # templates in order, as the first unrefuted one is the printed witness;
+    # expansions as a multiset, as every caller sorts them or makes a set
+    graphs = [(s.name, g, WeightFunction.from_scenario(s, g)) for s, g in _corpus() if s.weights]
+    for k, q in ((4, 3), (4, 4), (5, 3)):
+        s = parse_scenario(_grid_text(k, q), name=f"grid k={k} q={q}")
+        g = build_star_graph(s.presentation)
+        graphs.append((s.name, g, WeightFunction.from_scenario(s, g)))
+    cases = []
+    for name, g, wf in graphs:
+        try:
+            cases += [(name, fam) for fam in enumerate_light_cycles(g, wf)]
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            pass
+    # real families on random graphs can take minutes to enumerate (see
+    # dedup_key), so the random cases are random families on them
+    rng = random.Random(zlib.crc32(b"pump shapes"))
+    for i in range(600):
+        g, _ = _random_one_relator(rng)
+        cases.append((f"random {i}", _random_family(rng, g)))
+    optional = mandatory = 0
+    for name, fam in cases:
+        assert fam.templates() == _reference_templates(fam), (name, fam.display())
+        for m in (1, 2, 3):
+            want = _edge_ids(_reference_expansions_upto(fam, m))
+            assert _edge_ids(fam.expansions_upto(m)) == want, (name, fam.display(), m)
+        optional += any(not p.mandatory for p in fam.pumps)
+        mandatory += bool(fam.mandatory_points())
+    assert len(cases) >= 1500 and optional >= 300 and mandatory >= 200
