@@ -19,6 +19,21 @@ Weights are >= 0, so when c <= c' in every coordinate, c.w >= 2 implies
 c'.w >= 2: the cut of c' is redundant and dropping it leaves the feasible
 region unchanged.  The same test keeps out any new cut that a held cut
 already implies.
+
+The fallback walks by length: level L walks to length L and takes the walks
+of exactly L edges in canonical order, shortest level first, as one sort of
+every walk up to ``GUARD_LEN`` by length would.  The walk never extends a
+prefix whose counts cover a kept cut.  A prefix's counts are <= those of
+every walk through it, and counts do not change under rotation or
+inversion, so this drops whole classes of implied walks and never a member
+of a class that survives; the walk keeps its depth-first order, so each
+surviving class keeps the member, and so the label, that one walk to
+``GUARD_LEN`` finds first.  A level's cuts are not known while it walks, but
+two walks of one length imply each other only when their counts are equal,
+and the implication test on each walk catches that.  Each level gets the
+guard's budget ``GUARD_BUDGET``: it visits a subset of the nodes one unpruned
+walk to ``GUARD_LEN`` visits, so no search that such a walk would let finish
+gives up here.
 Budget exhaustion of the walk enumeration ends the search as gave-up.
 """
 
@@ -173,19 +188,38 @@ def _fallback_cuts(
 ) -> list[tuple[dict[str, int], str]]:
     """When the family decomposition is unavailable (entangled or degenerate
     zero subgraph), cut the minimal unrefuted light walks up to the guard's
-    length ``GUARD_LEN``: shortest first, and a walk whose cut an earlier
-    cut implies is skipped before its label is refuted.  Each cut is its
-    edge-count vector and its label."""
+    length ``GUARD_LEN``.  For L = 1..``GUARD_LEN`` it walks to length L and
+    takes the walks of exactly L edges in canonical order; a walk whose cut
+    an earlier cut implies is skipped before its label is refuted, and the
+    walk never extends a prefix whose counts cover a kept cut, since every
+    walk through that prefix would be skipped (the module docstring gives
+    why the cuts and their labels are those of one walk to ``GUARD_LEN``
+    sorted by length).  Each level walks within ``GUARD_BUDGET`` steps, as it
+    visits only nodes that one unpruned walk to ``GUARD_LEN`` visits.  Each
+    cut is its edge-count vector and its label."""
     wf = WeightFunction(values)
     kept: list[dict[str, int]] = []
+    by_edge: dict[str, list[dict[str, int]]] = {}  # kept count vectors per edge they hold
     cuts = []
-    walks = reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=GUARD_BUDGET)
-    for walk in sorted(walks, key=len):
-        counts = _edge_counts(walk)
-        if _implied(counts, kept) or fb.refute_trivial(path_label(walk)):
-            continue
-        kept.append(counts)
-        cuts.append((counts, "light walk " + _path_desc(walk)))
+
+    def covers_kept(path) -> bool:
+        # its prefix passed, so only a cut holding the edge just added can be covered now
+        held = by_edge.get(path[-1].edge.edge_id)
+        return bool(held) and _implied(_edge_counts(path), held)
+
+    for length in range(1, GUARD_LEN + 1):
+        for walk in reduced_closed_walks(
+            g, length, wf, Fraction(2), budget=GUARD_BUDGET, prune=covers_kept
+        ):
+            if len(walk) < length:
+                continue  # an earlier level took it
+            counts = _edge_counts(walk)
+            if _implied(counts, kept) or fb.refute_trivial(path_label(walk)):
+                continue
+            kept.append(counts)
+            for e in counts:
+                by_edge.setdefault(e, []).append(counts)
+            cuts.append((counts, "light walk " + _path_desc(walk)))
     return cuts
 
 
@@ -264,7 +298,7 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
         ]
         candidates.append(values)
         try:
-            report, chosen = _verify_candidates(s, candidates)
+            report, chosen = _verify_candidates(s, candidates, fb)
             if report is not None and report.verdict == "Aspherical":
                 return SearchOutcome("found", chosen, iteration, constraints)
             if report is None or report.notes:
@@ -294,13 +328,19 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
     )
 
 
-def _verify_candidates(s: Scenario, candidates: list[dict[str, Fraction]]):
+def _verify_candidates(s: Scenario, candidates: list[dict[str, Fraction]], fb: FactBase):
     """(report, candidate) of the first Aspherical candidate, else of the
-    first one; report is None for a degenerate zero cycle."""
+    first one; report is None for a degenerate zero cycle.  A candidate equal
+    to an earlier one would get the same report, so it is skipped.  ``fb`` is
+    the scenario's fact base, shared by every verification."""
     first = None
+    seen: list[dict[str, Fraction]] = []
     for cand in candidates:
+        if cand in seen:
+            continue
+        seen.append(cand)
         try:
-            rep = verify_weight_test(scenario_with_weights(s, cand))
+            rep = verify_weight_test(scenario_with_weights(s, cand), fb)
         except DegenerateZeroCycleError:
             rep = None
         if rep is not None and rep.verdict == "Aspherical":

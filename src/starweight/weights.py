@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -363,6 +364,7 @@ def _closed_walks(
     zsub: _ZeroSubgraph,
     max_len: int,
     budget: int,
+    prune: Callable[[tuple[Traversal, ...]], bool] | None = None,
 ) -> list[tuple[tuple[Traversal, ...], frozenset]]:
     """(path, marked) per closed walk of at most max_len traversals that
     uses an edge outside the zero subgraph, weighs less than threshold on
@@ -373,6 +375,11 @@ def _closed_walks(
     insertion is mandatory.  A walk with an unmendable backtrack has no
     reduced instance, so it yields no family, and neither does any walk
     through it: its subtree is skipped.
+
+    ``prune``, when given, is asked about every path before it is pushed,
+    roots included; a path it answers true for is dropped with its whole
+    subtree, and the rest keep their DFS order.  A path reaches it only
+    after each of its proper prefixes has passed.
 
     Weights and threshold are scaled once by their least common
     denominator, so the walk adds and compares ints, exactly as the
@@ -409,9 +416,9 @@ def _closed_walks(
     results: list[tuple[tuple[Traversal, ...], frozenset]] = []
     steps = 0
     for root, e0 in enumerate(g.edges):
-        if e0.edge_id in zero or weight[e0.edge_id] >= limit:
-            continue
         t0 = Traversal(e0, +1)
+        if e0.edge_id in zero or weight[e0.edge_id] >= limit or (prune and prune((t0,))):
+            continue
         stack = [((t0,), weight[e0.edge_id], frozenset([t0.end]), frozenset())]
         while stack:
             path, used, run_seen, marked = stack.pop()
@@ -438,11 +445,15 @@ def _closed_walks(
                     w = weight[t.edge.edge_id]
                     if rank[t.edge.edge_id] < root or used + w >= limit:
                         continue
-                    stack.append((path + (t,), used + w, frozenset([t.end]), new_marked))
+                    child = (path + (t,), used + w, frozenset([t.end]), new_marked)
                 elif backtrack:
-                    stack.append((path + (t,), used, frozenset([t.end]), new_marked))
+                    child = (path + (t,), used, frozenset([t.end]), new_marked)
                 elif t.end not in run_seen:  # revisits belong to pumps
-                    stack.append((path + (t,), used, run_seen | {t.end}, new_marked))
+                    child = (path + (t,), used, run_seen | {t.end}, new_marked)
+                else:
+                    continue
+                if not (prune and prune(child[0])):
+                    stack.append(child)
     return results
 
 
@@ -493,14 +504,16 @@ def reduced_closed_walks(
     wf: WeightFunction | None = None,
     threshold: Fraction | None = None,
     budget: int = 5_000_000,
+    prune: Callable[[tuple[Traversal, ...]], bool] | None = None,
 ) -> list[tuple[Traversal, ...]]:
     """All cyclically reduced closed walks up to max_len, one per canonical
-    (rotation/inversion) class; optionally only those of weight < threshold."""
+    (rotation/inversion) class; optionally only those of weight < threshold.
+    ``prune`` drops prefixes from the walk, as in ``_closed_walks``."""
     if wf is None or threshold is None:
         wf, threshold = WeightFunction({e.edge_id: Fraction(0) for e in g.edges}), Fraction(1)
     # an empty zero subgraph allows no backtrack and imposes no simple runs
     out: dict[tuple, tuple[Traversal, ...]] = {}
-    for path, _ in _closed_walks(g, wf, threshold, _ZeroSubgraph([]), max_len, budget):
+    for path, _ in _closed_walks(g, wf, threshold, _ZeroSubgraph([]), max_len, budget, prune):
         out.setdefault(canonical_atom_edge_cycle(path), path)
     return [out[k] for k in sorted(out)]
 
@@ -600,10 +613,13 @@ GUARD_LEN = 6  # the guard walks every light closed walk up to this length
 GUARD_BUDGET = 400_000  # walker steps for the guard; exhausting it forbids Aspherical
 
 
-def verify_weight_test(s: Scenario) -> WeightTestReport:
-    """Run the full weight test for a scenario carrying weights."""
+def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestReport:
+    """Run the full weight test for a scenario carrying weights.  ``fb``, when
+    given, is the fact base of the scenario's presentation and facts; its
+    queries are pure, so a warm one gives the same report."""
     g = build_star_graph(s.presentation)
-    fb = FactBase(s.presentation, s.fact_decls)
+    if fb is None:
+        fb = FactBase(s.presentation, s.fact_decls)
     wf = WeightFunction.from_scenario(s, g)
     relator_checks = check_relator_condition(g, wf)
     notes: list[str] = []

@@ -153,8 +153,8 @@ def test_corpus_run_deterministic(tmp_path, capsys):
 def test_walk_budget_is_a_resource_limit_not_an_input_error(argv, monkeypatch, tmp_path, capsys):
     walk = weights_module._closed_walks
 
-    def tiny_budget(g, wf, threshold, zsub, max_len, budget):
-        return walk(g, wf, threshold, zsub, max_len, 1)
+    def tiny_budget(g, wf, threshold, zsub, max_len, budget, prune=None):
+        return walk(g, wf, threshold, zsub, max_len, 1, prune)
 
     monkeypatch.setattr(weights_module, "_closed_walks", tiny_budget)
     (tmp_path / "g8.scn").write_text(GAMMA8)

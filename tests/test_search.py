@@ -1,5 +1,6 @@
 import itertools
 import random
+import zlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from starweight.search import (
     _cut,
     _edge_counts,
     _fallback_cuts,
+    _implied,
     _path_desc,
     infeasible_certificate,
     search_weights,
@@ -26,10 +28,13 @@ from starweight.search import (
 )
 from starweight.stargraph import build_star_graph, path_label
 from starweight.weights import (
+    GUARD_BUDGET,
+    GUARD_LEN,
     WalkBudgetError,
     WeightError,
     WeightFunction,
     reduced_closed_walks,
+    render_report,
     verify_weight_test,
 )
 
@@ -388,8 +393,8 @@ def test_search_infeasible_corpus_certificate_is_infeasible(stem):
 
 
 def test_walk_budget_is_gave_up_not_an_input_error(monkeypatch, tmp_path, capsys):
-    def tiny_budget(g, max_len, wf=None, threshold=None, budget=0):
-        return reduced_closed_walks(g, max_len, wf, threshold, budget=1)
+    def tiny_budget(g, max_len, wf=None, threshold=None, budget=0, prune=None):
+        return reduced_closed_walks(g, max_len, wf, threshold, budget=1, prune=prune)
 
     s = _bare("px4_w0")
     with pytest.raises(WalkBudgetError, match="^closed-walk enumeration budget exceeded$"):
@@ -403,3 +408,157 @@ def test_walk_budget_is_gave_up_not_an_input_error(monkeypatch, tmp_path, capsys
     path.write_text(_bare_text("px4_w0"))
     assert main(["search-weights", str(path)]) == 1  # a negative outcome, not exit 2
     assert "unresolved: closed-walk enumeration budget exceeded" in capsys.readouterr().out
+
+
+# -- the fallback by length --------------------------------------------------
+
+
+def _reference_fallback_cuts(g, fb, values):
+    """The single-walk fallback, kept verbatim as the oracle: one walk to
+    GUARD_LEN, sorted by length, implied walks skipped before refutation."""
+    wf = WeightFunction(values)
+    kept: list[dict[str, int]] = []
+    cuts = []
+    walks = reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=GUARD_BUDGET)
+    for walk in sorted(walks, key=len):
+        counts = _edge_counts(walk)
+        if _implied(counts, kept) or fb.refute_trivial(path_label(walk)):
+            continue
+        kept.append(counts)
+        cuts.append((counts, "light walk " + _path_desc(walk)))
+    return cuts
+
+
+WEIGHT_LEVELS = (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+
+@pytest.mark.parametrize("stem", STEMS + ["infeasible_k3"])
+def test_fallback_by_length_matches_the_single_walk(stem):
+    s = parse_scenario(INFEASIBLE_K3, name=stem) if stem == "infeasible_k3" else _bare(stem)
+    g = build_star_graph(s.presentation)
+    rng = random.Random(zlib.crc32(stem.encode()))
+    draws = [{e.edge_id: Fraction(0) for e in g.edges}]
+    draws += [{e.edge_id: rng.choice(WEIGHT_LEVELS) for e in g.edges} for _ in range(3)]
+    for values in draws:
+        # separate fact bases, so neither side sees the other's memo
+        want = _reference_fallback_cuts(g, FactBase(s.presentation, s.fact_decls), values)
+        got = _fallback_cuts(g, FactBase(s.presentation, s.fact_decls), values)
+        assert got == want, values
+
+
+def _least_budget(g, values):
+    """Fewest walker steps one unpruned walk to GUARD_LEN needs: a finished
+    walk pops every path it pushes, one step each, and a predicate that
+    prunes nothing sees every push.  Checked on both sides of the count."""
+    wf = WeightFunction(values)
+    pushed = [0]
+
+    def count(path):
+        pushed[0] += 1
+        return False
+
+    reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), prune=count)
+    least = pushed[0]
+    reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=least)
+    with pytest.raises(WalkBudgetError):
+        reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=least - 1)
+    return least
+
+
+@pytest.mark.parametrize("stem", ["px4_w0", "px"])
+def test_fallback_by_length_finishes_on_the_single_walks_least_budget(stem, monkeypatch):
+    # each level visits a subset of the single walk's nodes, so a budget the
+    # single walk fits in is enough for every level
+    s = _bare(stem)
+    g = build_star_graph(s.presentation)
+    zero = {e.edge_id: Fraction(0) for e in g.edges}
+    fb = FactBase(s.presentation, s.fact_decls)
+    want = _reference_fallback_cuts(g, fb, zero)
+    monkeypatch.setattr(search_module, "GUARD_BUDGET", _least_budget(g, zero))
+    assert _fallback_cuts(g, fb, zero) == want
+
+
+WEIGHTED = [stem for stem in STEMS if "weight:" in (CORPUS / f"{stem}.scn").read_text()]
+
+
+@pytest.mark.parametrize("stem", WEIGHTED)
+def test_verify_with_a_warm_fact_base_renders_the_same_report(stem):
+    s = parse_scenario((CORPUS / f"{stem}.scn").read_text(encoding="utf-8"), name=stem)
+    cold = render_report(verify_weight_test(s))
+    fb = FactBase(s.presentation, s.fact_decls)
+    assert render_report(verify_weight_test(s, fb)) == cold
+    assert render_report(verify_weight_test(s, fb)) == cold  # its memo is warm now
+
+
+def _capture_searches(monkeypatch):
+    """One record per _verify_candidates call of the searches run after it:
+    its fact base, the weights and report of each verification, and the
+    report it returned, the one the search cuts from."""
+    calls = []
+    verify, verify_candidates = search_module.verify_weight_test, search_module._verify_candidates
+
+    def verify_spy(s, fb=None):
+        report = verify(s, fb)
+        calls[-1]["verified"].append((dict(s.weights), report))
+        return report
+
+    def verify_candidates_spy(s, candidates, fb):
+        calls.append({"fb": fb, "verified": []})
+        report, chosen = verify_candidates(s, candidates, fb)
+        calls[-1]["report"] = report
+        return report, chosen
+
+    monkeypatch.setattr(search_module, "verify_weight_test", verify_spy)
+    monkeypatch.setattr(search_module, "_verify_candidates", verify_candidates_spy)
+    return calls
+
+
+@pytest.mark.parametrize("stem", ["px4_w0", "px1_w1", "px8_w"])
+def test_search_verifies_each_distinct_candidate_once_on_one_fact_base(stem, monkeypatch):
+    calls = _capture_searches(monkeypatch)
+    built = []
+    init = FactBase.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(FactBase, "__init__", counted_init)
+    search_weights(_bare(stem))
+    assert len(built) == 1 and calls and all(c["fb"] is built[0] for c in calls)
+    for c in calls:
+        weights = [w for w, _ in c["verified"]]
+        assert all(a != b for a, b in itertools.combinations(weights, 2)), weights
+
+
+# the two-corner relator of test_search_two_corner_relator_infeasible, whose
+# search cuts from a family report
+TWO_CORNERS = "factor A\ngens A: a1 a2\nindet: X\nrelator: X a1 X^-1 a2\n"
+
+
+def _family_cut_bases(report):
+    """Base labels the search would cut from this report: none unless the
+    report lists families (no notes) and is not Aspherical."""
+    if report is None or report.notes or report.verdict == "Aspherical":
+        return []
+    return [fv.family.base_label() for fv in report.violations]
+
+
+def test_no_family_cut_rests_on_a_refuted_base(monkeypatch):
+    # a family cut asks the base to weigh >= 2; were the base label refuted,
+    # the family would survive only through a pumped template, and the cut
+    # could exclude weights the verifier accepts.  On the corpus every report
+    # a search cuts from has notes or a degenerate zero cycle, so only the
+    # two-corner relator makes family cuts; the families of every verified
+    # report, the cuts the search would make had it chosen that candidate,
+    # are checked as well.
+    calls = _capture_searches(monkeypatch)
+    for s in [_bare(stem) for stem in STEMS] + [parse_scenario(TWO_CORNERS)]:
+        search_weights(s)
+    chosen = [(c["fb"], base) for c in calls for base in _family_cut_bases(c["report"])]
+    verified = [
+        (c["fb"], base) for c in calls for _, report in c["verified"] for base in _family_cut_bases(report)
+    ]
+    for fb, base in chosen + verified:
+        assert not fb.refute_trivial(base), str(base)
+    assert chosen and len(verified) >= 100
