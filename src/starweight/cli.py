@@ -2,8 +2,8 @@
 
 Exit codes: 0 = success / Aspherical / Solvable; 1 = verified negative
 (potential violations, Unknown verdict, corpus mismatch); 2 = usage or
-input error; 3 = a resource limit (the closed-walk budget) was reached and
-nothing is claimed.  All output is deterministic for golden-file regression.
+input error; 3 = a resource limit (the closed-walk budget or the eq rewrite
+cap) was reached and nothing is claimed.  All output is deterministic for golden-file regression.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .curvature import region_curvature
 from .equations import EquationError, classify, parse_equation
-from .facts import FactBase, FactError
+from .facts import FactBase, FactError, RewriteCapError
 from .scenario import INDETERMINATE, Scenario, ScenarioError, parse_scenario, print_scenario
 from .search import SearchConfig, search_weights, weight_lines
 from .stargraph import GraphError, build_star_graph, export_dot, vertex_name
@@ -293,7 +293,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else OK
     try:
         return args.func(args)
-    except WalkBudgetError as e:
+    except (WalkBudgetError, RewriteCapError) as e:
         sys.stderr.write(f"error: {e}\n")
         return RESOURCE_LIMIT
     except (

@@ -45,6 +45,11 @@ class FactError(ValueError):
     pass
 
 
+class RewriteCapError(FactError):
+    """A normalisation took ``_REWRITE_CAP`` rewrites: a resource limit, not
+    bad input."""
+
+
 @dataclass(frozen=True)
 class Verdict:
     refuted: bool
@@ -161,7 +166,7 @@ class FactBase:
             if nxt is None:
                 return cur
             cur = Word(nxt)
-        raise FactError("rewrite system did not terminate")
+        raise RewriteCapError("eq rewrite step cap exceeded")
 
     def normalize(self, w: Word) -> Word:
         """Fixed point of the Eq-derived rewrites plus free reduction.

@@ -6,8 +6,9 @@ sum(w) <= corners - 2 per relator, and an accumulating set of cuts
 sum(w over path edges) >= 2, one per admissible-candidate cycle family
 discovered by the verifier on the previous candidate.  Family cuts use the
 minimal member of the family (pumps only add nonnegative weight, so it
-dominates the whole family).  Everything is exact Fraction arithmetic with
-Bland's rule, so runs are deterministic.
+dominates the whole family).  The simplex follows Bland's rule and pivots
+on integers over one common denominator, so its results are exact
+Fractions and runs are deterministic.
 
 Where the zero-weight subgraph is entangled or degenerate there are no
 families, and the search cuts light walks directly (``_fallback_cuts``).
@@ -20,29 +21,38 @@ c'.w >= 2: the cut of c' is redundant and dropping it leaves the feasible
 region unchanged.  The same test keeps out any new cut that a held cut
 already implies.
 
-The fallback walks by length: level L walks to length L and takes the walks
-of exactly L edges in canonical order, shortest level first, as one sort of
-every walk up to ``GUARD_LEN`` by length would.  The walk never extends a
-prefix whose counts cover a kept cut.  A prefix's counts are <= those of
-every walk through it, and counts do not change under rotation or
-inversion, so this drops whole classes of implied walks and never a member
-of a class that survives; the walk keeps its depth-first order, so each
-surviving class keeps the member, and so the label, that one walk to
-``GUARD_LEN`` finds first.  A level's cuts are not known while it walks, but
-two walks of one length imply each other only when their counts are equal,
-and the implication test on each walk catches that.  Each level gets the
-guard's budget ``GUARD_BUDGET``: it visits a subset of the nodes one unpruned
-walk to ``GUARD_LEN`` visits, so no search that such a walk would let finish
-gives up here.
-Budget exhaustion of the walk enumeration ends the search as gave-up.
+The fallback walks by length: level L takes the walks of exactly L edges
+in canonical order, shortest level first, as one sort of every walk up to
+``GUARD_LEN`` by length would.  The walk never extends a prefix whose counts
+cover a kept cut.  A prefix's counts are <= those of every walk through it,
+and counts do not change under rotation or inversion, so this drops whole
+classes of implied walks and never a member of a class that survives; the
+walk keeps its depth-first order, so each surviving class keeps the member,
+and so the label, that one walk to ``GUARD_LEN`` finds first.  A level's
+cuts are not known while it walks, but two walks of one length imply each
+other only when their counts are equal, and the implication test on each
+walk catches that.
+
+Level L resumes from level L - 1's frontier, its unpruned paths of L - 1
+edges in depth-first order, instead of walking again from the roots.  A
+frontier path is first tested against the cuts kept at level L - 1, the
+only ones it has not met; testing the whole path tests its prefixes, as
+their counts are <= its own.  The survivors are extended in the order the
+walk pops them, so the new paths keep depth-first order, and only the
+closed ones of exactly L edges are canonicalised.  Each level pops its
+frontier and its new paths, a subset of the nodes one unpruned walk to
+``GUARD_LEN`` pops, within the guard's budget ``GUARD_BUDGET``: no search
+that such a walk would let finish gives up here.
+Exhausting the walk budget or the eq rewrite cap ends the search as gave-up.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .facts import FactBase
+from .facts import FactBase, RewriteCapError
 from .scenario import Scenario
 from .stargraph import StarGraph, build_star_graph, path_label
 from .weights import (
@@ -51,7 +61,7 @@ from .weights import (
     DegenerateZeroCycleError,
     WalkBudgetError,
     WeightFunction,
-    reduced_closed_walks,
+    reduced_closed_walks_by_length,
     verify_weight_test,
 )
 
@@ -94,7 +104,8 @@ class SearchOutcome:
 def solve_feasible(
     variables: list[str], constraints: list[Constraint]
 ) -> dict[str, Fraction] | None:
-    """Phase-1 simplex with Bland's rule; None when infeasible.
+    """Phase-1 simplex with Bland's rule, pivoting on integers; None when
+    infeasible.
 
     Each row is negated where needed so that its rhs is nonnegative and it
     is ``>=`` only when the rhs is positive; exactly those rows get an
@@ -104,15 +115,37 @@ def solve_feasible(
     with the constraint rows, so its rhs entry is minus the objective.  A
     basic column's reduced cost is exactly 0, so Bland's rule enters the
     first negative one.
+
+    Integers: every structural entry and rhs is multiplied by one common
+    lcm D of their denominators, while slack and artificial entries stay
+    +-1 and 1.  That is every row, cost row included, scaled by D, with each
+    slack and artificial variable renamed to D times itself: a scaling of
+    those columns by the positive constant 1/D.  A positive column scaling
+    keeps the sign of every reduced cost, which is all Bland's rule reads,
+    and scales every ratio of one ratio test by one positive constant, so
+    its argmin and its ties are unchanged: the pivots are those of the same
+    simplex over the unscaled Fractions, and the structural values are
+    unchanged.  The tableau is then kept as integers T over one common
+    denominator d > 0 (the true entries are T/d), starting at d = 1 with the
+    identity basis.  Pivoting on T[r][c] = p replaces every other row i by
+    (p*T[i] - T[i][c]*T[r]) // d, which divides exactly (each entry is a
+    minor of the starting tableau), keeps row r and sets d = p.  The ratio
+    test only takes p > 0, so d stays positive: T and T/d have the same
+    signs, and T[i][rhs]/T[i][c] < T[l][rhs]/T[l][c] is compared as
+    T[i][rhs]*T[l][c] < T[l][rhs]*T[i][c].
     """
     var_index = {v: i for i, v in enumerate(variables)}
     n, m = len(variables), len(constraints)
+    scale = math.lcm(
+        *(c.rhs.denominator for c in constraints),
+        *(coef.denominator for c in constraints for _, coef in c.coeffs),
+    )
     rows = []
     for c in constraints:
-        row = [Fraction(0)] * n
+        row = [0] * n
         for v, coef in c.coeffs:
-            row[var_index[v]] += coef
-        rhs, geq = c.rhs, c.sense == ">="
+            row[var_index[v]] += coef.numerator * (scale // coef.denominator)
+        rhs, geq = c.rhs.numerator * (scale // c.rhs.denominator), c.sense == ">="
         if rhs < 0 or (geq and rhs == 0):
             row, rhs, geq = [-x for x in row], -rhs, not geq
         rows.append((row, rhs, geq))
@@ -121,42 +154,46 @@ def solve_feasible(
     width = n + m + n_art
     tab, basis = [], []
     art = n + m  # next artificial column
-    cost = [Fraction(0)] * (width + 1)
+    cost = [0] * (width + 1)
     for i, (row, rhs, geq) in enumerate(rows):
-        line = row + [Fraction(0)] * (m + n_art) + [rhs]
-        line[n + i] = Fraction(-1) if geq else Fraction(1)
+        line = row + [0] * (m + n_art) + [rhs]
+        line[n + i] = -1 if geq else 1
         if geq:
-            line[art] = Fraction(1)
+            line[art] = 1
             basis.append(art)
             art += 1
             cost = [z - x for z, x in zip(cost, line)]
         else:
             basis.append(n + i)
         tab.append(line)
-    cost[n + m : width] = [Fraction(0)] * n_art
+    cost[n + m : width] = [0] * n_art
     tab.append(cost)
 
+    d = 1  # common denominator of the tableau, always > 0
     while True:
         entering = next((j for j in range(width) if tab[m][j] < 0), None)
         if entering is None:
             break
-        leaving, best = -1, None
+        leaving, best_rhs, best_a = -1, 0, 1
         for i in range(m):
             a = tab[i][entering]
             if a > 0:
-                ratio = tab[i][width] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best, leaving = ratio, i
+                left, right = tab[i][width] * best_a, best_rhs * a
+                if leaving < 0 or left < right or (left == right and basis[i] < basis[leaving]):
+                    leaving, best_rhs, best_a = i, tab[i][width], a
         if leaving < 0:
             break  # unbounded phase 1 cannot happen; be safe
-        piv = tab[leaving][entering]
-        pivot = tab[leaving] = [x / piv for x in tab[leaving]]
-        support = [(j, y) for j, y in enumerate(pivot) if y]  # only these columns change
+        pivot = tab[leaving]
+        p = pivot[entering]
         for i, line in enumerate(tab):
+            if i == leaving:
+                continue
             f = line[entering]
-            if f and i != leaving:
-                for j, y in support:
-                    line[j] -= f * y
+            if f:
+                tab[i] = [(p * x - f * y) // d for x, y in zip(line, pivot)]
+            elif p != d:
+                tab[i] = [p * x // d for x in line]
+        d = p
         basis[leaving] = entering
 
     if tab[m][width]:
@@ -164,7 +201,7 @@ def solve_feasible(
     values = {v: Fraction(0) for v in variables}
     for i, b in enumerate(basis):
         if b < n:
-            values[variables[b]] = tab[i][width]
+            values[variables[b]] = Fraction(tab[i][width], d)
     return values
 
 
@@ -188,17 +225,18 @@ def _fallback_cuts(
 ) -> list[tuple[dict[str, int], str]]:
     """When the family decomposition is unavailable (entangled or degenerate
     zero subgraph), cut the minimal unrefuted light walks up to the guard's
-    length ``GUARD_LEN``.  For L = 1..``GUARD_LEN`` it walks to length L and
-    takes the walks of exactly L edges in canonical order; a walk whose cut
-    an earlier cut implies is skipped before its label is refuted, and the
-    walk never extends a prefix whose counts cover a kept cut, since every
-    walk through that prefix would be skipped (the module docstring gives
-    why the cuts and their labels are those of one walk to ``GUARD_LEN``
-    sorted by length).  Each level walks within ``GUARD_BUDGET`` steps, as it
-    visits only nodes that one unpruned walk to ``GUARD_LEN`` visits.  Each
-    cut is its edge-count vector and its label."""
+    length ``GUARD_LEN``.  For L = 1..``GUARD_LEN`` it extends the previous
+    level's frontier by one edge and takes the walks of exactly L edges in
+    canonical order; a walk whose cut an earlier cut implies is skipped
+    before its label is refuted, and the walk never extends a prefix whose
+    counts cover a kept cut, since every walk through that prefix would be
+    skipped (the module docstring gives why the cuts and their labels are
+    those of one walk to ``GUARD_LEN`` sorted by length).  Each level walks
+    within ``GUARD_BUDGET`` steps.  Each cut is its edge-count vector and its
+    label."""
     wf = WeightFunction(values)
     kept: list[dict[str, int]] = []
+    fresh: list[dict[str, int]] = []  # kept at the last level, which its frontier has not met
     by_edge: dict[str, list[dict[str, int]]] = {}  # kept count vectors per edge they hold
     cuts = []
 
@@ -207,16 +245,20 @@ def _fallback_cuts(
         held = by_edge.get(path[-1].edge.edge_id)
         return bool(held) and _implied(_edge_counts(path), held)
 
-    for length in range(1, GUARD_LEN + 1):
-        for walk in reduced_closed_walks(
-            g, length, wf, Fraction(2), budget=GUARD_BUDGET, prune=covers_kept
-        ):
-            if len(walk) < length:
-                continue  # an earlier level took it
+    def covers_fresh(path) -> bool:
+        # prefix counts are <= the path's, so testing the path tests its prefixes
+        return bool(fresh) and _implied(_edge_counts(path), fresh)
+
+    for walks in reduced_closed_walks_by_length(
+        g, GUARD_LEN, wf, Fraction(2), GUARD_BUDGET, covers_kept, covers_fresh
+    ):
+        fresh.clear()
+        for walk in walks:
             counts = _edge_counts(walk)
             if _implied(counts, kept) or fb.refute_trivial(path_label(walk)):
                 continue
             kept.append(counts)
+            fresh.append(counts)
             for e in counts:
                 by_edge.setdefault(e, []).append(counts)
             cuts.append((counts, "light walk " + _path_desc(walk)))
@@ -233,7 +275,13 @@ def _edge_counts(path) -> dict[str, int]:
 def _implied(counts: dict[str, int], kept: list[dict[str, int]]) -> bool:
     """Some kept count vector is <= counts everywhere, so with weights >= 0
     its cut implies the cut of counts."""
-    return any(all(counts.get(e, 0) >= c for e, c in k.items()) for k in kept)
+    for k in kept:  # loops, not any/all: this is asked about every pushed path
+        for e, c in k.items():
+            if counts.get(e, 0) < c:
+                break
+        else:
+            return True
+    return False
 
 
 def _cut(counts: dict[str, int], label: str) -> Constraint:
@@ -273,10 +321,12 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
     g = build_star_graph(s.presentation) if s.presentation.relators else None
     if g is None or not g.edges:
         return SearchOutcome("found", {}, 0, [])
-    fb = FactBase(s.presentation, s.fact_decls)
-
     variables = [e.edge_id for e in g.edges]
     constraints = _base_constraints(g, len(s.presentation.relators))
+    try:
+        fb = FactBase(s.presentation, s.fact_decls)
+    except RewriteCapError as e:
+        return SearchOutcome("gave-up", None, 0, constraints, last_violations=[str(e)])
 
     held: list[dict[str, int]] = []  # count vectors of the cuts in constraints
     last_violations: list[str] = []
@@ -311,7 +361,7 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
                     (_edge_counts(fv.family.base), "admissible-candidate " + fv.family.display())
                     for fv in report.violations
                 ]
-        except WalkBudgetError as e:
+        except (WalkBudgetError, RewriteCapError) as e:
             return SearchOutcome("gave-up", None, iteration, constraints, last_violations=[str(e)])
         added = False
         for counts, label in new_cuts:

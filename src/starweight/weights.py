@@ -27,7 +27,9 @@ cycle (either direction) based where the path lands, and the path back.
 
 ``reduced_closed_walks`` walks with an empty zero subgraph and so lists the
 cyclically reduced closed walks up to a length: the guard of the weight
-test, the fallback cuts of the search and ``enumerate_trivial_cycles``.
+test and ``enumerate_trivial_cycles``.  ``reduced_closed_walks_by_length``
+lists them one length at a time, each level resumed from the paths the
+last one reached, for the fallback cuts of the search.
 
 ``verify_weight_test`` refutes every family's full expansion set through
 the fact base, reports any unrefuted short light walk no survivor covers,
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -365,6 +367,8 @@ def _closed_walks(
     max_len: int,
     budget: int,
     prune: Callable[[tuple[Traversal, ...]], bool] | None = None,
+    starts: list[tuple] | None = None,
+    leaves: list[tuple] | None = None,
 ) -> list[tuple[tuple[Traversal, ...], frozenset]]:
     """(path, marked) per closed walk of at most max_len traversals that
     uses an edge outside the zero subgraph, weighs less than threshold on
@@ -380,6 +384,13 @@ def _closed_walks(
     roots included; a path it answers true for is dropped with its whole
     subtree, and the rest keep their DFS order.  A path reaches it only
     after each of its proper prefixes has passed.
+
+    ``leaves``, when given, receives the state of each path the walk
+    reached at max_len, in DFS order.  A later walk to a greater max_len
+    given those states (or an order-keeping subset) as ``starts`` resumes
+    from them in place of the roots: it visits what a walk from the roots
+    would visit below them, in the same order, and lists their own closed
+    paths again.
 
     Weights and threshold are scaled once by their least common
     denominator, so the walk adds and compares ints, exactly as the
@@ -413,13 +424,18 @@ def _closed_walks(
             )
         return mendable[key]
 
+    if starts is None:
+        starts = []
+        for e in g.edges:
+            t0 = Traversal(e, +1)
+            if e.edge_id not in zero and weight[e.edge_id] < limit and not (prune and prune((t0,))):
+                starts.append(((t0,), weight[e.edge_id], frozenset([t0.end]), frozenset()))
     results: list[tuple[tuple[Traversal, ...], frozenset]] = []
     steps = 0
-    for root, e0 in enumerate(g.edges):
-        t0 = Traversal(e0, +1)
-        if e0.edge_id in zero or weight[e0.edge_id] >= limit or (prune and prune((t0,))):
-            continue
-        stack = [((t0,), weight[e0.edge_id], frozenset([t0.end]), frozenset())]
+    for e0, group in itertools.groupby(starts, key=lambda state: state[0][0].edge):
+        stack = list(group)
+        t0, root = stack[0][0][0], rank[e0.edge_id]
+        stack.reverse()
         while stack:
             path, used, run_seen, marked = stack.pop()
             steps += 1
@@ -433,6 +449,8 @@ def _closed_walks(
                 elif len(marked) < MAX_MARKED and mends(path[-1]):
                     results.append((path, marked | {len(path) - 1}))
             if len(path) >= max_len:
+                if leaves is not None:
+                    leaves.append((path, used, run_seen, marked))
                 continue
             for t in g.incident(cur):
                 backtrack = t.edge is path[-1].edge and t.direction == -path[-1].direction
@@ -504,16 +522,52 @@ def reduced_closed_walks(
     wf: WeightFunction | None = None,
     threshold: Fraction | None = None,
     budget: int = 5_000_000,
-    prune: Callable[[tuple[Traversal, ...]], bool] | None = None,
 ) -> list[tuple[Traversal, ...]]:
     """All cyclically reduced closed walks up to max_len, one per canonical
-    (rotation/inversion) class; optionally only those of weight < threshold.
-    ``prune`` drops prefixes from the walk, as in ``_closed_walks``."""
+    (rotation/inversion) class; optionally only those of weight < threshold."""
     if wf is None or threshold is None:
         wf, threshold = WeightFunction({e.edge_id: Fraction(0) for e in g.edges}), Fraction(1)
     # an empty zero subgraph allows no backtrack and imposes no simple runs
+    walks = _closed_walks(g, wf, threshold, _ZeroSubgraph([]), max_len, budget)
+    return _first_per_class(path for path, _ in walks)
+
+
+def reduced_closed_walks_by_length(
+    g: StarGraph,
+    max_len: int,
+    wf: WeightFunction,
+    threshold: Fraction,
+    budget: int,
+    prune: Callable[[tuple[Traversal, ...]], bool],
+    prune_frontier: Callable[[tuple[Traversal, ...]], bool],
+) -> Iterator[list[tuple[Traversal, ...]]]:
+    """For L = 1..max_len, the cyclically reduced closed walks of exactly L
+    edges and weight < threshold, one per canonical class in canonical
+    order: the member a walk to L pruned by ``prune`` finds first.
+
+    Level L resumes from the paths of L - 1 edges that level L - 1 reached,
+    so it walks each path of L edges once and re-walks no shorter one.
+    ``prune`` is asked about every path before it is pushed and may grow
+    stricter between levels; ``prune_frontier`` is then asked about each
+    path of L - 1 edges before level L extends it, and must answer true
+    exactly when the stricter ``prune`` drops it or one of its prefixes.
+    Each level pops its frontier and its new paths, a subset of what a walk
+    to L from the roots pops, within ``budget`` steps."""
+    zsub = _ZeroSubgraph([])
+    frontier = None
+    for length in range(1, max_len + 1):
+        if frontier is not None:
+            frontier = [state for state in frontier if not prune_frontier(state[0])]
+        leaves = [] if length < max_len else None
+        walks = _closed_walks(g, wf, threshold, zsub, length, budget, prune, frontier, leaves)
+        frontier = leaves
+        yield _first_per_class(path for path, _ in walks if len(path) == length)
+
+
+def _first_per_class(paths) -> list[tuple[Traversal, ...]]:
+    """The first path of each canonical class, in canonical order."""
     out: dict[tuple, tuple[Traversal, ...]] = {}
-    for path, _ in _closed_walks(g, wf, threshold, _ZeroSubgraph([]), max_len, budget, prune):
+    for path in paths:
         out.setdefault(canonical_atom_edge_cycle(path), path)
     return [out[k] for k in sorted(out)]
 

@@ -1,5 +1,9 @@
+from pathlib import Path
+
 import pytest
 
+import starweight
+import starweight.facts as facts_module
 import starweight.weights as weights_module
 from starweight.cli import main
 
@@ -164,3 +168,25 @@ def test_walk_budget_is_a_resource_limit_not_an_input_error(argv, monkeypatch, t
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: closed-walk enumeration budget exceeded\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check-weights", "{f}"],
+        ["check-weights", "{f}", "--json"],
+        ["trivial-cycles", "{f}", "--length", "2"],
+        ["corpus", "run", "{d}"],
+    ],
+)
+def test_rewrite_cap_is_a_resource_limit_not_an_input_error(argv, monkeypatch, tmp_path, capsys):
+    # px1_w1 has eq facts; a cap of one rewrite only lets through words already normal
+    monkeypatch.setattr(facts_module, "_REWRITE_CAP", 1)
+    corpus = Path(starweight.__file__).parent / "corpus"
+    (tmp_path / "px1_w1.scn").write_text((corpus / "px1_w1.scn").read_text(encoding="utf-8"))
+    (tmp_path / "manifest.txt").write_text("px1_w1.scn aspherical prop1\n")
+    args = [a.format(f=tmp_path / "px1_w1.scn", d=tmp_path) for a in argv]
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eq rewrite step cap exceeded\n"

@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import starweight
+import starweight.facts as facts_module
 import starweight.search as search_module
 from starweight.cli import main
-from starweight.facts import FactBase
+from starweight.facts import FactBase, FactError, RewriteCapError
 from starweight.scenario import parse_scenario
 from starweight.search import (
     Constraint,
@@ -33,6 +34,8 @@ from starweight.weights import (
     WalkBudgetError,
     WeightError,
     WeightFunction,
+    _closed_walks,
+    _ZeroSubgraph,
     reduced_closed_walks,
     render_report,
     verify_weight_test,
@@ -204,6 +207,50 @@ def test_simplex_matches_reference_on_random_lps():
     assert 500 < infeasible < 1500
 
 
+def _random_rational_lp(rng):
+    """Up to 30 rows (the weight-stripped px1_w1 ends on an LP of 28) over
+    up to 12 variables, each row on up to 4 of them with coefficients p/q,
+    q <= 4.  Rows are drawn to hold at a random point with a gap of 0 or
+    more, so vertices are often degenerate; in about half the LPs some rows
+    are pushed past the point, which leaves about a third infeasible."""
+    variables = [f"x{i}" for i in range(rng.randint(1, 12))]
+    point = {v: Fraction(rng.randint(0, 4), 2) for v in variables}
+    broken = rng.random() < 0.5
+    constraints = []
+    for k in range(rng.randint(1, 30)):
+        support = rng.sample(variables, rng.randint(1, min(4, len(variables))))
+        coeffs = tuple((v, Fraction(rng.randint(-4, 4), rng.randint(1, 4))) for v in support)
+        sense = rng.choice(["<=", ">="])
+        at = sum(c * point[v] for v, c in coeffs)
+        gap = Fraction(rng.randint(0, 4), rng.randint(1, 4))
+        if broken and rng.random() < 0.3:
+            gap = -gap - Fraction(1, 4)
+        rhs = at + gap if sense == "<=" else at - gap
+        constraints.append(Constraint(coeffs, sense, rhs, f"c{k}"))
+    return variables, constraints
+
+
+def test_simplex_matches_reference_on_large_rational_lps():
+    # the integer tableau scales rows by the lcm of their denominators; the
+    # pivots, and so the answers, must stay those of the Fraction simplex
+    rng = random.Random(1968)
+    infeasible = large = 0
+    for _ in range(200):
+        variables, constraints = _random_rational_lp(rng)
+        expected = _reference_solve_feasible(variables, constraints)
+        got = solve_feasible(variables, constraints)
+        infeasible += expected is None
+        large += len(constraints) > 20
+        if expected is None:
+            assert got is None, (variables, constraints)
+        else:
+            assert got is not None and list(got.items()) == list(expected.items()), (
+                variables,
+                constraints,
+            )
+    assert 40 < infeasible < 120 and large > 50
+
+
 def _reference_infeasible_certificate(variables, constraints):
     """The certificate loop that restarted its scan after every drop, kept
     verbatim as an oracle."""
@@ -245,6 +292,20 @@ def test_certificate_matches_the_restart_loop_on_random_infeasible_lps(monkeypat
         checked += 1
         shrunk += len(want) < len(constraints)
     assert shrunk >= 1000 and one_pass_calls < reference_calls
+
+
+def test_certificate_matches_the_restart_loop_on_large_rational_lps():
+    rng = random.Random(1967)
+    checked = shrunk = 0
+    while checked < 50:
+        variables, constraints = _random_rational_lp(rng)
+        if solve_feasible(variables, constraints) is not None:
+            continue
+        want = _reference_infeasible_certificate(variables, constraints)
+        assert infeasible_certificate(variables, constraints) == want, constraints
+        checked += 1
+        shrunk += len(want) < len(constraints)
+    assert shrunk >= 40
 
 
 def test_search_gamma8_finds_zero_one_function():
@@ -383,7 +444,10 @@ def test_pruned_cuts_keep_feasibility(stem, text, feasible):
     assert (solve_feasible(variables, base + unpruned) is not None) is feasible
 
 
-@pytest.mark.parametrize("stem", ["px", "sec3_case1_w2", "sec3_case2_w", "sec3_lemma32_w"])
+INFEASIBLE_STEMS = ["px", "sec3_case1_w2", "sec3_case2_w", "sec3_lemma32_w"]  # end infeasible
+
+
+@pytest.mark.parametrize("stem", INFEASIBLE_STEMS)
 def test_search_infeasible_corpus_certificate_is_infeasible(stem):
     out = search_weights(_bare(stem))
     assert out.status == "infeasible"
@@ -393,14 +457,13 @@ def test_search_infeasible_corpus_certificate_is_infeasible(stem):
 
 
 def test_walk_budget_is_gave_up_not_an_input_error(monkeypatch, tmp_path, capsys):
-    def tiny_budget(g, max_len, wf=None, threshold=None, budget=0, prune=None):
-        return reduced_closed_walks(g, max_len, wf, threshold, budget=1, prune=prune)
-
+    # exhausted through the fallback's own walk: one step per level
+    monkeypatch.setattr(search_module, "GUARD_BUDGET", 1)
     s = _bare("px4_w0")
+    g, fb, zero, _ = _at_zero(s)
     with pytest.raises(WalkBudgetError, match="^closed-walk enumeration budget exceeded$"):
-        tiny_budget(build_star_graph(s.presentation), 6)
+        _fallback_cuts(g, fb, zero)
     assert issubclass(WalkBudgetError, WeightError)
-    monkeypatch.setattr(search_module, "reduced_closed_walks", tiny_budget)
     out = search_weights(s)
     assert out.status == "gave-up" and out.weights is None
     assert out.last_violations == ["closed-walk enumeration budget exceeded"]
@@ -408,6 +471,21 @@ def test_walk_budget_is_gave_up_not_an_input_error(monkeypatch, tmp_path, capsys
     path.write_text(_bare_text("px4_w0"))
     assert main(["search-weights", str(path)]) == 1  # a negative outcome, not exit 2
     assert "unresolved: closed-walk enumeration budget exceeded" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("stem, iterations", [("px1_w1", 0), ("px12_w2", 1)])
+def test_rewrite_cap_is_gave_up_not_an_input_error(stem, iterations, monkeypatch, tmp_path, capsys):
+    # a cap of one rewrite only lets words through that are already normal:
+    # px1_w1 reaches it while its fact base is built, px12_w2 in the search loop
+    monkeypatch.setattr(facts_module, "_REWRITE_CAP", 1)
+    assert issubclass(RewriteCapError, FactError)
+    out = search_weights(_bare(stem))
+    assert out.status == "gave-up" and out.weights is None and out.iterations == iterations
+    assert out.last_violations == ["eq rewrite step cap exceeded"]
+    path = tmp_path / f"{stem}.scn"
+    path.write_text(_bare_text(stem))
+    assert main(["search-weights", str(path)]) == 1  # a negative outcome, not exit 2
+    assert "unresolved: eq rewrite step cap exceeded" in capsys.readouterr().out
 
 
 # -- the fallback by length --------------------------------------------------
@@ -446,6 +524,38 @@ def test_fallback_by_length_matches_the_single_walk(stem):
         assert got == want, values
 
 
+def test_fallback_never_extends_a_prefix_that_covers_a_cut(monkeypatch):
+    # a cut of j edges is kept at level j, before any path of more than j
+    # edges is asked about, so no asked path may have a proper prefix that
+    # covers one: the frontier must be re-tested against each level's cuts
+    by_length = search_module.reduced_closed_walks_by_length
+    asked, dropped = [], [0]
+
+    def spy(g, max_len, wf, threshold, budget, prune, prune_frontier):
+        def recording(path):
+            asked.append(path)
+            return prune(path)
+
+        def counting(path):
+            drop = prune_frontier(path)
+            dropped[0] += drop
+            return drop
+
+        return by_length(g, max_len, wf, threshold, budget, recording, counting)
+
+    monkeypatch.setattr(search_module, "reduced_closed_walks_by_length", spy)
+    for stem in ["px4_w0", "px5_w1", "px17_w3"] + INFEASIBLE_STEMS:
+        g, fb, zero, _ = _at_zero(_bare(stem))
+        asked.clear()
+        cuts = [counts for counts, _ in _fallback_cuts(g, fb, zero)]
+        assert asked and cuts
+        for path in asked:
+            for k in range(1, len(path)):
+                prefix = _edge_counts(path[:k])
+                assert not any(_geq(prefix, c) for c in cuts), (stem, _path_desc(path))
+    assert dropped[0] > 0
+
+
 def _least_budget(g, values):
     """Fewest walker steps one unpruned walk to GUARD_LEN needs: a finished
     walk pops every path it pushes, one step each, and a predicate that
@@ -457,7 +567,7 @@ def _least_budget(g, values):
         pushed[0] += 1
         return False
 
-    reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), prune=count)
+    _closed_walks(g, wf, Fraction(2), _ZeroSubgraph([]), GUARD_LEN, 5_000_000, count)
     least = pushed[0]
     reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=least)
     with pytest.raises(WalkBudgetError):
@@ -465,9 +575,9 @@ def _least_budget(g, values):
     return least
 
 
-@pytest.mark.parametrize("stem", ["px4_w0", "px"])
+@pytest.mark.parametrize("stem", ["px4_w0"] + INFEASIBLE_STEMS)
 def test_fallback_by_length_finishes_on_the_single_walks_least_budget(stem, monkeypatch):
-    # each level visits a subset of the single walk's nodes, so a budget the
+    # each level pops a subset of the single walk's nodes, so a budget the
     # single walk fits in is enough for every level
     s = _bare(stem)
     g = build_star_graph(s.presentation)
