@@ -543,14 +543,15 @@ def reduced_closed_walks_by_length(
 ) -> Iterator[list[tuple[Traversal, ...]]]:
     """For L = 1..max_len, the cyclically reduced closed walks of exactly L
     edges and weight < threshold, one per canonical class in canonical
-    order: the member a walk to L pruned by ``prune`` finds first.
+    order: the member that a walk to L from the roots, pruned by ``prune``
+    as it stands at level L, finds first.
 
     Level L resumes from the paths of L - 1 edges that level L - 1 reached,
     so it walks each path of L edges once and re-walks no shorter one.
     ``prune`` is asked about every path before it is pushed and may grow
     stricter between levels; ``prune_frontier`` is then asked about each
     path of L - 1 edges before level L extends it, and must answer true
-    exactly when the stricter ``prune`` drops it or one of its prefixes.
+    exactly when the stricter ``prune`` would drop it or a prefix of it.
     Each level pops its frontier and its new paths, a subset of what a walk
     to L from the roots pops, within ``budget`` steps."""
     zsub = _ZeroSubgraph([])
