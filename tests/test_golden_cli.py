@@ -24,9 +24,14 @@ CORPUS = Path(starweight.__file__).parent / "corpus"
 GOLDEN = Path(__file__).parent / "golden_cli"
 
 COMMANDS = {
+    "parse": (["parse"], False),
+    "star-edges-dot": (["star", "--edges", "--dot", "-"], False),
+    "check-weights-json": (["check-weights", "--json"], False),
     "cycles": (["cycles"], False),
     "trivial-cycles-4": (["trivial-cycles", "--length", "4"], False),
     "search-weights-stripped": (["search-weights"], True),
+    "classify-equation": (["classify-equation"], False),
+    "classify-equation-json": (["classify-equation", "--json"], False),
 }
 
 
