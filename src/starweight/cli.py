@@ -16,7 +16,7 @@ from pathlib import Path
 from .curvature import region_curvature
 from .equations import EquationError, classify, parse_equation
 from .facts import FactBase, FactError, RewriteCapError
-from .scenario import INDETERMINATE, Scenario, ScenarioError, parse_scenario, print_scenario
+from .scenario import Scenario, ScenarioError, parse_scenario, print_scenario
 from .search import SearchConfig, search_weights, weight_lines
 from .stargraph import GraphError, build_star_graph, export_dot, vertex_name
 from .weights import (
@@ -111,7 +111,11 @@ def cmd_cycles(args) -> int:
     s = _load(args.scenario)
     g = build_star_graph(s.presentation)
     wf = WeightFunction.from_scenario(s, g)
-    fams = enumerate_light_cycles(g, wf, Fraction(args.threshold))
+    try:
+        threshold = Fraction(args.threshold)
+    except ZeroDivisionError:
+        raise ValueError(f"bad threshold {args.threshold!r}") from None
+    fams = enumerate_light_cycles(g, wf, threshold)
     for f in fams:
         sys.stdout.write(f"weight {f.weight}: {f.display()}\n")
     sys.stdout.write(f"total: {len(fams)}\n")

@@ -1,4 +1,4 @@
-"""Exact curvature calculus for diagram regions and vertices.
+"""Exact curvature calculus for diagram regions.
 
 Values are a*pi + b*(pi/k0) with exact rational a, b and k0 a symbolic
 boundary degree ranging over integers >= 3; pi is never evaluated.
@@ -8,15 +8,16 @@ degree > 2 have degrees d1..dk has curvature
 
     c(d1,...,dk) = (2 - k)*pi + 2*pi * sum(1/di).
 
-Vertex curvature with corner angles (n-2)*pi/n over the incident region
-sizes n1..nj is 2*pi - sum((ni-2)*pi/ni).
+Vertex curvature under corner angles (n-2)*pi/n, which only the
+spherical-diagram tests use, lives with their harness in
+tests/spherical_diagrams.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,6 @@ class CurvatureExpr:
 
     def __neg__(self) -> "CurvatureExpr":
         return CurvatureExpr(-self.a, -self.b)
-
-    def scale(self, q) -> "CurvatureExpr":
-        q = Fraction(q)
-        return CurvatureExpr(self.a * q, self.b * q)
 
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
@@ -103,20 +100,4 @@ def region_curvature(degrees: Sequence[int], boundary: bool = False) -> Curvatur
     k = len(degrees) + (1 if boundary else 0)
     a = Fraction(2 - k) + 2 * sum((Fraction(1, d) for d in degrees), Fraction(0))
     b = Fraction(2) if boundary else Fraction(0)
-    return CurvatureExpr(a, b)
-
-
-def vertex_curvature(region_sizes: Sequence[int], boundary: bool = False) -> CurvatureExpr:
-    """2*pi minus the corner angles (n-2)*pi/n of the incident regions; the
-    boundary flag adds one symbolic corner (k0-2)*pi/k0."""
-    if not region_sizes and not boundary:
-        raise ValueError("vertex needs at least one corner")
-    for n in region_sizes:
-        if n < 2:
-            raise ValueError(f"region size {n} < 2")
-    a = Fraction(2) - sum((Fraction(n - 2, n) for n in region_sizes), Fraction(0))
-    b = Fraction(0)
-    if boundary:
-        a -= 1  # (k0-2)*pi/k0 = pi - 2*pi/k0
-        b += 2
     return CurvatureExpr(a, b)

@@ -7,7 +7,8 @@ chain for "w(t)=1 has a solution in an overgroup":
 * k <= 4: solvable outright.
 * singular (exponent sum 0) with syllable length 2k <= 18: solvable; the
   trace verifies that the partial sums then attain their extremes at most
-  four times, which is the reduction actually used.
+  four times, which is the reduction actually used (``classify`` says why
+  this always holds).
 * singular with both attainment counts <= 4: solvable for any length.
 * anything else: unknown (out of the guaranteed range).
 
@@ -132,6 +133,16 @@ def decide_verdict(m) -> str:
 
 
 def classify(w: EquationWord) -> ClassificationReport:
+    """Classification report, with its trace, for one equation word.
+
+    The Cor3 branch asserts that each extreme of the partial sums is
+    attained at most four times.  That holds for every singular word with
+    k <= 9, whatever its exponents.  The partial sums s_1..s_k sit on a
+    cycle of length k, since s_k = 0 = s_0, and neighbours on that cycle
+    differ, since every exponent is nonzero.  So the positions that attain
+    the maximum are pairwise non-adjacent on the cycle, and there are at
+    most floor(k/2) <= 4 of them.  The same holds for the minimum.
+    """
     m = list(w.exponents)
     sums = partial_sums(m)
     singular = sum(m) == 0

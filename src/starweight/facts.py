@@ -168,18 +168,10 @@ class FactBase:
             cur = Word(nxt)
         raise RewriteCapError("eq rewrite step cap exceeded")
 
-    def normalize(self, w: Word) -> Word:
-        """Fixed point of the Eq-derived rewrites plus free reduction.
-
-        The word must lie in a single factor.
-        """
-        if self._word_factor(w) is None:
-            raise FactError(f"word spans factors: {w}")
-        return self._normalize_raw(w)
-
     def normalize_any(self, w: Word) -> Word:
-        """Normalize a possibly mixed word; cross-factor cancellations cascade
-        through free reduction automatically."""
+        """Fixed point of the Eq-derived rewrites plus free reduction.  The
+        word may be mixed; cross-factor cancellations cascade through free
+        reduction."""
         self._word_factor_or_mixed(w)  # validates symbols
         return self._normalize_raw(w)
 
@@ -497,23 +489,6 @@ class FactBase:
         return _refuted(
             "FP", "every instance alternates over both factors with nontrivial syllables"
         )
-
-    # -- isolation ------------------------------------------------------
-
-    def is_isolated(self, g: str, peers: Sequence[str]) -> str:
-        """'yes' | 'no' | 'unknown': does no peer lie in <g>?"""
-        results = []
-        for p in peers:
-            if p == g:
-                continue
-            pw = Word([(p, 1)])
-            if self.as_power_of(pw, g) is not None:
-                return "no"
-            core = _strip_g(self.normalize_any(pw), g)
-            results.append(
-                any(gf == g and (core == c or core == c.inverse()) for c, gf in self.notincyclic)
-            )
-        return "yes" if all(results) else "unknown"
 
     # -- confluence check ------------------------------------------------
 

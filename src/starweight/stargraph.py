@@ -111,15 +111,6 @@ class StarGraph:
             raise GraphError(f"no edge {key!r}")
         raise GraphError(f"ambiguous edge alias {key!r}: candidates {ids}")
 
-    def signature(self) -> tuple:
-        """Label-multiset signature, invariant under relator rotation."""
-        return tuple(
-            sorted(
-                (vertex_name(e.src), vertex_name(e.dst), e.label_str(), e.factor)
-                for e in self.edges
-            )
-        )
-
 
 def build_star_graph(p: RelativePresentation) -> StarGraph:
     """Construct the star graph; relators must contain indeterminate letters."""

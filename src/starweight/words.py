@@ -210,28 +210,6 @@ def canonical_cyclic_class(w: Word, order: Sequence[str] | None = None) -> Word:
     return Word(least_rotation(core.expand(), letter_key(order), inverse=True))
 
 
-def syllable_length(w: Word, split: tuple[set[str], set[str]]) -> int:
-    """2k for a cyclically reduced word alternating between two symbol sets."""
-    first, second = split
-    runs: list[int] = []  # 0 = first set, 1 = second set
-    for n, _ in w.expand():
-        side = 0 if n in first else 1 if n in second else None
-        if side is None:
-            raise ValueError(f"symbol {n!r} in neither side of the split")
-        if not runs or runs[-1] != side:
-            runs.append(side)
-        # same side continuing a syllable is fine
-    if not runs:
-        return 0
-    if len(runs) % 2 != 0 or runs[0] == runs[-1]:
-        raise ValueError("not in alternating form")
-    return len(runs)
-
-
-def exponent_sum(w: Word, name: str) -> int:
-    return sum(e for n, e in w.letters if n == name)
-
-
 def max_root(w: Word) -> tuple[Word, int]:
     """Maximal d with w = r^d as a linear word; returns (r, d)."""
     expanded = w.expand()

@@ -1,5 +1,5 @@
-"""Spherical diagrams as combinatorial maps, with total-curvature checks
-and the curvature-distribution ledger.
+"""Test harness: spherical diagrams as combinatorial maps, with the
+total-curvature check that acceptance criterion 7 runs.
 
 A diagram stores faces as cyclic vertex lists plus a half-edge pairing;
 half-edge (f, i) runs from faces[f][i] to faces[f][i+1 mod n].  Valid
@@ -15,10 +15,26 @@ any planarity testing.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
-from .curvature import CurvatureExpr, FOUR_PI, region_curvature, vertex_curvature
+from starweight.curvature import CurvatureExpr, region_curvature
+
+
+def vertex_curvature(region_sizes: Sequence[int], boundary: bool = False) -> CurvatureExpr:
+    """2*pi minus the corner angles (n-2)*pi/n of the incident regions; the
+    boundary flag adds one symbolic corner (k0-2)*pi/k0."""
+    if not region_sizes and not boundary:
+        raise ValueError("vertex needs at least one corner")
+    for n in region_sizes:
+        if n < 2:
+            raise ValueError(f"region size {n} < 2")
+    a = Fraction(2) - sum((Fraction(n - 2, n) for n in region_sizes), Fraction(0))
+    b = Fraction(0)
+    if boundary:
+        a -= 1  # (k0-2)*pi/k0 = pi - 2*pi/k0
+        b += 2
+    return CurvatureExpr(a, b)
 
 
 class DiagramError(ValueError):
@@ -189,68 +205,3 @@ def total_curvature(d: SphericalDiagram, scheme: str = "vertex-angles") -> Curva
     else:
         raise DiagramError(f"unknown angle scheme {scheme!r}")
     return total
-
-
-# -- curvature distribution ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class DistributionRule:
-    source: int
-    target: int
-    amount: CurvatureExpr
-    crossing_edge: str = ""  # descriptive
-
-    def __post_init__(self):
-        if self.amount.compare(CurvatureExpr()) != "always-geq" or not self.amount:
-            raise DiagramError("transfer amounts must be positive")
-
-
-@dataclass
-class DistributionLedger:
-    result: dict[int, CurvatureExpr]
-    raw: dict[int, CurvatureExpr]
-    transferred: CurvatureExpr
-
-
-def apply_distribution(
-    d: SphericalDiagram,
-    rules: list[DistributionRule],
-    base: dict[int, CurvatureExpr],
-) -> DistributionLedger:
-    """c*(target) = c + inflow; a source that gave curvature away reports at
-    least 0 (bookkeeping zero), so sum(c*) >= sum(c)."""
-    nregions = len(d.faces)
-    for r in rules:
-        if not (0 <= r.source < nregions and 0 <= r.target < nregions):
-            raise DiagramError(f"rule references nonexistent region: {r}")
-    inflow = {i: CurvatureExpr() for i in range(nregions)}
-    outflow = {i: CurvatureExpr() for i in range(nregions)}
-    for r in rules:
-        inflow[r.target] = inflow[r.target] + r.amount
-        outflow[r.source] = outflow[r.source] + r.amount
-    raw = {}
-    result = {}
-    total_in = CurvatureExpr()
-    for i in range(nregions):
-        c = base.get(i, CurvatureExpr())
-        raw[i] = c + inflow[i] - outflow[i]
-        total_in = total_in + inflow[i]
-        if outflow[i] and raw[i].compare(CurvatureExpr()) == "always-less":
-            result[i] = CurvatureExpr()  # gave away all positive curvature
-        else:
-            result[i] = raw[i]
-    total_out = CurvatureExpr()
-    for i in range(nregions):
-        total_out = total_out + outflow[i]
-    if total_in != total_out:
-        raise DiagramError("transfers do not balance")
-    sum_base = CurvatureExpr()
-    sum_result = CurvatureExpr()
-    for i in range(nregions):
-        sum_base = sum_base + base.get(i, CurvatureExpr())
-        sum_result = sum_result + result[i]
-    diff = sum_result - sum_base
-    if diff.compare(CurvatureExpr()) == "always-less":
-        raise DiagramError("capping lost curvature")
-    return DistributionLedger(result, raw, total_in)

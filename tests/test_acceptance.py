@@ -18,8 +18,6 @@ import pytest
 import starweight
 from starweight.cli import main
 from starweight.curvature import CurvatureExpr, FOUR_PI, region_curvature
-from starweight.diagrams import grow_random, total_curvature
-from starweight.equations import decide_verdict
 from starweight.facts import FactBase
 from starweight.scenario import parse_scenario
 from starweight.search import SearchConfig, search_weights
@@ -33,6 +31,9 @@ from starweight.weights import (
     verify_weight_test,
 )
 from starweight.words import canonical_cyclic_class, word_from_tokens
+
+from spherical_diagrams import grow_random, total_curvature
+from test_equations import SOLVABLE_SHORT, singular_sweep
 
 CORPUS = Path(starweight.__file__).parent / "corpus"
 
@@ -227,24 +228,10 @@ def test_criterion_7_total_curvature_500_diagrams():
 def test_criterion_8_equation_classifier():
     start = time.monotonic()
     # exhaustive: every singular vector with k <= 9, |m| <= 4 is solvable
-    values = [x for x in range(-4, 5) if x]
-    count = 0
-    for k in range(2, 10):
-        stack = [(0, ())]
-        while stack:
-            s, prefix = stack.pop()
-            i = len(prefix)
-            if i == k - 1:
-                last = -s
-                if last != 0 and abs(last) <= 4:
-                    v = decide_verdict(prefix + (last,))
-                    assert v in ("Cor1", "Cor3")
-                    count += 1
-                continue
-            for x in values:
-                if abs(s + x) <= 4 * (k - 1 - i):
-                    stack.append((s + x, prefix + (x,)))
+    count, verdicts, offender = singular_sweep()
+    assert verdicts <= SOLVABLE_SHORT, offender
     assert count > 1_000_000
+    values = [x for x in range(-4, 5) if x]
 
     # attainment counts against a brute-force rescan on 1e5 random vectors
     from starweight.equations import EquationWord, attainment_counts, shift_rewrite

@@ -93,6 +93,14 @@ def test_cycles_cli(gamma8_file, capsys):
     assert "total:" in out
 
 
+@pytest.mark.parametrize("threshold", ["2/0", "0/0"])
+def test_cycles_zero_denominator_threshold_is_an_input_error(threshold, gamma8_file, capsys):
+    assert main(["cycles", gamma8_file, "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad threshold {threshold!r}\n"
+
+
 def test_trivial_cycles_cli(gamma8_file, capsys):
     assert main(["trivial-cycles", gamma8_file, "--length", "2"]) == 0
 

@@ -774,7 +774,7 @@ def test_families_cover_every_light_walk_on_random_small_star_graphs():
             continue
         covered = {canonical_atom_cycle(list(w)) for f in fams for w in _expansions_to_length(f, 10)}
         for w in _reference_reduced_closed_walks(g, 10, wf, Fraction(2)):
-            assert canonical_atom_cycle(list(w)) in covered, (g.signature(), wf.values, w)
+            assert canonical_atom_cycle(list(w)) in covered, (g.edges, wf.values, w)
         checked += 1
         pumped += any(f.pumps or f.kind == "power" for f in fams)
     assert checked >= 200 and pumped >= 15

@@ -7,10 +7,8 @@ from starweight.words import (
     Word,
     canonical_cyclic_class,
     cyclically_reduce,
-    exponent_sum,
     max_root,
     strip_conjugation,
-    syllable_length,
     word_from_tokens,
 )
 
@@ -110,44 +108,6 @@ def test_canonical_class_constant_on_orbits():
             assert canonical_cyclic_class(rot.inverse(), order) == rep
             assert cyclically_reduce(rot, order) == least([core.expand()])
             assert cyclically_reduce(rot.inverse(), order) == least([core.inverse().expand()])
-
-
-@pytest.mark.parametrize(
-    "tokens,expected",
-    [
-        ("a1 t a2 t^-1", 4),
-        ("a1 t a2 t a3 t a4 t a5 t a6 t a7 t a8 t a9 t^-8", 18),
-        ("", 0),
-    ],
-)
-def test_syllable_length(tokens, expected):
-    coeffs = {f"a{i}" for i in range(1, 10)}
-    w = W(tokens) if tokens else Word()
-    assert syllable_length(w, (coeffs, {"t"})) == expected
-
-
-def test_syllable_length_not_alternating():
-    with pytest.raises(ValueError):
-        syllable_length(W("a1 t a2"), ({"a1", "a2"}, {"t"}))
-
-
-@pytest.mark.parametrize(
-    "tokens,x,expected",
-    [
-        ("a1 t a2 t a3 t^-1", "t", 1),
-        ("a1 t a2 t a3 t a4 t", "t", 4),
-        ("a1 t a2 t a3 t^-1 a4 t^-1", "t", 0),
-        ("a1 b1", "t", 0),
-    ],
-)
-def test_exponent_sum(tokens, x, expected):
-    assert exponent_sum(W(tokens), x) == expected
-
-
-def test_exponent_sum_additive_and_negated():
-    u, v = W("a1 t^2 a2"), W("t^-1 a1 t^3")
-    assert exponent_sum(u * v, "t") == exponent_sum(u, "t") + exponent_sum(v, "t")
-    assert exponent_sum(u.inverse(), "t") == -exponent_sum(u, "t")
 
 
 def test_strip_conjugation():
