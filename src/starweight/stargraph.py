@@ -15,6 +15,7 @@ addresses edges by label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .scenario import INDETERMINATE, RelativePresentation
@@ -44,6 +45,13 @@ class Edge:
     def label_str(self) -> str:
         return self.label.compact()
 
+    @cached_property
+    def label_key(self) -> tuple[str, tuple]:
+        """The compact label string, so that keys order as those strings
+        do, then the label's letters: the string alone is not injective
+        (labels ``a b`` and ``ab`` both read ``ab``)."""
+        return (self.label.compact(), self.label.letters)
+
 
 class Traversal(NamedTuple):
     edge: Edge
@@ -61,8 +69,10 @@ class Traversal(NamedTuple):
     def label(self) -> Word:
         return self.edge.label if self.direction > 0 else self.edge.label.inverse()
 
-    def atom(self) -> tuple[str, int]:
-        return (self.edge.label_str(), self.direction)
+    def atom(self) -> tuple[tuple[str, tuple], int]:
+        """(label key, direction): atoms key the dedup of families and
+        cycles, so they tell apart labels whose compact strings agree."""
+        return (self.edge.label_key, self.direction)
 
     def reverse(self) -> "Traversal":
         return Traversal(self.edge, -self.direction)
@@ -170,7 +180,7 @@ def path_label(traversals: Iterable[Traversal]) -> Word:
     return Word([lt for t in traversals for lt in t.label.letters])
 
 
-def path_atoms(traversals: Iterable[Traversal]) -> tuple[tuple[str, int], ...]:
+def path_atoms(traversals: Iterable[Traversal]) -> tuple[tuple[tuple[str, tuple], int], ...]:
     return tuple(t.atom() for t in traversals)
 
 

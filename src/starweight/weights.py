@@ -584,7 +584,7 @@ def canonical_atom_edge_cycle(path: tuple[Traversal, ...]) -> tuple:
 
 @dataclass(frozen=True)
 class TrivialCycle:
-    atoms: tuple[tuple[str, int], ...]
+    atoms: tuple[tuple[str, int], ...]  # (compact label string, direction)
     label: Word
 
     def display(self) -> str:
@@ -604,7 +604,8 @@ def enumerate_trivial_cycles(g: StarGraph, length: int, fb: FactBase) -> list[Tr
         if fb.refute_trivial(label):
             continue
         key = canonical_atom_cycle(list(walk))
-        out.setdefault(key, TrivialCycle(key, canonical_cyclic_class(label, fb.order)))
+        atoms = tuple((s, d) for (s, _), d in key)
+        out.setdefault(key, TrivialCycle(atoms, canonical_cyclic_class(label, fb.order)))
     return [out[k] for k in sorted(out)]
 
 

@@ -1,0 +1,31 @@
+"""Critical-pair check of a fact base's eq rewrite system, for the tests.
+
+No command calls it.  The fact base needs no confluence: each answer it
+gives is a derivation it has found, or Unknown.  The tests use the check to
+pin that every corpus fact base is confluent, and that a small system
+known not to be is caught.
+"""
+
+from starweight.facts import FactBase
+from starweight.words import Word
+
+
+def check_confluence(fb: FactBase) -> bool:
+    """Join all critical pairs of the (inverse-closed) rule set."""
+    for l1, r1 in fb.rules:
+        n1 = len(l1)
+        for l2, r2 in fb.rules:
+            n2 = len(l2)
+            for k in range(1, min(n1, n2)):
+                if l1[n1 - k :] == l2[:k]:
+                    a = fb._normalize_raw(Word(l1[: n1 - k] + r2.expand()))
+                    b = fb._normalize_raw(Word(r1.expand() + l2[k:]))
+                    if a != b:
+                        return False
+            if n2 <= n1:
+                for i in range(n1 - n2 + 1):
+                    if l1[i : i + n2] == l2:
+                        a = fb._normalize_raw(Word(l1[:i] + r2.expand() + l1[i + n2 :]))
+                        if a != fb._normalize_raw(r1):
+                            return False
+    return True

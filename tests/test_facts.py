@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import starweight
+from confluence import check_confluence
 from starweight.cli import main
 from starweight.facts import FactBase, FactError
 from starweight.scenario import INDETERMINATE, FactDecl, parse_scenario
@@ -12,6 +13,7 @@ from starweight.words import (
     Word,
     canonical_cyclic_class,
     cyclically_reduce,
+    max_root,
     strip_conjugation,
     word_from_tokens,
 )
@@ -138,10 +140,10 @@ def test_inconsistent_facts_rejected():
 
 def test_confluence_of_small_systems():
     fb = fb_from(["eq a1 a2", "eq a3 a4"])
-    assert fb.check_confluence()
+    assert check_confluence(fb)
     # a3 -> a1 rewrites inside the length-4 rule: genuinely non-confluent
     fb2 = fb_from(["eq a1 a2 a3 a4 = 1", "eq a1 a3"])
-    assert not fb2.check_confluence()
+    assert not check_confluence(fb2)
 
 
 def test_monotone_in_facts():
@@ -282,6 +284,45 @@ def test_power_cache_matches_uncached_answers_on_corpus_queries(monkeypatch):
     assert limited > 0
 
 
+def _random_eq_facts(rng, gens):
+    """One to three eq facts: commuting pairs, powers and length-changing
+    products, so that some letters keep their exponent sums and some do not."""
+    facts = []
+    for _ in range(rng.randint(1, 3)):
+        x, y, z = rng.sample(gens, 3)
+        kind = rng.choice(("commute", "power", "length"))
+        if kind == "commute":
+            facts.append(f"eq {x} {y} = {y} {x}")
+        elif kind == "power":
+            facts.append(f"eq {x}^{rng.choice((2, 3))} = {y}^{rng.choice((1, -1, 2))}")
+        else:
+            facts.append(f"eq {x} {y} = {z}")
+    return facts
+
+
+def test_power_filter_matches_full_exponent_scan_on_random_fact_bases():
+    rng = random.Random(13)
+    gens = ["a1", "a2", "a3", "a4"]
+    hits = far = asked = 0
+    for _ in range(100):
+        fb = fb_from(_random_eq_facts(rng, gens))
+        # words built from letters and fact sides, so that many are g-powers
+        pieces = [W(g) for g in gens] + [fd.lhs for fd in fb.decls] + [fd.rhs for fd in fb.decls]
+        for _ in range(20):
+            w = Word()
+            for _ in range(rng.randint(1, 4)):
+                p = rng.choice(pieces)
+                w = w * (p if rng.random() < 0.5 else p.inverse())
+            g = rng.choice(gens)
+            for limit in (1, 8):
+                want = _reference_as_power_of(fb, w, g, limit)
+                assert fb.as_power_of(w, g, limit) == want, (fb.decls, w, g, limit)
+                asked += 1
+                hits += want is not None
+                far += want is not None and abs(want) > 1
+    assert 0 < far < hits < asked
+
+
 # -- the neq lookup and the refutation memo against the code they replaced --
 
 
@@ -312,19 +353,34 @@ def _reference_neq_classes(fb):
     }
 
 
+def _reference_refute_power(fb, w, classes):
+    """``_refute_power`` with every power of the root cyclically normalised
+    and looked up by its canonical rotation/inversion class."""
+    root, d = max_root(w)
+    for e in (e for e in range(1, d + 1) if d % e == 0):
+        u = Word(root.expand() * e)
+        if canonical_cyclic_class(fb._cyclic_normalize(u), fb.order) in classes:
+            rule = "R4" if len(u.letters) == 1 and abs(u.letters[0][1]) == 1 else "R2"
+            note = f"{w} = ({u})^{d // e}" if d > e else f"{u} != 1 declared"
+            return True, rule, (f"{note}; torsion-free root rule",)
+    return False, "", ()
+
+
 def test_neq_lookup_matches_canonical_class_lookup_on_corpus_queries(monkeypatch):
-    queries = _record_corpus_queries(monkeypatch, "_neq1_match")
+    queries = _record_corpus_queries(monkeypatch, "_refute_power")
     classes = {}
-    hits = 0
-    for fb, w, answer in queries:
+    hits = settled = 0
+    for fb, w, v in queries:
         if fb not in classes:
             classes[fb] = _reference_neq_classes(fb)
-        want = canonical_cyclic_class(fb._cyclic_normalize(w), fb.order) in classes[fb]
-        assert answer == want, w
+        want = _reference_refute_power(fb, w, classes[fb])
+        assert (v.refuted, v.rule, v.trace) == want, w
         # the inverse class is matched as well
-        assert fb._neq1_match(w.inverse()) == want, w
-        hits += answer
+        assert fb._refute_power(fb._cyclic_normalize(w.inverse())).refuted == want[0], w
+        hits += v.refuted
+        settled += not fb._occurs_cyclically(w.expand())
     assert len(queries) > 1000 and 0 < hits < len(queries)
+    assert 0 < settled < len(queries)  # both the direct lookup and the full one were taken
 
 
 def test_remembered_refutations_match_a_fresh_fact_base(monkeypatch):

@@ -19,8 +19,6 @@ import starweight
 PACKAGE = Path(starweight.__file__).parent
 
 ALLOWED = {
-    "facts.FactBase.check_confluence": "a run-time completeness check of the eq rewrite"
-    " system is to build on it; the tests run it on every corpus fact base",
     "curvature.CurvatureExpr.compare": "the paper's comparisons of curvature against"
     " multiples of pi/k0, which the curvature tests check",
 }

@@ -1031,3 +1031,43 @@ def test_templates_and_expansions_match_the_enumerations_they_replace():
         optional += any(not p.mandatory for p in fam.pumps)
         mandatory += bool(fam.mandatory_points())
     assert len(cases) >= 1500 and optional >= 300 and mandatory >= 200
+
+
+# -- labels whose compact strings collide ----------------------------------
+
+COLLIDING_LABELS = """\
+factor A noncyclic nontrivial
+gens A: a b ab c
+indet: t
+relator: a b t ab t c t
+fact: neq ab = c
+weight: 0.0 = 1/3
+weight: 0.1 = 1/3
+weight: 0.2 = 1/3
+"""
+
+
+def test_labels_with_equal_compact_strings_stay_apart():
+    # edges 0.0 (ab), 0.1 (c) and 0.2 (a b): the labels ab and a b both
+    # render as "ab", yet every pair of the three edges is its own class
+    s = parse_scenario(COLLIDING_LABELS)
+    g = build_star_graph(s.presentation)
+
+    def cc(w):
+        return canonical_cyclic_class(w, s.presentation.symbol_order)
+
+    pairs = [cc(W(text)) for text in ("ab c^-1", "a b c^-1", "ab b^-1 a^-1")]
+    fams = enumerate_light_cycles(g, WeightFunction.from_scenario(s, g))
+    short = [cc(path_label(f.base)) for f in fams if f.weight == Fraction(2, 3)]
+    assert sorted(map(str, short)) == sorted(map(str, pairs))
+    # only ab c^-1 is refuted; a b c^-1 survives as a family of its own
+    report = verify_weight_test(s)
+    survivors = {cc(path_label(fv.family.base)): fv.witness for fv in report.violations}
+    assert pairs[0] not in survivors and pairs[1] in survivors
+    assert "guard walk not covered" not in survivors.values()
+    # without the fact, trivial-cycles lists all three length-2 classes
+    bare = parse_scenario(COLLIDING_LABELS.replace("fact: neq ab = c\n", ""))
+    fb = FactBase(bare.presentation, bare.fact_decls)
+    assert sorted(str(cc(c.label)) for c in enumerate_trivial_cycles(g, 2, fb)) == sorted(
+        map(str, pairs)
+    )
