@@ -146,7 +146,7 @@ class FactBase:
     def _build_queries(self):
         for fd in self.decls:
             if fd.kind == "neq":
-                n = self._cyclic_normalize(fd.lhs * fd.rhs.inverse())
+                n, _ = self._cyclic_normalize(fd.lhs * fd.rhs.inverse())
                 if not n:
                     raise FactError(f"inconsistent facts: {fd.lhs} = {fd.rhs} follows from eq facts")
                 self.neq1 |= {n, cyclically_reduce(n.inverse(), self.order)}
@@ -248,9 +248,12 @@ class FactBase:
                     out.append((g, k * e))
         return Word(out) if changed else None
 
-    def _cyclic_normalize(self, w: Word) -> Word:
+    def _cyclic_normalize(self, w: Word) -> tuple[Word, bool]:
         """Normalize a conjugacy-class representative, allowing rewrites
-        across the rotation seam whenever they shorten the word.
+        across the rotation seam whenever they shorten the word.  Returns
+        the normal form and whether some rule pattern occurs in it
+        cyclically, which the loop has just decided, so that no caller
+        tests it again.
 
         The rotations are tried only while some rule pattern occurs in the
         cyclic word.  The check is exact: ``cur`` is cyclically reduced, so
@@ -267,8 +270,8 @@ class FactBase:
                     cur = cyclically_reduce(core, self.order)
                     break
             else:
-                break
-        return cur
+                return cur, True
+        return cur, False
 
     def _occurs_cyclically(self, expanded: tuple) -> bool:
         """Does some rule pattern occur in the cyclic word, seam included?"""
@@ -285,26 +288,27 @@ class FactBase:
 
     def syllables(self, w: Word) -> list[tuple[str, Word]]:
         """Maximal single-factor runs of w as (factor, subword) pairs."""
-        out: list[tuple[str, Word]] = []
-        for n, e in w.letters:
-            f = self.factor_of[n]
-            if out and out[-1][0] == f:
-                out[-1] = (f, out[-1][1] * Word([(n, e)]))
+        runs: list[tuple[str, list]] = []
+        for lt in w.letters:
+            f = self.factor_of[lt[0]]
+            if runs and runs[-1][0] == f:
+                runs[-1][1].append(lt)
             else:
-                out.append((f, Word([(n, e)])))
-        return out
+                runs.append((f, [lt]))
+        return [(f, Word(letters)) for f, letters in runs]
 
     # -- refutation -----------------------------------------------------
 
     def _neq1_match(self, u: Word) -> bool:
         # the cyclic normal form is already its least rotation
-        return self._cyclic_normalize(u) in self.neq1
+        return self._cyclic_normalize(u)[0] in self.neq1
 
-    def _refute_power(self, w: Word) -> Verdict:
+    def _refute_power(self, w: Word, occurs: bool) -> Verdict:
         """R2/R4: w (cyclic, nonempty) is u^d with u != 1 derivable.
 
         w must be a cyclic normal form, as ``_cyclic_normalize`` returns it:
-        cyclically reduced and least among its rotations.  When no rule
+        cyclically reduced and least among its rotations, with ``occurs``
+        the flag it returns beside w.  When no rule
         pattern occurs in w cyclically, each u = root^e (e | d) is its own
         cyclic normal form, so ``_neq1_match(u)`` is ``u in self.neq1``:
         u's expansion is a prefix of w's, so no pattern occurs in u and u is
@@ -316,10 +320,9 @@ class FactBase:
         w, so u is least among its rotations because w is.
         """
         root, d = max_root(w)
-        settled = not self._occurs_cyclically(w.expand())
         for e in _divisors(d):
             u = Word(root.expand() * e)
-            if (u in self.neq1) if settled else self._neq1_match(u):
+            if self._neq1_match(u) if occurs else u in self.neq1:
                 rule = "R4" if len(u.letters) == 1 and abs(u.letters[0][1]) == 1 else "R2"
                 power = d // e
                 note = f"{w} = ({u})^{power}" if power > 1 else f"{u} != 1 declared"
@@ -374,7 +377,7 @@ class FactBase:
         return v
 
     def _refute_cyclic(self, w: Word) -> Verdict:
-        n = self._cyclic_normalize(w)
+        n, occurs = self._cyclic_normalize(w)
         if not n:
             return UNKNOWN
         sylls = self.syllables(n)
@@ -392,7 +395,7 @@ class FactBase:
                     "FP", f"{n} alternates over both factors with nontrivial syllables"
                 )
             return UNKNOWN
-        v = self._refute_power(n)
+        v = self._refute_power(n, occurs)
         if v:
             return v
         return self._refute_notincyclic(n)
@@ -447,7 +450,7 @@ class FactBase:
         if all(not s for s in segs) and len(cores) == 1:
             # pure pump power c^m: by torsion-freeness it suffices that the
             # root of the pump label is nontrivial
-            v = self._refute_power(self._cyclic_normalize(cores[0]))
+            v = self._refute_power(*self._cyclic_normalize(cores[0]))
             if v:
                 return _refuted(
                     "R2", f"({cores[0]})^m = 1 forces a torsion-free root to vanish", *v.trace
@@ -497,7 +500,7 @@ class FactBase:
 
     def _refute_template_alternating(self, segs: list[Word], cores: list[Word]) -> Verdict:
         """Mixed template: refute via free-product alternation when forced."""
-        if not all(self._refute_power(self._cyclic_normalize(c)) for c in cores):
+        if not all(self._refute_power(*self._cyclic_normalize(c)) for c in cores):
             return UNKNOWN  # a pump instance could vanish
         items: list[tuple[str, Word | None]] = []  # (factor, word or None for a pump)
         for s, c in zip(segs, cores):

@@ -43,7 +43,7 @@ class Edge:
         return self.src == self.dst
 
     def label_str(self) -> str:
-        return self.label.compact()
+        return self.label_key[0]
 
     @cached_property
     def label_key(self) -> tuple[str, tuple]:
@@ -51,6 +51,11 @@ class Edge:
         do, then the label's letters: the string alone is not injective
         (labels ``a b`` and ``ab`` both read ``ab``)."""
         return (self.label.compact(), self.label.letters)
+
+    @cached_property
+    def inverse_label(self) -> Word:
+        """The label read backwards, built once per edge."""
+        return self.label.inverse()
 
 
 class Traversal(NamedTuple):
@@ -67,7 +72,7 @@ class Traversal(NamedTuple):
 
     @property
     def label(self) -> Word:
-        return self.edge.label if self.direction > 0 else self.edge.label.inverse()
+        return self.edge.label if self.direction > 0 else self.edge.inverse_label
 
     def atom(self) -> tuple[tuple[str, tuple], int]:
         """(label key, direction): atoms key the dedup of families and

@@ -17,13 +17,36 @@ exactly the skeletons that yield no family, before walking their subtrees.
 all closed paths of weight below the threshold as finitely many *cycle
 families*: a base path plus pumpable zero-weight cycles, each pump with an
 independent multiplicity m >= 0 (pure zero-cycle power families are
-displayed with m >= 1).  Paths with equal label sequences give one family.
-The decomposition is exact as long as every zero-weight component contains
-at most one independent cycle; richer zero subgraphs raise an error rather
-than risk an incomplete list.  Within that bound a zero component with a
-cycle is the cycle with trees hanging off it, so each of its vertices
-reaches the cycle along exactly one tree path: its pumps are that path, the
-cycle (either direction) based where the path lands, and the path back.
+displayed with m >= 1).  The decomposition is exact as long as every
+zero-weight component contains at most one independent cycle; richer zero
+subgraphs raise an error rather than risk an incomplete list.  Within that
+bound a zero component with a cycle is the cycle with trees hanging off it,
+so each of its vertices reaches the cycle along exactly one tree path: its
+pumps are that path, the cycle (either direction) based where the path
+lands, and the path back.
+
+Families merge under a structural key, ``_dedup_key``.  A family is a
+cyclic base b_0 .. b_{n-1} with a multiset G_i of pumps in the gap after
+b_i, each pump an entry (mandatory, atoms of its prefix p, atoms of its
+cycle c); an instance picks at every gap one entry, with a multiplicity
+m >= 1, or none where the gap holds no mandatory entry, and reads
+b_0 [p c^m p^-1] b_1 ...  Its label sequence is the (label, direction)
+atom of each traversal, up to rotation and inversion.  Read backwards, the
+instance is b_{n-1}^-1 .. b_0^-1 with the gap G_{i-1} after b_i^-1 and
+each pump read as p (c^-1)^m p^-1: the entry keeps p and inverts c.  The
+key is the least rotation, over the base and its inverse, of the pairs
+(atom of b_i, sorted entries of its gap).  Equal keys give equal label
+sequences for every multiplicity vector: if two families have equal keys,
+a rotation of one (or of its inverse) has, position by position, the atoms
+and gap entries of a rotation of the other (or of its inverse).  Picking
+the same entries with the same multiplicities at matching gaps maps the
+instances of one family one to one onto those of the other, as the
+mandatory flags match, and matched instances read the same atoms in the
+same cyclic order, one of them perhaps backwards.  So merging loses no
+closed path; the converse fails only where two families with different
+structure spell the same sequences, which costs a duplicate family, never
+a missed one.  A pump-free family spells one sequence, and its key is just
+``canonical_atom_cycle`` of its base, built without any expansion.
 
 ``reduced_closed_walks`` walks with an empty zero subgraph and so lists the
 cyclically reduced closed walks up to a length: the guard of the weight
@@ -43,6 +66,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .facts import FactBase, Verdict, UNKNOWN
@@ -55,10 +79,11 @@ from .stargraph import (
     build_star_graph,
     canonical_atom_cycle,
     is_reduced,
+    path_atoms,
     path_label,
     vertex_name,
 )
-from .words import Word, canonical_cyclic_class, least_rotation
+from .words import Word, canonical_cyclic_class, least_rotation, strip_conjugation
 
 
 class WeightError(ValueError):
@@ -148,6 +173,15 @@ class Pump:
 
     def label(self) -> Word:
         return path_label(self.instance(1))
+
+    @cached_property
+    def key_entries(self) -> tuple[tuple, tuple]:
+        """(mandatory, prefix atoms, cycle atoms) as the pump reads in the
+        walk and in the inverted walk, which keeps the prefix and inverts
+        the cycle: ``_dedup_key`` builds gaps from them."""
+        prefix, cycle = path_atoms(self.prefix), path_atoms(self.cycle)
+        inverse = tuple((label, -direction) for label, direction in reversed(cycle))
+        return (self.mandatory, prefix, cycle), (self.mandatory, prefix, inverse)
 
     def display(self) -> str:
         cyc = " ".join(_atom_str(t) for t in self.cycle)
@@ -320,13 +354,6 @@ class CycleFamily:
             for ms in itertools.product(range(1, mmax + 1), repeat=len(pis))
         ]
 
-    def dedup_key(self) -> tuple:
-        """Label-atom classes of the expansions with each pump up to twice.
-        Paths whose label sequences are equal (over different edges, say)
-        have equal keys and so give one family."""
-        keys = {canonical_atom_cycle(list(w)) for w in self.expansions_upto(2)}
-        return tuple(sorted(keys))
-
     def templates(self) -> list[tuple[list[Word], list[Word]]]:
         """(segments, pumps) pairs whose refutation covers every expansion."""
         if self.kind == "power":
@@ -338,6 +365,34 @@ class CycleFamily:
             chunks += [self.base[a + 1 : b + 1] for a, b in zip(qs, qs[1:])]
             out.append(([path_label(c) for c in chunks], [self.pumps[pi].label() for pi in pis]))
         return out
+
+
+def _dedup_key(base: tuple[Traversal, ...], pumps: tuple[Pump, ...], kind: str = "cycle") -> tuple:
+    """Key under which families merge; the module docstring defines it and
+    proves that equal keys give equal label sequences for every
+    multiplicity vector.  A pump-free family's key is
+    ``(canonical_atom_cycle(base),)``, a power family's is tagged "power"
+    (its base repeats) and a pumped family's "pumped", so keys of different
+    kinds never meet."""
+    if kind == "power":
+        return ("power", canonical_atom_cycle(list(base)))
+    if not pumps:
+        return (canonical_atom_cycle(list(base)),)
+    n = len(base)
+    forward: list[list] = [[] for _ in range(n)]
+    backward: list[list] = [[] for _ in range(n)]
+    for p in pumps:
+        ahead, behind = p.key_entries
+        forward[p.insert_after].append(ahead)
+        backward[p.insert_after].append(behind)
+    atoms = path_atoms(base)
+    rotations = (
+        least_rotation([(atoms[i], tuple(sorted(forward[i]))) for i in range(n)]),
+        least_rotation(
+            [((atoms[i][0], -atoms[i][1]), tuple(sorted(backward[i - 1]))) for i in reversed(range(n))]
+        ),
+    )
+    return ("pumped", min(rotations))
 
 
 def zero_cycle_families(g: StarGraph, wf: WeightFunction) -> tuple[_ZeroSubgraph, list[CycleFamily]]:
@@ -480,8 +535,13 @@ def enumerate_light_cycles(
 ) -> list[CycleFamily]:
     """Complete family list of reduced closed paths of weight < threshold.
 
-    Paths with equal label sequences give one family, which shows the edges
-    and weight of the first of them the walker found.  Raises
+    Each candidate (a walked base with its optional pumps and one choice of
+    pump per mandatory point) is keyed by ``_dedup_key`` before it is
+    weighed, and only the first candidate per key becomes a family, so each
+    family is weighed once and shows the edges and weight of the first of
+    them the walker found.  Equal keys give equal label sequences for every
+    multiplicity vector (see the module docstring), so the merged
+    candidates spell nothing the kept one does not.  Raises
     DegenerateZeroCycleError for an empty-label zero cycle and
     EntangledZeroSubgraphError when a zero component has cycle rank >= 2
     (the family decomposition would not be exhaustive there).
@@ -490,7 +550,7 @@ def enumerate_light_cycles(
         raise WeightError("threshold must be positive")
     wf.require_total(g)
     zsub, families = zero_cycle_families(g, wf)
-    seen = {fam.dedup_key(): fam for fam in families}
+    seen = {_dedup_key(fam.base, fam.pumps, fam.kind): fam for fam in families}
     for base, marked in _closed_walks(g, wf, threshold, zsub, max_len=40, budget=2_000_000):
         n = len(base)
         optional: list[Pump] = []
@@ -508,8 +568,9 @@ def enumerate_light_cycles(
         mand_points = sorted(mandatory_opts)
         for chosen in itertools.product(*(mandatory_opts[q] for q in mand_points)):
             pumps = tuple(sorted(optional + list(chosen), key=lambda p: p.insert_after))
-            fam = CycleFamily(base, pumps, wf.weight_of(base), "cycle")
-            seen.setdefault(fam.dedup_key(), fam)
+            key = _dedup_key(base, pumps)
+            if key not in seen:
+                seen[key] = CycleFamily(base, pumps, wf.weight_of(base), "cycle")
     return sorted(seen.values(), key=lambda f: (f.weight, f.display()))
 
 
@@ -672,7 +733,18 @@ GUARD_BUDGET = 400_000  # walker steps for the guard; exhausting it forbids Asph
 def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestReport:
     """Run the full weight test for a scenario carrying weights.  ``fb``, when
     given, is the fact base of the scenario's presentation and facts; its
-    queries are pure, so a warm one gives the same report."""
+    queries are pure, so a warm one gives the same report.
+
+    The guard reports each light closed walk of at most ``GUARD_LEN`` edges
+    that is neither refuted nor covered: its label class is not that of an
+    expansion of a surviving family with each pump at most ``GUARD_LEN``
+    times.  A class is a cyclic word of one length, the length of the
+    cyclically reduced label, so a walk can only be covered by an expansion
+    of its own length.  The coverage set therefore keeps only the
+    expansions whose cyclically reduced length some guard walk has, and
+    compares lengths before it computes a class; every membership test
+    answers as against the full set.  Coverage is tested before refutation,
+    so a covered walk is never put to the fact base."""
     g = build_star_graph(s.presentation)
     if fb is None:
         fb = FactBase(s.presentation, s.fact_decls)
@@ -689,27 +761,36 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
         verdicts.append(FamilyVerdict(fam, v, witness))
 
     # belt-and-suspenders guard: short walks must be refuted or reported
-    covered = {
-        canonical_cyclic_class(path_label(w), fb.order)
-        for fv in verdicts
-        if not fv.refuted
-        for w in fv.family.expansions_upto(GUARD_LEN)
-    }
     try:
         walks = reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=GUARD_BUDGET)
     except WalkBudgetError:
         walks = []
         notes.append(f"guard enumeration over length <= {GUARD_LEN} skipped (budget)")
-    for w in walks:
+    labels = [path_label(w) for w in walks]
+    cores = [strip_conjugation(label)[1] for label in labels]
+    covered = _coverage(verdicts, {len(c) for c in cores}, fb.order)
+    for w, label, core in zip(walks, labels, cores):
         # reported iff unrefuted and uncovered, so the cheap test goes first
-        label = path_label(w)
-        if covered and canonical_cyclic_class(label, fb.order) in covered:
+        if covered and canonical_cyclic_class(core, fb.order) in covered:
             continue
         if fb.refute_trivial(label):
             continue
         fam = CycleFamily(w, (), wf.weight_of(w), "cycle")
         verdicts.append(FamilyVerdict(fam, UNKNOWN, witness="guard walk not covered"))
     return WeightTestReport(s.name, g, wf, relator_checks, verdicts, notes)
+
+
+def _coverage(verdicts: list[FamilyVerdict], lengths: set[int], order) -> set[Word]:
+    """Classes of the survivors' expansions up to ``GUARD_LEN`` whose
+    cyclically reduced label length is in ``lengths``."""
+    covered: set[Word] = set()
+    for fv in verdicts:
+        if not fv.refuted:
+            for w in fv.family.expansions_upto(GUARD_LEN):
+                _, core = strip_conjugation(path_label(w))
+                if len(core) in lengths:
+                    covered.add(canonical_cyclic_class(core, order))
+    return covered
 
 
 def render_report(report: WeightTestReport) -> str:

@@ -166,29 +166,48 @@ def least_rotation(seq: Sequence, key=None, inverse: bool = False) -> tuple:
     ``key`` is applied once per element.  With ``inverse`` the rotations of
     the inverse sequence (reversed, each ``(name, sign)`` pair sign-flipped)
     compete as well, so the result is constant on rotation/inversion orbits.
+    Only the rotations that start at a least key are compared; among equal
+    keys the first rotation found wins, the inverse's after the sequence's.
     """
     seq = tuple(seq)
+    if not seq:
+        return seq
     candidates = [seq]
     if inverse:
         candidates.append(tuple((n, -e) for n, e in reversed(seq)))
     best_key, best, start = None, seq, 0
     for cand in candidates:
         keys = list(cand if key is None else map(key, cand))
-        for i in range(len(cand)):
-            k = keys[i:] + keys[:i]
-            if best_key is None or k < best_key:
-                best_key, best, start = k, cand, i
+        low = min(keys)
+        if best_key is not None and best_key[0] < low:
+            continue
+        # a rotation that starts above the least key loses to one that starts at it
+        for i, first in enumerate(keys):
+            if first == low:
+                k = keys[i:] + keys[:i]
+                if best_key is None or k < best_key:
+                    best_key, best, start = k, cand, i
     return best[start:] + best[:start]
 
 
 def strip_conjugation(w: Word) -> tuple[Word, Word]:
-    """Write w = h * core * h^-1 with core cyclically reduced."""
-    letters = list(w.expand())
+    """Write w = h * core * h^-1 with core cyclically reduced.
+
+    Works on w's letters with their exponents: while the first and last
+    letters share a name and have opposite signs, the smaller power
+    cancels from both ends.  If one end keeps a remainder, the letter next
+    to the other end has another name (w is reduced), so the loop stops;
+    hence h and core are reduced as built."""
+    letters = w.letters
     head: list[Letter] = []
-    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
-        head.append(letters[0])
-        letters = letters[1:-1]
-    return Word(head), Word(letters)
+    while len(letters) >= 2:
+        (n, e), (m, f) = letters[0], letters[-1]
+        if n != m or (e > 0) == (f > 0):
+            break
+        k = min(abs(e), abs(f)) * (1 if e > 0 else -1)
+        head.append((n, k))
+        letters = ((n, e - k),) * (e != k) + letters[1:-1] + ((m, f + k),) * (f != -k)
+    return Word._reduced(tuple(head)), Word._reduced(letters)
 
 
 def cyclically_reduce(w: Word, order: Sequence[str] | None = None) -> Word:

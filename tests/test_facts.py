@@ -245,7 +245,9 @@ def test_cyclic_normalize_matches_reference_on_random_words():
             w = Word(
                 (rng.choice(gens), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 10))
             )
-            assert fb._cyclic_normalize(w) == _reference_cyclic_normalize(fb, w), (name, w)
+            n, occurs = fb._cyclic_normalize(w)
+            assert n == _reference_cyclic_normalize(fb, w), (name, w)
+            assert occurs == fb._occurs_cyclically(n.expand()), (name, w)
         checked += 1
     assert checked >= 20
 
@@ -255,7 +257,8 @@ def test_cyclic_normalize_rewrites_across_the_seam():
     fb = fb_from(["eq a4 a1 = a3"])
     w = W("a1 a2 a4")
     assert fb.normalize_any(w) == w and cyclically_reduce(w, fb.order) == w
-    assert fb._cyclic_normalize(w) == W("a2 a3") == _reference_cyclic_normalize(fb, w)
+    assert fb._cyclic_normalize(w) == (W("a2 a3"), False)
+    assert _reference_cyclic_normalize(fb, w) == W("a2 a3")
 
 
 def test_power_cache_matches_uncached_answers_on_corpus_queries(monkeypatch):
@@ -327,14 +330,14 @@ def test_power_filter_matches_full_exponent_scan_on_random_fact_bases():
 
 
 def _record_corpus_queries(monkeypatch, name):
-    """(fact base, word, answer) for every call of FactBase.<name> made by
-    one ``corpus run``."""
+    """(fact base, arguments, answer) for every call of FactBase.<name>
+    made by one ``corpus run``."""
     queries = []
     method = getattr(FactBase, name)
 
-    def record(self, w):
-        answer = method(self, w)
-        queries.append((self, w, answer))
+    def record(self, *args):
+        answer = method(self, *args)
+        queries.append((self, args, answer))
         return answer
 
     monkeypatch.setattr(FactBase, name, record)
@@ -346,7 +349,7 @@ def _record_corpus_queries(monkeypatch, name):
 def _reference_neq_classes(fb):
     return {
         canonical_cyclic_class(
-            fb._cyclic_normalize(fb.normalize_any(fd.lhs * fd.rhs.inverse())), fb.order
+            fb._cyclic_normalize(fb.normalize_any(fd.lhs * fd.rhs.inverse()))[0], fb.order
         )
         for fd in fb.decls
         if fd.kind == "neq"
@@ -359,7 +362,7 @@ def _reference_refute_power(fb, w, classes):
     root, d = max_root(w)
     for e in (e for e in range(1, d + 1) if d % e == 0):
         u = Word(root.expand() * e)
-        if canonical_cyclic_class(fb._cyclic_normalize(u), fb.order) in classes:
+        if canonical_cyclic_class(fb._cyclic_normalize(u)[0], fb.order) in classes:
             rule = "R4" if len(u.letters) == 1 and abs(u.letters[0][1]) == 1 else "R2"
             note = f"{w} = ({u})^{d // e}" if d > e else f"{u} != 1 declared"
             return True, rule, (f"{note}; torsion-free root rule",)
@@ -370,15 +373,17 @@ def test_neq_lookup_matches_canonical_class_lookup_on_corpus_queries(monkeypatch
     queries = _record_corpus_queries(monkeypatch, "_refute_power")
     classes = {}
     hits = settled = 0
-    for fb, w, v in queries:
+    for fb, (w, occurs), v in queries:
         if fb not in classes:
             classes[fb] = _reference_neq_classes(fb)
         want = _reference_refute_power(fb, w, classes[fb])
         assert (v.refuted, v.rule, v.trace) == want, w
+        # every caller passes the flag its cyclic normal form came with
+        assert occurs == fb._occurs_cyclically(w.expand()), w
         # the inverse class is matched as well
-        assert fb._refute_power(fb._cyclic_normalize(w.inverse())).refuted == want[0], w
+        assert fb._refute_power(*fb._cyclic_normalize(w.inverse())).refuted == want[0], w
         hits += v.refuted
-        settled += not fb._occurs_cyclically(w.expand())
+        settled += not occurs
     assert len(queries) > 1000 and 0 < hits < len(queries)
     assert 0 < settled < len(queries)  # both the direct lookup and the full one were taken
 
@@ -387,7 +392,7 @@ def test_remembered_refutations_match_a_fresh_fact_base(monkeypatch):
     queries = _record_corpus_queries(monkeypatch, "refute_trivial")
     asked = {}
     repeats = 0
-    for fb, w, v in queries:
+    for fb, (w,), v in queries:
         repeats += v.refuted and (fb, w) in asked
         asked.setdefault((fb, w), v)
     for (fb, w), v in asked.items():

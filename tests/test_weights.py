@@ -20,6 +20,8 @@ from starweight.stargraph import (
     path_label,
 )
 from starweight.weights import (
+    GUARD_BUDGET,
+    GUARD_LEN,
     DegenerateZeroCycleError,
     EntangledZeroSubgraphError,
     WalkBudgetError,
@@ -738,6 +740,12 @@ def _random_one_relator(rng):
             return g, WeightFunction({e.edge_id: rng.choice(RANDOM_WEIGHTS) for e in g.edges})
 
 
+def _random_graphs(count):
+    """The first ``count`` graphs of the seeded generator, in order."""
+    rng = random.Random(zlib.crc32(b"random small star graphs"))
+    return [_random_one_relator(rng) for _ in range(count)]
+
+
 def _expansions_to_length(fam, max_len):
     """The expansions of fam with at most max_len traversals: those of
     ``expansions_upto(max_len)`` that short, without building the rest."""
@@ -764,10 +772,9 @@ def _expansions_to_length(fam, max_len):
 
 
 def test_families_cover_every_light_walk_on_random_small_star_graphs():
-    rng = random.Random(zlib.crc32(b"random small star graphs"))
+    # index 271 has the most candidates of the 300 (6 023, for 1 341 families)
     checked = pumped = 0
-    for _ in range(250):
-        g, wf = _random_one_relator(rng)
+    for g, wf in _random_graphs(300):
         try:
             fams = enumerate_light_cycles(g, wf)
         except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
@@ -1016,8 +1023,8 @@ def test_templates_and_expansions_match_the_enumerations_they_replace():
             cases += [(name, fam) for fam in enumerate_light_cycles(g, wf)]
         except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
             pass
-    # real families on random graphs can take minutes to enumerate (see
-    # dedup_key), so the random cases are random families on them
+    # real families on random graphs can number in the thousands (random
+    # graph 271 has 1 341), so the random cases are random families on them
     rng = random.Random(zlib.crc32(b"pump shapes"))
     for i in range(600):
         g, _ = _random_one_relator(rng)
@@ -1071,3 +1078,139 @@ def test_labels_with_equal_compact_strings_stay_apart():
     assert sorted(str(cc(c.label)) for c in enumerate_trivial_cycles(g, 2, fb)) == sorted(
         map(str, pairs)
     )
+
+
+# -- the structural dedup key against the expansion key it replaced ---------------
+
+
+def _reference_dedup_key(fam):
+    """``CycleFamily.dedup_key`` before the structural key, verbatim: the
+    label-atom classes of the expansions with each pump up to twice."""
+    keys = {canonical_atom_cycle(list(w)) for w in fam.expansions_upto(2)}
+    return tuple(sorted(keys))
+
+
+# random graph index -> families under the structural key, where the
+# expansion key merges more: on 271 it keeps 366 families and takes about a
+# minute, so the test does not compute it there
+DEDUP_EXCEPTIONS = {271: 1341}
+
+
+def _families_under(monkeypatch, g, wf, key):
+    monkeypatch.setattr(weights_module, "_dedup_key", key)
+    try:
+        return [(f.base, f.pumps, f.weight, f.kind) for f in enumerate_light_cycles(g, wf)]
+    finally:
+        monkeypatch.undo()
+
+
+def test_structural_dedup_key_partitions_as_the_expansion_key(monkeypatch):
+    # every candidate enumerate_light_cycles keys, power families included,
+    # falls into the same class under both keys, and the family kept per
+    # class, the first found, is the same
+    structural = weights_module._dedup_key
+
+    def reference(base, pumps, kind="cycle"):
+        return _reference_dedup_key(weights_module.CycleFamily(base, pumps, Fraction(0), kind))
+
+    cases = [(s.name, g, WeightFunction.from_scenario(s, g)) for s, g in _corpus() if s.weights]
+    for k, q in ((4, 3), (4, 4), (5, 3), (5, 4), (6, 3), (6, 4)):
+        s = parse_scenario(_grid_text(k, q), name=f"grid k={k} q={q}")
+        g = build_star_graph(s.presentation)
+        cases.append((s.name, g, WeightFunction.from_scenario(s, g)))
+    for i, (g, wf) in enumerate(_random_graphs(300)):
+        if i not in DEDUP_EXCEPTIONS:
+            cases.append((f"random {i}", g, wf))
+        else:
+            assert len(enumerate_light_cycles(g, wf)) == DEDUP_EXCEPTIONS[i]
+    compared = pumped = 0
+    for name, g, wf in cases:
+        pairs = []
+
+        def spy(base, pumps, kind="cycle"):
+            key = structural(base, pumps, kind)
+            pairs.append((key, reference(base, pumps, kind)))
+            return key
+
+        try:
+            got = _families_under(monkeypatch, g, wf, spy)
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            continue
+        classes = len(set(pairs))
+        assert len({k for k, _ in pairs}) == classes == len({r for _, r in pairs}), name
+        assert got == _families_under(monkeypatch, g, wf, reference), name
+        compared += 1
+        pumped += sum(bool(pumps) for _, pumps, _, _ in got)
+    assert compared >= 330 and pumped >= 80
+
+
+# -- the guard against the eager coverage set it replaced -------------------------
+
+
+def _reference_guard(s, report):
+    """The walks the guard reported before ``covered`` was filtered by
+    length, verbatim but for taking the family verdicts from the report of
+    scenario s."""
+    g, wf = report.graph, report.weight_function
+    fb = FactBase(s.presentation, s.fact_decls)
+    verdicts = [fv for fv in report.families if fv.witness != "guard walk not covered"]
+    covered = {
+        canonical_cyclic_class(path_label(w), fb.order)
+        for fv in verdicts
+        if not fv.refuted
+        for w in fv.family.expansions_upto(GUARD_LEN)
+    }
+    walks = reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=GUARD_BUDGET)
+    out = []
+    for w in walks:
+        label = path_label(w)
+        if covered and canonical_cyclic_class(label, fb.order) in covered:
+            continue
+        if fb.refute_trivial(label):
+            continue
+        out.append(w)
+    return out
+
+
+def _random_scenario(g, wf):
+    """The random graph as a scenario with two neq facts, so that some of
+    its walks are refuted and some are not."""
+    return parse_scenario(
+        "factor A noncyclic nontrivial\nfactor B noncyclic nontrivial\n"
+        "gens A: a1 a2\ngens B: b1 b2\nindet: t u\n"
+        f"relator: {g.presentation.relators[0]}\n"
+        + "".join(f"weight: {e.edge_id} = {wf[e.edge_id]}\n" for e in g.edges)
+        + "fact: neq a1 a2\nfact: neq b1 1\n",
+        name="random",
+    )
+
+
+# the survivors' expansions up to GUARD_LEN are exponential in their pumps:
+# on random graph 271 the reference set does not finish in ten minutes
+GUARD_SLOW = {271, 273}
+
+
+@pytest.mark.parametrize("max_marked", [4, 0], ids=["as-is", "no-mandatory-pumps"])
+def test_guard_reports_what_the_eager_coverage_set_reports(monkeypatch, max_marked):
+    # with no mandatory pumps the families miss every walk that needs one,
+    # and only the guard can report those
+    monkeypatch.setattr(weights_module, "MAX_MARKED", max_marked)
+    scenarios = [s for s, _ in _corpus() if s.weights]
+    scenarios += [parse_scenario(_grid_text(k, q)) for k, q in ((4, 3), (4, 4), (4, 5), (5, 4))]
+    scenarios += [
+        _random_scenario(g, wf) for i, (g, wf) in enumerate(_random_graphs(300)) if i not in GUARD_SLOW
+    ]
+    checked = reported = 0
+    for s in scenarios:
+        try:
+            report = verify_weight_test(s)
+        except DegenerateZeroCycleError:
+            continue
+        if report.notes:  # an entangled zero subgraph: no guard ran
+            continue
+        got = [fv.family.base for fv in report.families if fv.witness == "guard walk not covered"]
+        assert got == _reference_guard(s, report), s.name
+        checked += 1
+        reported += len(got)
+    assert checked >= 320
+    assert reported > 0 if max_marked == 0 else reported == 0

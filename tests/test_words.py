@@ -7,6 +7,8 @@ from starweight.words import (
     Word,
     canonical_cyclic_class,
     cyclically_reduce,
+    least_rotation,
+    letter_key,
     max_root,
     strip_conjugation,
     word_from_tokens,
@@ -173,3 +175,70 @@ def test_junction_product_and_inverse_match_full_merge():
         lost = len(a.letters) + len(b.letters) - len(product.letters)
         deep_merges += lost >= 5 and lost % 2 == 1  # >= 2 cancellations, then a merge
     assert deep_merges > 20
+
+
+# -- the least-key scan and the syllable strip against the code they replaced --
+
+
+def _reference_least_rotation(seq, key=None, inverse=False):
+    """``least_rotation`` before it compared only the rotations that start at
+    a least key, verbatim."""
+    seq = tuple(seq)
+    candidates = [seq]
+    if inverse:
+        candidates.append(tuple((n, -e) for n, e in reversed(seq)))
+    best_key, best, start = None, seq, 0
+    for cand in candidates:
+        keys = list(cand if key is None else map(key, cand))
+        for i in range(len(cand)):
+            k = keys[i:] + keys[:i]
+            if best_key is None or k < best_key:
+                best_key, best, start = k, cand, i
+    return best[start:] + best[:start]
+
+
+def test_least_rotation_matches_the_full_scan_it_replaces():
+    # small alphabets repeat keys, periodic sequences tie whole rotations, and
+    # the name-only key ties rotations whose elements differ, so the result
+    # is the first tied rotation only if the tie rule is kept
+    rng = random.Random(1980)
+    keys = [None, letter_key(None), letter_key(["c", "a", "b"]), lambda x: x[0]]
+    differs = 0
+    for _ in range(3000):
+        period = [(rng.choice("abc"), rng.choice((1, -1))) for _ in range(rng.randrange(0, 7))]
+        seq = period * rng.choice((1, 1, 2, 3))
+        for key in keys:
+            for inverse in (False, True):
+                want = _reference_least_rotation(seq, key, inverse)
+                assert least_rotation(seq, key, inverse) == want, (seq, inverse)
+                assert least_rotation(iter(seq), key, inverse) == want
+        names = least_rotation(seq, keys[-1], True)
+        differs += names != least_rotation(seq, None, True)
+    assert differs > 100  # the non-injective key picked other elements
+
+
+def _reference_strip_conjugation(w):
+    """``strip_conjugation`` before it worked on letters with exponents,
+    verbatim."""
+    letters = list(w.expand())
+    head = []
+    while len(letters) >= 2 and letters[0][0] == letters[-1][0] and letters[0][1] == -letters[-1][1]:
+        head.append(letters[0])
+        letters = letters[1:-1]
+    return Word(head), Word(letters)
+
+
+def test_strip_conjugation_matches_the_letter_by_letter_strip():
+    rng = random.Random(1929)
+    stripped = 0
+    for _ in range(3000):
+        inner = Word((rng.choice("abc"), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randrange(0, 5)))
+        outer = Word((rng.choice("abc"), rng.choice((-3, -1, 1, 2))) for _ in range(rng.randrange(0, 4)))
+        w = outer * inner * outer.inverse() * Word([(rng.choice("abc"), rng.choice((-1, 1, 0)))])
+        head, core = strip_conjugation(w)
+        want = _reference_strip_conjugation(w)
+        assert (head, core) == want, w
+        assert (head.letters, core.letters) == (want[0].letters, want[1].letters)
+        assert head * core * head.inverse() == w
+        stripped += bool(head)
+    assert stripped > 500
