@@ -361,6 +361,11 @@ class FactBase:
                             )
         return UNKNOWN
 
+    def known_refuted(self, w: Word) -> bool:
+        """Whether ``refute_trivial`` has already refuted w: a memo lookup
+        that asks no new question."""
+        return w in self._refuted
+
     def refute_trivial(self, w: Word) -> Verdict:
         """Refuted only if w = 1 contradicts the facts; Unknown otherwise.
 

@@ -14,12 +14,12 @@ addresses edges by label.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .scenario import INDETERMINATE, RelativePresentation
-from .words import Word, least_rotation
+from .words import Word, least_rotation_start
 
 Vertex = tuple[str, int]  # (indeterminate name, +1 or -1)
 
@@ -37,6 +37,7 @@ class Edge:
     dst: Vertex
     label: Word
     factor: str  # factor name, or "identity-any" for unresolvable identity labels
+    ambiguous: bool = False  # another edge's different label reads the same compact string
 
     @property
     def is_loop(self) -> bool:
@@ -46,11 +47,29 @@ class Edge:
         return self.label_key[0]
 
     @cached_property
+    def shown(self) -> str:
+        """The label as cycle listings print it: the compact string, or the
+        letters apart in parentheses where that string is ambiguous."""
+        return f"({self.label})" if self.ambiguous else self.label_key[0]
+
+    @cached_property
     def label_key(self) -> tuple[str, tuple]:
         """The compact label string, so that keys order as those strings
         do, then the label's letters: the string alone is not injective
         (labels ``a b`` and ``ab`` both read ``ab``)."""
         return (self.label.compact(), self.label.letters)
+
+    @cached_property
+    def atoms(self) -> tuple[tuple[tuple[str, tuple], int], tuple[tuple[str, tuple], int]]:
+        """The forward and the backward atom, built once per edge so that
+        atom keys share them."""
+        return (self.label_key, 1), (self.label_key, -1)
+
+    @cached_property
+    def id_atoms(self) -> tuple[tuple[str, int], tuple[str, int]]:
+        """The forward and the backward (edge id, direction) pair, built once
+        per edge."""
+        return (self.edge_id, 1), (self.edge_id, -1)
 
     @cached_property
     def inverse_label(self) -> Word:
@@ -77,7 +96,7 @@ class Traversal(NamedTuple):
     def atom(self) -> tuple[tuple[str, tuple], int]:
         """(label key, direction): atoms key the dedup of families and
         cycles, so they tell apart labels whose compact strings agree."""
-        return (self.edge.label_key, self.direction)
+        return self.edge.atoms[self.direction < 0]
 
     def reverse(self) -> "Traversal":
         return Traversal(self.edge, -self.direction)
@@ -152,6 +171,10 @@ def build_star_graph(p: RelativePresentation) -> StarGraph:
             if factor is None:
                 factor = _adjacent_factor(p, labels, ci)
             edges.append(Edge(f"{ri}.{ci}", ri, ci, src, dst, coeff, factor))
+    readings: dict[str, set[Word]] = {}
+    for e in edges:
+        readings.setdefault(e.label_str(), set()).add(e.label)
+    edges = [replace(e, ambiguous=True) if len(readings[e.label_str()]) > 1 else e for e in edges]
     return StarGraph(p, edges)
 
 
@@ -200,10 +223,23 @@ def is_reduced(traversals: list[Traversal], cyclic: bool = False) -> bool:
     return True
 
 
-def canonical_atom_cycle(traversals: list[Traversal]) -> tuple:
+def canonical_atom_cycle(traversals: Iterable[Traversal]) -> tuple:
     """Canonical form of the atom sequence under rotation and inversion;
-    positive orientations sort before inverted ones."""
-    return least_rotation(path_atoms(traversals), lambda a: (a[0], a[1] < 0), inverse=True)
+    positive orientations sort before inverted ones.
+
+    The search runs on each atom with its direction negated, (label key,
+    -direction): these order as the atoms do with forward first, and invert
+    as atoms do, so both orientations are lists of the edges' cached atoms
+    and no key is built.  Reversed, the negated atoms of one orientation
+    are the atoms of the other."""
+    ts = tuple(traversals)
+    if not ts:
+        return ()
+    order = [t.edge.atoms[t.direction > 0] for t in ts]
+    inverse_order = [t.edge.atoms[t.direction < 0] for t in reversed(ts)]
+    which, start = least_rotation_start((order, inverse_order))
+    atoms = (inverse_order if which == 0 else order)[::-1]
+    return tuple(atoms[start:] + atoms[:start])
 
 
 def export_dot(g: StarGraph) -> str:

@@ -55,9 +55,20 @@ lists them one length at a time, each level resumed from the paths the
 last one reached, for the fallback cuts of the search.
 
 ``verify_weight_test`` refutes every family's full expansion set through
-the fact base, reports any unrefuted short light walk no survivor covers,
-and reports the survivors; the verdict is Aspherical exactly when the
-relator condition holds and nothing survives.
+the fact base and reports the survivors; the verdict is Aspherical exactly
+when the relator condition holds and nothing survives.  Its guard checks
+that the family list missed no short light walk.  It walks every light
+closed walk of at most ``GUARD_LEN`` traversals and decides each one in
+three steps: (1) a walk whose label the fact base has already refuted is
+done, and asking that costs a dict lookup; (2) a walk that some family
+spells, that is whose ``canonical_atom_cycle`` is that of a family
+expansion of at most ``GUARD_LEN`` traversals, is done, with the set of
+those expansions built on the first walk that gets this far; (3) any other
+walk goes to ``refute_trivial`` and, unrefuted, is reported as "guard walk
+not covered".  Step 2 is sound for a refuted family because its template
+refutation covers every expansion, so the walk's label is refuted; a
+surviving family is reported anyway.  Only the walks no family spells reach
+the fact base.
 """
 
 from __future__ import annotations
@@ -83,7 +94,7 @@ from .stargraph import (
     path_label,
     vertex_name,
 )
-from .words import Word, canonical_cyclic_class, least_rotation, strip_conjugation
+from .words import Word, canonical_cyclic_class, least_rotation, least_rotation_start
 
 
 class WeightError(ValueError):
@@ -193,7 +204,7 @@ class Pump:
 
 
 def _atom_str(t: Traversal) -> str:
-    s = t.edge.label_str()
+    s = t.edge.shown
     return s if t.direction > 0 else f"{s}^-1"
 
 
@@ -343,16 +354,33 @@ class CycleFamily:
                     for pis in itertools.product(*(by_point[q] for q in qs)):
                         yield qs, pis
 
-    def expansions_upto(self, mmax: int) -> list[tuple[Traversal, ...]]:
-        """Every expansion with each inserted pump repeated 1..mmax times,
-        in no particular order."""
+    def expansions_to_length(self, max_len: int) -> list[tuple[Traversal, ...]]:
+        """Every expansion with at most max_len traversals, in no particular
+        order: at each insertion point no pump (unless the point is
+        mandatory) or one pump repeated while the expansion stays that
+        short, so nothing longer is ever built."""
         if self.kind == "power":
-            return [self.base * m for m in range(1, mmax + 1)]
-        return [
-            self.expansion(dict(zip(pis, ms)))
-            for _, pis in self._shapes()
-            for ms in itertools.product(range(1, mmax + 1), repeat=len(pis))
-        ]
+            return [self.base * m for m in range(1, max_len // len(self.base) + 1)]
+        points = sorted({p.insert_after for p in self.pumps})
+        mandatory = self.mandatory_points()
+        out: list[tuple[Traversal, ...]] = []
+
+        def extend(i: int, ms: dict[int, int], length: int):
+            if i == len(points):
+                out.append(self.expansion(ms))
+                return
+            if points[i] not in mandatory:
+                extend(i + 1, ms, length)
+            for pi, p in enumerate(self.pumps):
+                if p.insert_after == points[i]:
+                    m, grown = 1, length + 2 * len(p.prefix) + len(p.cycle)
+                    while grown <= max_len:
+                        extend(i + 1, {**ms, pi: m}, grown)
+                        m, grown = m + 1, grown + len(p.cycle)
+
+        if len(self.base) <= max_len:
+            extend(0, {}, len(self.base))
+        return out
 
     def templates(self) -> list[tuple[list[Word], list[Word]]]:
         """(segments, pumps) pairs whose refutation covers every expansion."""
@@ -375,9 +403,9 @@ def _dedup_key(base: tuple[Traversal, ...], pumps: tuple[Pump, ...], kind: str =
     (its base repeats) and a pumped family's "pumped", so keys of different
     kinds never meet."""
     if kind == "power":
-        return ("power", canonical_atom_cycle(list(base)))
+        return ("power", canonical_atom_cycle(base))
     if not pumps:
-        return (canonical_atom_cycle(list(base)),)
+        return (canonical_atom_cycle(base),)
     n = len(base)
     forward: list[list] = [[] for _ in range(n)]
     backward: list[list] = [[] for _ in range(n)]
@@ -479,50 +507,64 @@ def _closed_walks(
             )
         return mendable[key]
 
+    alone = {v: frozenset([v]) for v in g.vertices}
+    # per vertex, each step out of it as (traversal, edge, direction, end,
+    # scaled weight or None on a zero edge, edge rank, whether a walk that
+    # arrived along the reverse step may turn back onto it)
+    steps_at = {
+        v: [
+            (t, t.edge, t.direction, t.end, weight.get(t.edge.edge_id), rank[t.edge.edge_id],
+             mends(t.reverse()))
+            for t in g.incident(v)
+        ]
+        for v in g.vertices
+    }
     if starts is None:
         starts = []
         for e in g.edges:
             t0 = Traversal(e, +1)
             if e.edge_id not in zero and weight[e.edge_id] < limit and not (prune and prune((t0,))):
-                starts.append(((t0,), weight[e.edge_id], frozenset([t0.end]), frozenset()))
+                starts.append(((t0,), weight[e.edge_id], alone[t0.end], frozenset()))
     results: list[tuple[tuple[Traversal, ...], frozenset]] = []
     steps = 0
     for e0, group in itertools.groupby(starts, key=lambda state: state[0][0].edge):
         stack = list(group)
         t0, root = stack[0][0][0], rank[e0.edge_id]
+        home = t0.start
         stack.reverse()
         while stack:
             path, used, run_seen, marked = stack.pop()
             steps += 1
             if steps > budget:
                 raise WalkBudgetError("closed-walk enumeration budget exceeded")
-            cur = path[-1].end
-            if cur == t0.start:
+            last = path[-1]
+            cur = last.end
+            if cur == home:
                 # internal junctions are reduced-or-marked by construction
-                if path[-1].edge is not e0 or path[-1].direction > 0:
+                if last.edge is not e0 or last.direction > 0:
                     results.append((path, marked))
-                elif len(marked) < MAX_MARKED and mends(path[-1]):
+                elif len(marked) < MAX_MARKED and mends(last):
                     results.append((path, marked | {len(path) - 1}))
             if len(path) >= max_len:
                 if leaves is not None:
                     leaves.append((path, used, run_seen, marked))
                 continue
-            for t in g.incident(cur):
-                backtrack = t.edge is path[-1].edge and t.direction == -path[-1].direction
+            last_edge, turn = last.edge, -last.direction
+            for t, edge, direction, end, w, r, turnable in steps_at[cur]:
+                backtrack = edge is last_edge and direction == turn
                 new_marked = marked
                 if backtrack:
-                    if len(marked) >= MAX_MARKED or not mends(path[-1]):
+                    if len(marked) >= MAX_MARKED or not turnable:
                         continue
                     new_marked = marked | {len(path) - 1}
-                if t.edge.edge_id not in zero:
-                    w = weight[t.edge.edge_id]
-                    if rank[t.edge.edge_id] < root or used + w >= limit:
+                if w is not None:
+                    if r < root or used + w >= limit:
                         continue
-                    child = (path + (t,), used + w, frozenset([t.end]), new_marked)
+                    child = (path + (t,), used + w, alone[end], new_marked)
                 elif backtrack:
-                    child = (path + (t,), used, frozenset([t.end]), new_marked)
-                elif t.end not in run_seen:  # revisits belong to pumps
-                    child = (path + (t,), used, run_seen | {t.end}, new_marked)
+                    child = (path + (t,), used, alone[end], new_marked)
+                elif end not in run_seen:  # revisits belong to pumps
+                    child = (path + (t,), used, run_seen | {end}, new_marked)
                 else:
                     continue
                 if not (prune and prune(child[0])):
@@ -636,8 +678,15 @@ def _first_per_class(paths) -> list[tuple[Traversal, ...]]:
 
 def canonical_atom_edge_cycle(path: tuple[Traversal, ...]) -> tuple:
     """Canonical (edge_id, direction) sequence under rotation and inversion;
-    direction -1 sorts before +1."""
-    return least_rotation([(t.edge.edge_id, t.direction) for t in path], inverse=True)
+    direction -1 sorts before +1.  Both orientations are read off the
+    cached pairs of each edge."""
+    if not path:
+        return ()
+    order = [t.edge.id_atoms[t.direction < 0] for t in path]
+    inverse_order = [t.edge.id_atoms[t.direction > 0] for t in reversed(path)]
+    which, start = least_rotation_start((order, inverse_order))
+    best = order if which == 0 else inverse_order
+    return tuple(best[start:] + best[:start])
 
 
 # -- trivial-label cycles ----------------------------------------------
@@ -645,7 +694,7 @@ def canonical_atom_edge_cycle(path: tuple[Traversal, ...]) -> tuple:
 
 @dataclass(frozen=True)
 class TrivialCycle:
-    atoms: tuple[tuple[str, int], ...]  # (compact label string, direction)
+    atoms: tuple[tuple[str, int], ...]  # (label as Edge.shown prints it, direction)
     label: Word
 
     def display(self) -> str:
@@ -657,6 +706,7 @@ def enumerate_trivial_cycles(g: StarGraph, length: int, fb: FactBase) -> list[Tr
     triviality the fact base cannot refute."""
     if length < 1:
         raise WeightError("length must be >= 1")
+    shown = {e.label_key: e.shown for e in g.edges}
     out: dict[tuple, TrivialCycle] = {}
     for walk in reduced_closed_walks(g, length):
         if len(walk) != length:
@@ -664,8 +714,8 @@ def enumerate_trivial_cycles(g: StarGraph, length: int, fb: FactBase) -> list[Tr
         label = path_label(walk)
         if fb.refute_trivial(label):
             continue
-        key = canonical_atom_cycle(list(walk))
-        atoms = tuple((s, d) for (s, _), d in key)
+        key = canonical_atom_cycle(walk)
+        atoms = tuple((shown[label], d) for label, d in key)
         out.setdefault(key, TrivialCycle(atoms, canonical_cyclic_class(label, fb.order)))
     return [out[k] for k in sorted(out)]
 
@@ -735,16 +785,29 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
     given, is the fact base of the scenario's presentation and facts; its
     queries are pure, so a warm one gives the same report.
 
-    The guard reports each light closed walk of at most ``GUARD_LEN`` edges
-    that is neither refuted nor covered: its label class is not that of an
-    expansion of a surviving family with each pump at most ``GUARD_LEN``
-    times.  A class is a cyclic word of one length, the length of the
-    cyclically reduced label, so a walk can only be covered by an expansion
-    of its own length.  The coverage set therefore keeps only the
-    expansions whose cyclically reduced length some guard walk has, and
-    compares lengths before it computes a class; every membership test
-    answers as against the full set.  Coverage is tested before refutation,
-    so a covered walk is never put to the fact base."""
+    The guard decides each light closed walk of at most ``GUARD_LEN``
+    traversals in three steps, the first that settles it winning:
+
+    1. its label is in the fact base's memo of refuted words: done;
+    2. some family spells it (equal ``canonical_atom_cycle`` to an
+       expansion of at most ``GUARD_LEN`` traversals, built once, on the
+       first walk to get here): done;
+    3. ``refute_trivial`` refutes its label: done; else it is reported as
+       "guard walk not covered".
+
+    Step 2 is sound: a walk of L traversals can only equal an expansion of
+    L traversals, so the lookup misses no spelling family, and a refuted
+    family's template refutation covers each of its expansions, so the
+    walk's label is refuted; a surviving family is already reported.
+
+    An earlier guard asked the fact base about every walk it did not find
+    in a set of survivor label classes.  Its reports could differ from
+    these in two cases only: a walk some refuted family spells but
+    ``refute_trivial`` cannot refute, which it reported and this guard
+    does not; and a walk no family spells whose label class is that of a
+    survivor's expansion, which it hid and this guard reports.  Neither
+    occurs on the corpus, the grid cells or the random graphs of the
+    tests."""
     g = build_star_graph(s.presentation)
     if fb is None:
         fb = FactBase(s.presentation, s.fact_decls)
@@ -766,31 +829,20 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
     except WalkBudgetError:
         walks = []
         notes.append(f"guard enumeration over length <= {GUARD_LEN} skipped (budget)")
-    labels = [path_label(w) for w in walks]
-    cores = [strip_conjugation(label)[1] for label in labels]
-    covered = _coverage(verdicts, {len(c) for c in cores}, fb.order)
-    for w, label, core in zip(walks, labels, cores):
-        # reported iff unrefuted and uncovered, so the cheap test goes first
-        if covered and canonical_cyclic_class(core, fb.order) in covered:
+    spelled: set[tuple] | None = None
+    for w in walks:
+        label = path_label(w)
+        if fb.known_refuted(label):
             continue
-        if fb.refute_trivial(label):
+        if spelled is None:
+            spelled = {
+                canonical_atom_cycle(x) for f in families for x in f.expansions_to_length(GUARD_LEN)
+            }
+        if canonical_atom_cycle(w) in spelled or fb.refute_trivial(label):
             continue
         fam = CycleFamily(w, (), wf.weight_of(w), "cycle")
         verdicts.append(FamilyVerdict(fam, UNKNOWN, witness="guard walk not covered"))
     return WeightTestReport(s.name, g, wf, relator_checks, verdicts, notes)
-
-
-def _coverage(verdicts: list[FamilyVerdict], lengths: set[int], order) -> set[Word]:
-    """Classes of the survivors' expansions up to ``GUARD_LEN`` whose
-    cyclically reduced label length is in ``lengths``."""
-    covered: set[Word] = set()
-    for fv in verdicts:
-        if not fv.refuted:
-            for w in fv.family.expansions_upto(GUARD_LEN):
-                _, core = strip_conjugation(path_label(w))
-                if len(core) in lengths:
-                    covered.add(canonical_cyclic_class(core, order))
-    return covered
 
 
 def render_report(report: WeightTestReport) -> str:

@@ -7,9 +7,10 @@ own; scenarios supply a symbol table when factor membership matters.
 
 Cyclic words (conjugacy classes) are represented by a deterministic
 canonical rotation: lexicographically least under the declared symbol
-order, with inverse letters ordered after positive ones.  ``least_rotation``
-is the single canonical-rotation rule; the cyclic forms of star-graph paths
-(``canonical_atom_cycle``, ``canonical_atom_edge_cycle``) use it as well.
+order, with inverse letters ordered after positive ones.
+``least_rotation_start`` is the single canonical-rotation rule:
+``least_rotation`` and the cyclic forms of star-graph paths
+(``canonical_atom_cycle``, ``canonical_atom_edge_cycle``) all use it.
 """
 
 from __future__ import annotations
@@ -166,8 +167,8 @@ def least_rotation(seq: Sequence, key=None, inverse: bool = False) -> tuple:
     ``key`` is applied once per element.  With ``inverse`` the rotations of
     the inverse sequence (reversed, each ``(name, sign)`` pair sign-flipped)
     compete as well, so the result is constant on rotation/inversion orbits.
-    Only the rotations that start at a least key are compared; among equal
-    keys the first rotation found wins, the inverse's after the sequence's.
+    Among equal keys the first rotation found wins, the inverse's after the
+    sequence's (see ``least_rotation_start``).
     """
     seq = tuple(seq)
     if not seq:
@@ -175,19 +176,30 @@ def least_rotation(seq: Sequence, key=None, inverse: bool = False) -> tuple:
     candidates = [seq]
     if inverse:
         candidates.append(tuple((n, -e) for n, e in reversed(seq)))
-    best_key, best, start = None, seq, 0
-    for cand in candidates:
-        keys = list(cand if key is None else map(key, cand))
-        low = min(keys)
-        if best_key is not None and best_key[0] < low:
-            continue
-        # a rotation that starts above the least key loses to one that starts at it
-        for i, first in enumerate(keys):
-            if first == low:
-                k = keys[i:] + keys[:i]
-                if best_key is None or k < best_key:
-                    best_key, best, start = k, cand, i
+    keyed = candidates if key is None else [list(map(key, cand)) for cand in candidates]
+    which, start = least_rotation_start(keyed)
+    best = candidates[which]
     return best[start:] + best[:start]
+
+
+def least_rotation_start(candidates: Sequence[Sequence]) -> tuple[int, int]:
+    """(index, start) of the least rotation over all the candidates, which
+    are nonempty and all tuples or all lists.  Only the rotations that start
+    at a least element are compared; among equal rotations the first found
+    wins.  Callers that can list each orientation in an order-preserving
+    form pass both and need no key function."""
+    best = found = None
+    for which, cand in enumerate(candidates):
+        low = min(cand)
+        if best is not None and best[0] < low:
+            continue
+        # a rotation that starts above the least element loses to one that starts at it
+        for i, first in enumerate(cand):
+            if first == low:
+                rotation = cand[i:] + cand[:i]
+                if best is None or rotation < best:
+                    best, found = rotation, (which, i)
+    return found
 
 
 def strip_conjugation(w: Word) -> tuple[Word, Word]:

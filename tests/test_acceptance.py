@@ -33,6 +33,7 @@ from starweight.weights import (
 from starweight.words import canonical_cyclic_class, word_from_tokens
 
 from spherical_diagrams import grow_random, total_curvature
+from expansions import expansions_upto
 from test_equations import SOLVABLE_SHORT, singular_sweep
 
 CORPUS = Path(starweight.__file__).parent / "corpus"
@@ -127,7 +128,7 @@ def test_criterion_3_five_families_and_completeness():
 
     covered = set()
     for f in fams:
-        for exp in f.expansions_upto(5):
+        for exp in expansions_upto(f, 5):
             covered.add(canonical_atom_edge_cycle(exp))
     walks = reduced_closed_walks(g, 10, wf, Fraction(2))
     assert walks
@@ -295,7 +296,7 @@ def test_criterion_9_soundness_sampling():
             path_label(exp)
             for fv in rep.families
             if fv.refuted
-            for exp in fv.family.expansions_upto(2)
+            for exp in expansions_upto(fv.family, 2)
         ]
         if not labels:
             continue

@@ -10,6 +10,7 @@ import pytest
 
 import starweight
 from confluence import check_confluence
+from expansions import expansions_upto
 from starweight.cli import main
 from starweight.facts import FactBase
 from starweight.scenario import parse_scenario
@@ -225,7 +226,7 @@ def test_soundness_by_integer_models(name):
     for fv in report.families:
         if not fv.refuted:
             continue
-        for exp in fv.family.expansions_upto(3):
+        for exp in expansions_upto(fv.family, 3):
             labels.append(path_label(exp))
     if not labels:
         return

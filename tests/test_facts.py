@@ -329,9 +329,10 @@ def test_power_filter_matches_full_exponent_scan_on_random_fact_bases():
 # -- the neq lookup and the refutation memo against the code they replaced --
 
 
-def _record_corpus_queries(monkeypatch, name):
+def _record_corpus_queries(monkeypatch, name, trivial_lengths=()):
     """(fact base, arguments, answer) for every call of FactBase.<name>
-    made by one ``corpus run``."""
+    made by one ``corpus run``, then by ``trivial-cycles --length L`` on
+    every corpus scenario for each L in ``trivial_lengths``."""
     queries = []
     method = getattr(FactBase, name)
 
@@ -342,6 +343,9 @@ def _record_corpus_queries(monkeypatch, name):
 
     monkeypatch.setattr(FactBase, name, record)
     assert main(["corpus", "run", str(CORPUS)]) == 0
+    for path in sorted(CORPUS.glob("*.scn")):
+        for length in trivial_lengths:
+            assert main(["trivial-cycles", str(path), "--length", str(length)]) == 0
     monkeypatch.setattr(FactBase, name, method)
     return queries
 
@@ -370,7 +374,10 @@ def _reference_refute_power(fb, w, classes):
 
 
 def test_neq_lookup_matches_canonical_class_lookup_on_corpus_queries(monkeypatch):
-    queries = _record_corpus_queries(monkeypatch, "_refute_power")
+    # the guard asks the fact base only about walks no family spells, so a
+    # corpus run alone puts too few questions; trivial-cycles adds every
+    # short closed path of each corpus graph
+    queries = _record_corpus_queries(monkeypatch, "_refute_power", trivial_lengths=(1, 2, 3, 4))
     classes = {}
     hits = settled = 0
     for fb, (w, occurs), v in queries:

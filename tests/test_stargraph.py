@@ -1,14 +1,19 @@
+import random
+import zlib
 from pathlib import Path
 
 import pytest
 
 import starweight
+from expansions import expansions_upto
 from starweight.scenario import parse_scenario
 from starweight.stargraph import (
     GraphError,
     Traversal,
     build_star_graph,
+    canonical_atom_cycle,
     export_dot,
+    path_atoms,
     path_label,
     vertex_name,
 )
@@ -16,9 +21,10 @@ from starweight.weights import (
     DegenerateZeroCycleError,
     EntangledZeroSubgraphError,
     WeightFunction,
+    canonical_atom_edge_cycle,
     enumerate_light_cycles,
 )
-from starweight.words import Word, word_from_tokens
+from starweight.words import Word, least_rotation, word_from_tokens
 
 CORPUS = Path(starweight.__file__).parent / "corpus"
 
@@ -189,7 +195,47 @@ def test_path_label_matches_left_fold_on_corpus_family_expansions():
         except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
             continue
         for f in fams:
-            for path in f.expansions_upto(3):
+            for path in expansions_upto(f, 3):
                 assert path_label(path) == _reference_path_label(path), (s.name, path)
                 checked += 1
     assert checked > 1000
+
+
+def _reference_canonical_atom_cycle(traversals):
+    """``canonical_atom_cycle`` before it searched the cached atoms, verbatim."""
+    return least_rotation(path_atoms(traversals), lambda a: (a[0], a[1] < 0), inverse=True)
+
+
+def _reference_canonical_atom_edge_cycle(path):
+    """``canonical_atom_edge_cycle`` before it searched the cached pairs, verbatim."""
+    return least_rotation([(t.edge.edge_id, t.direction) for t in path], inverse=True)
+
+
+COLLIDING = """\
+factor A noncyclic nontrivial
+gens A: a b ab c
+indet: t
+relator: a b t ab t c t a t a t
+"""
+
+
+def test_canonical_cycles_match_the_keyed_rotation_they_replace():
+    # random paths over each graph's traversals, a third of them powers, so
+    # that equal labels on different edges and periodic sequences tie
+    rng = random.Random(zlib.crc32(b"canonical cycles"))
+    graphs = [g for _, g in _corpus_graphs()] + [graph_of(COLLIDING)]
+    checked = ties = 0
+    for g in graphs:
+        steps = [t for v in g.vertices for t in g.incident(v)]
+        for _ in range(60):
+            path = tuple(rng.choice(steps) for _ in range(rng.randint(1, 6)))
+            if rng.random() < 0.3:
+                path *= rng.randint(2, 3)
+            want = _reference_canonical_atom_cycle(path)
+            assert canonical_atom_cycle(path) == want, path
+            assert canonical_atom_cycle(iter(path)) == want
+            assert canonical_atom_edge_cycle(path) == _reference_canonical_atom_edge_cycle(path)
+            ties += len(set(want)) < len(want)
+            checked += 1
+    assert canonical_atom_cycle(()) == () == canonical_atom_edge_cycle(())
+    assert checked > 3000 and ties > 1000

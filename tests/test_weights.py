@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -9,6 +10,8 @@ import pytest
 
 import starweight
 import starweight.weights as weights_module
+from expansions import expansions_upto
+from starweight.cli import main
 from starweight.facts import FactBase
 from starweight.scenario import parse_scenario
 from starweight.stargraph import (
@@ -159,7 +162,7 @@ def test_sec3_fn2_brute_force_completeness_to_length_10():
     fams = enumerate_light_cycles(g, wf)
     covered = set()
     for f in fams:
-        for exp in f.expansions_upto(5):
+        for exp in expansions_upto(f, 5):
             if len(exp) <= 12:
                 covered.add(canonical_atom_edge_cycle(exp))
     walks = reduced_closed_walks(g, 10, wf, Fraction(2))
@@ -564,7 +567,7 @@ def test_families_cover_every_light_walk_to_length_10():
             fams = enumerate_light_cycles(g, wf)
         except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
             continue
-        covered = {canonical_atom_cycle(list(w)) for f in fams for w in f.expansions_upto(10)}
+        covered = {canonical_atom_cycle(list(w)) for f in fams for w in expansions_upto(f, 10)}
         for w in _reference_reduced_closed_walks(g, 10, wf, Fraction(2)):
             assert canonical_atom_cycle(list(w)) in covered, (s.name, w)
         checked += 1
@@ -746,31 +749,6 @@ def _random_graphs(count):
     return [_random_one_relator(rng) for _ in range(count)]
 
 
-def _expansions_to_length(fam, max_len):
-    """The expansions of fam with at most max_len traversals: those of
-    ``expansions_upto(max_len)`` that short, without building the rest."""
-    if fam.kind == "power":
-        return [fam.base * m for m in range(1, max_len // len(fam.base) + 1)]
-    points = sorted({p.insert_after for p in fam.pumps})
-    mandatory = fam.mandatory_points()
-    out = []
-
-    def extend(i, ms, length):
-        if i == len(points):
-            out.append(fam.expansion(ms))
-            return
-        if points[i] not in mandatory:
-            extend(i + 1, ms, length)
-        for pi, p in enumerate(fam.pumps):
-            m = 1
-            while p.insert_after == points[i] and length + len(p.instance(m)) <= max_len:
-                extend(i + 1, {**ms, pi: m}, length + len(p.instance(m)))
-                m += 1
-
-    extend(0, {}, len(fam.base))
-    return out
-
-
 def test_families_cover_every_light_walk_on_random_small_star_graphs():
     # index 271 has the most candidates of the 300 (6 023, for 1 341 families)
     checked = pumped = 0
@@ -779,7 +757,7 @@ def test_families_cover_every_light_walk_on_random_small_star_graphs():
             fams = enumerate_light_cycles(g, wf)
         except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
             continue
-        covered = {canonical_atom_cycle(list(w)) for f in fams for w in _expansions_to_length(f, 10)}
+        covered = {canonical_atom_cycle(list(w)) for f in fams for w in f.expansions_to_length(10)}
         for w in _reference_reduced_closed_walks(g, 10, wf, Fraction(2)):
             assert canonical_atom_cycle(list(w)) in covered, (g.edges, wf.values, w)
         checked += 1
@@ -1034,7 +1012,12 @@ def test_templates_and_expansions_match_the_enumerations_they_replace():
         assert fam.templates() == _reference_templates(fam), (name, fam.display())
         for m in (1, 2, 3):
             want = _edge_ids(_reference_expansions_upto(fam, m))
-            assert _edge_ids(fam.expansions_upto(m)) == want, (name, fam.display(), m)
+            assert _edge_ids(expansions_upto(fam, m)) == want, (name, fam.display(), m)
+        # by length: those of expansions_upto that short, as a pump's cycle
+        # has at least one traversal
+        for length in (len(fam.base), GUARD_LEN, 8):
+            want = [w for w in expansions_upto(fam, length) if len(w) <= length]
+            assert _edge_ids(fam.expansions_to_length(length)) == _edge_ids(want), name
         optional += any(not p.mandatory for p in fam.pumps)
         mandatory += bool(fam.mandatory_points())
     assert len(cases) >= 1500 and optional >= 300 and mandatory >= 200
@@ -1080,13 +1063,40 @@ def test_labels_with_equal_compact_strings_stay_apart():
     )
 
 
+def test_labels_with_equal_compact_strings_print_apart(tmp_path, capsys):
+    # ab and a b both compact to "ab": cycles, check-weights and
+    # trivial-cycles print those two in parentheses, letters apart, so that
+    # no two listed classes read alike; c keeps its compact string
+    path = tmp_path / "colliding.scn"
+    path.write_text(COLLIDING_LABELS)
+    bare = tmp_path / "bare.scn"
+    bare.write_text(COLLIDING_LABELS.replace("fact: neq ab = c\n", ""))
+
+    def lines(*argv):
+        main(list(argv))
+        return capsys.readouterr().out.splitlines()
+
+    cycles = lines("cycles", str(path))[:-1]
+    assert len(cycles) == len(set(cycles)) == 9
+    assert "weight 2/3: (ab) c^-1" in cycles and "weight 2/3: c (a b)^-1" in cycles
+    families = [line for line in lines("check-weights", str(path)) if " weight " in line]
+    assert len(families) == len(set(families)) == 9
+    assert "  SURVIVES weight 4/3: (ab) c^-1 (a b) c^-1" in families
+    trivial = lines("trivial-cycles", str(bare), "--length", "2")
+    assert trivial == ["(a b) (ab)^-1", "(a b) c^-1", "(ab) c^-1"]
+    # an edge label shared by no other compact string prints as before
+    g = build_star_graph(parse_scenario(COLLIDING_LABELS).presentation)
+    assert [e.shown for e in g.edges] == ["(ab)", "c", "(a b)"]
+    assert [e.label_str() for e in g.edges] == ["ab", "c", "ab"]
+
+
 # -- the structural dedup key against the expansion key it replaced ---------------
 
 
 def _reference_dedup_key(fam):
     """``CycleFamily.dedup_key`` before the structural key, verbatim: the
     label-atom classes of the expansions with each pump up to twice."""
-    keys = {canonical_atom_cycle(list(w)) for w in fam.expansions_upto(2)}
+    keys = {canonical_atom_cycle(list(w)) for w in expansions_upto(fam, 2)}
     return tuple(sorted(keys))
 
 
@@ -1158,7 +1168,7 @@ def _reference_guard(s, report):
         canonical_cyclic_class(path_label(w), fb.order)
         for fv in verdicts
         if not fv.refuted
-        for w in fv.family.expansions_upto(GUARD_LEN)
+        for w in expansions_upto(fv.family, GUARD_LEN)
     }
     walks = reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=GUARD_BUDGET)
     out = []
@@ -1172,21 +1182,23 @@ def _reference_guard(s, report):
     return out
 
 
-def _random_scenario(g, wf):
-    """The random graph as a scenario with two neq facts, so that some of
-    its walks are refuted and some are not."""
+def _random_scenario(g, wf, facts="fact: neq a1 a2\nfact: neq b1 1\n"):
+    """The random graph as a scenario, by default with two neq facts, so
+    that some of its walks are refuted and some are not."""
     return parse_scenario(
         "factor A noncyclic nontrivial\nfactor B noncyclic nontrivial\n"
         "gens A: a1 a2\ngens B: b1 b2\nindet: t u\n"
         f"relator: {g.presentation.relators[0]}\n"
         + "".join(f"weight: {e.edge_id} = {wf[e.edge_id]}\n" for e in g.edges)
-        + "fact: neq a1 a2\nfact: neq b1 1\n",
+        + facts,
         name="random",
     )
 
 
-# the survivors' expansions up to GUARD_LEN are exponential in their pumps:
-# on random graph 271 the reference set does not finish in ten minutes
+# the reference guard builds the survivors' expansions with each pump up to
+# GUARD_LEN times, exponential in their pumps: on random graph 271 its set
+# does not finish in ten minutes, so the comparison skips these two graphs
+# (the program's guard runs on them in test_guard_on_random_graphs_271_and_273)
 GUARD_SLOW = {271, 273}
 
 
@@ -1214,3 +1226,172 @@ def test_guard_reports_what_the_eager_coverage_set_reports(monkeypatch, max_mark
         reported += len(got)
     assert checked >= 320
     assert reported > 0 if max_marked == 0 else reported == 0
+
+
+def _guard_cases():
+    """The weighted corpus and grid cells (4,3)-(5,4) as scenarios."""
+    scenarios = [s for s, _ in _corpus() if s.weights]
+    return scenarios + [
+        parse_scenario(_grid_text(k, q), name=f"grid k={k} q={q}")
+        for k, q in ((4, 3), (4, 4), (5, 3), (5, 4))
+    ]
+
+
+def test_refuted_families_refute_each_short_expansion_on_its_own():
+    # the guard skips a walk that a refuted family spells, trusting the
+    # family's template refutation; here each such expansion is put to a
+    # fresh fact base on its own label instead
+    scenarios = _guard_cases() + [_random_scenario(g, wf) for g, wf in _random_graphs(300)]
+    checked = families = 0
+    for s in scenarios:
+        try:
+            report = verify_weight_test(s)
+        except DegenerateZeroCycleError:
+            continue
+        fb = FactBase(s.presentation, s.fact_decls)
+        for fv in report.families:
+            if fv.refuted:
+                families += 1
+                for x in fv.family.expansions_to_length(GUARD_LEN):
+                    assert fb.refute_trivial(path_label(x)), (s.name, fv.family.display(), x)
+                    checked += 1
+    assert families > 500 and checked > 1500
+
+
+def test_guard_asks_nothing_about_a_walk_some_family_spells(monkeypatch):
+    # every refute_trivial question the guard puts (not the ones nested
+    # inside another) is about the label of a walk no family spells
+    state = {"guard": False, "depth": 0, "walks": []}
+    asked = []
+    listed = weights_module.reduced_closed_walks
+    refute = FactBase.refute_trivial
+
+    def guard_walks(*args, **kwargs):
+        state["walks"] = listed(*args, **kwargs)
+        state["guard"] = True  # the families are refuted; the guard starts
+        return state["walks"]
+
+    def spy(self, w):
+        if state["guard"] and state["depth"] == 0:
+            asked.append(w)
+        state["depth"] += 1
+        try:
+            return refute(self, w)
+        finally:
+            state["depth"] -= 1
+
+    monkeypatch.setattr(weights_module, "reduced_closed_walks", guard_walks)
+    monkeypatch.setattr(FactBase, "refute_trivial", spy)
+    spelled_walks = walks = 0
+    for s in _guard_cases():
+        state["guard"] = False
+        asked.clear()
+        report = verify_weight_test(s)
+        spelled = {
+            canonical_atom_cycle(x)
+            for fv in report.families
+            if fv.witness != "guard walk not covered"
+            for x in fv.family.expansions_to_length(GUARD_LEN)
+        }
+        unspelled = [w for w in state["walks"] if canonical_atom_cycle(w) not in spelled]
+        assert len(asked) <= len(unspelled), s.name
+        assert set(asked) <= {path_label(w) for w in unspelled}, s.name
+        walks += len(state["walks"])
+        spelled_walks += len(state["walks"]) - len(unspelled)
+    assert walks > 1500 and spelled_walks == walks
+
+
+def test_guard_on_random_graphs_271_and_273():
+    # the survivors of these two carry up to 10 pumps each; the guard builds
+    # only expansions of at most GUARD_LEN traversals and finds every walk
+    # among them, with and without the two facts
+    graphs = _random_graphs(274)
+    for i, survivors in ((271, 1341), (273, 25)):
+        g, wf = graphs[i]
+        for facts in ("", "fact: neq a1 a2\nfact: neq b1 1\n"):
+            report = verify_weight_test(_random_scenario(g, wf, facts))
+            assert len(report.violations) == survivors, (i, facts)
+            assert not any(fv.witness == "guard walk not covered" for fv in report.families)
+            assert report.verdict == "PotentialViolations" and not report.notes
+
+
+# -- the parts of the dedup key that no walker candidate tells apart ----------------
+
+
+def _variants(fam, rng):
+    """(kind, family) pairs: the family rotated and inverted, which spell the
+    same label sequences; with one gap's mandatory flags flipped; and with
+    one gap's last entry, in key order, left out."""
+    n, out = len(fam.base), []
+    r = rng.randrange(n)
+    out.append(("rotated", weights_module.CycleFamily(
+        fam.base[r:] + fam.base[:r],
+        tuple(dataclasses.replace(p, insert_after=(p.insert_after - r) % n) for p in fam.pumps),
+        fam.weight, fam.kind,
+    )))
+    # read backwards, the gap after b_i follows b_(i+1)^-1, and each pump
+    # keeps its prefix and runs its cycle the other way
+    out.append(("inverted", weights_module.CycleFamily(
+        tuple(t.reverse() for t in reversed(fam.base)),
+        tuple(
+            dataclasses.replace(
+                p,
+                insert_after=(n - 2 - p.insert_after) % n,
+                cycle=tuple(t.reverse() for t in reversed(p.cycle)),
+            )
+            for p in fam.pumps
+        ),
+        fam.weight, fam.kind,
+    )))
+    points = sorted({p.insert_after for p in fam.pumps})
+    if points:
+        q = rng.choice(points)
+        out.append(("flag", weights_module.CycleFamily(
+            fam.base,
+            tuple(
+                dataclasses.replace(p, mandatory=not p.mandatory) if p.insert_after == q else p
+                for p in fam.pumps
+            ),
+            fam.weight, fam.kind,
+        )))
+    crowded = [q for q in points if sum(p.insert_after == q for p in fam.pumps) > 1]
+    if crowded:
+        q = rng.choice(crowded)
+        last = max((p for p in fam.pumps if p.insert_after == q), key=lambda p: p.key_entries[0])
+        out.append(("entry", weights_module.CycleFamily(
+            fam.base, tuple(p for p in fam.pumps if p is not last), fam.weight, fam.kind
+        )))
+    return out
+
+
+def test_dedup_key_sees_the_mandatory_flag_and_every_gap_entry():
+    # no candidate of the walker differs from another only in a pump's
+    # mandatory flag or in a gap's second entry, yet the merge is sound only
+    # if the key sees both: here hand-made families that differ only there
+    # must key apart, while rotations and inversions key together
+    g = build_star_graph(scenario_fn1().presentation)
+    a1, a2, a3, a4 = (Traversal(e, +1) for e in g.edges)
+    Pump, CycleFamily = weights_module.Pump, weights_module.CycleFamily
+    base = (a1, a2)
+    optional = CycleFamily(base, (Pump(0, (), (a3,)),), Fraction(0), "cycle")
+    mandatory = CycleFamily(base, (Pump(0, (), (a3,), True),), Fraction(0), "cycle")
+    both = CycleFamily(base, (Pump(0, (), (a3,)), Pump(0, (), (a4,))), Fraction(0), "cycle")
+    for one, other in ((optional, mandatory), (optional, both), (mandatory, both)):
+        assert _reference_dedup_key(one) != _reference_dedup_key(other)
+        assert weights_module._dedup_key(one.base, one.pumps) != weights_module._dedup_key(
+            other.base, other.pumps
+        )
+    rng = random.Random(zlib.crc32(b"dedup key variants"))
+    seen = {"rotated": 0, "inverted": 0, "flag": 0, "entry": 0}
+    for _ in range(400):
+        rg, _ = _random_one_relator(rng)
+        fam = _random_family(rng, rg)
+        key, want = weights_module._dedup_key(fam.base, fam.pumps), _reference_dedup_key(fam)
+        for kind, variant in _variants(fam, rng):
+            same = _reference_dedup_key(variant) == want
+            assert (weights_module._dedup_key(variant.base, variant.pumps) == key) == same, (
+                kind, fam.display(), variant.display()
+            )
+            assert same == (kind in ("rotated", "inverted")), (kind, fam.display())
+            seen[kind] += 1
+    assert min(seen.values()) >= 100, seen
