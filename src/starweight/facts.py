@@ -39,6 +39,7 @@ from .words import (
 )
 
 _REWRITE_CAP = 10_000
+_POWER_LIMIT = 8  # as_power_of tries exponents -_POWER_LIMIT.._POWER_LIMIT
 
 
 class FactError(ValueError):
@@ -75,7 +76,7 @@ class FactBase:
     """Immutable after construction; all queries are pure.
 
     Because the facts never change, an instance caches two kinds of answer:
-    ``as_power_of`` per (word, g, limit), and ``refute_trivial`` per word,
+    ``as_power_of`` per (word, g), and ``refute_trivial`` per word,
     but only where it refuted.  Unknowns are not kept: they are the common
     answer on large inputs (grid k=6, w=1/5 has 51 650 surviving labels),
     and keeping them raised that cell's peak RSS from 81 MB to 116 MB.
@@ -100,7 +101,7 @@ class FactBase:
         self._build_rules()
         self.neq1: set[Word] = set()  # cyclic normal forms of each neq word and its inverse
         self.notincyclic: list[tuple[Word, str]] = []  # (g-stripped core, g)
-        self._power_cache: dict[tuple[Word, str, int], int | None] = {}
+        self._power_cache: dict[tuple[Word, str], int | None] = {}
         self._refuted: dict[Word, Verdict] = {}
         self._build_queries()
 
@@ -127,10 +128,11 @@ class FactBase:
             return len(w), [key(lt) for lt in w.expand()]
 
         for fd in self.decls:
+            u, v = fd.lhs, fd.rhs
+            # checks every fact's symbols, which no query checks again
+            fu, fv = self._word_factor(u), self._word_factor(v)
             if fd.kind != "eq":
                 continue
-            u, v = fd.lhs, fd.rhs
-            fu, fv = self._word_factor(u), self._word_factor(v)
             if fu is None or fv is None or (fu and fv and fu != fv):
                 raise FactError(f"eq fact spans factors: {u} = {v}")
             if u == v:
@@ -173,7 +175,11 @@ class FactBase:
                     return expanded[:i] + rep.expand() + expanded[i + k :]
         return None
 
-    def _normalize_raw(self, w: Word) -> Word:
+    def normalize_any(self, w: Word) -> Word:
+        """Fixed point of the Eq-derived rewrites plus free reduction.  The
+        word may be mixed; cross-factor cancellations cascade through free
+        reduction.  Symbols are not checked: the presentation checked its
+        relators' letters, and construction the facts' words."""
         cur = w
         for _ in range(_REWRITE_CAP):
             nxt = self._rewrite_once(cur.expand())
@@ -182,24 +188,17 @@ class FactBase:
             cur = Word(nxt)
         raise RewriteCapError("eq rewrite step cap exceeded")
 
-    def normalize_any(self, w: Word) -> Word:
-        """Fixed point of the Eq-derived rewrites plus free reduction.  The
-        word may be mixed; cross-factor cancellations cascade through free
-        reduction."""
-        self._word_factor_or_mixed(w)  # validates symbols
-        return self._normalize_raw(w)
-
     def _word_factor_or_mixed(self, w: Word) -> str:
         f = self._word_factor(w)
         return "mixed" if f is None else f
 
-    def as_power_of(self, w: Word, g: str, limit: int = 8) -> int | None:
+    def as_power_of(self, w: Word, g: str) -> int | None:
         """Exponent k with w = g^k provable from the Eq facts, if any.
 
-        Bounded search: the first k in -limit..limit, in that order, for
-        which ``normalize_any(w g^-k)`` is empty.  A hit is a theorem, a
-        miss proves nothing.  Answers are cached per (w, g, limit): the facts
-        never change.
+        Bounded search: the first k in -``_POWER_LIMIT``..``_POWER_LIMIT``,
+        in that order, for which ``normalize_any(w g^-k)`` is empty.  A hit
+        is a theorem, a miss proves nothing.  Answers are cached per (w, g):
+        the facts never change.
 
         Only the k an exponent-sum invariant allows are tried.  A rewrite
         step replaces an occurrence of a pattern by its replacement, which
@@ -213,17 +212,17 @@ class FactBase:
         nonempty words, so the first hit is the same; the filter needs no
         confluence or termination of the rewrite system.
         """
-        key = (w, g, limit)
+        key = (w, g)
         if key not in self._power_cache:
             self._power_cache[key] = None
             sums = _exponent_sums(w)
             if any(s and n != g and n not in self.unbalanced for n, s in sums.items()):
                 exponents: Iterable[int] = ()
             elif g in self.unbalanced:
-                exponents = range(-limit, limit + 1)
+                exponents = range(-_POWER_LIMIT, _POWER_LIMIT + 1)
             else:
                 k = sums.get(g, 0)
-                exponents = (k,) if abs(k) <= limit else ()
+                exponents = (k,) if abs(k) <= _POWER_LIMIT else ()
             for k in exponents:
                 if not self.normalize_any(w * Word([(g, -k)])):
                     self._power_cache[key] = k
@@ -388,7 +387,7 @@ class FactBase:
         sylls = self.syllables(n)
         if len(sylls) > 1 and sylls[0][0] == sylls[-1][0]:
             f0, w0 = sylls.pop(0)
-            sylls[-1] = (f0, self._normalize_raw(sylls[-1][1] * w0))
+            sylls[-1] = (f0, self.normalize_any(sylls[-1][1] * w0))
             if not sylls[-1][1]:
                 sylls.pop()
             if len({f for f, _ in sylls}) <= 1:
@@ -515,7 +514,7 @@ class FactBase:
         merged: list[tuple[str, Word | None]] = []
         for f, wrd in items:
             if wrd is not None and merged and merged[-1][1] is not None and merged[-1][0] == f:
-                combined = self._normalize_raw(merged[-1][1] * wrd)
+                combined = self.normalize_any(merged[-1][1] * wrd)
                 merged.pop()
                 if combined:
                     merged.append((f, combined))
@@ -528,7 +527,7 @@ class FactBase:
             and merged[0][0] == merged[-1][0]
         ):
             f0, w0 = merged.pop(0)
-            combined = self._normalize_raw(merged[-1][1] * w0)
+            combined = self.normalize_any(merged[-1][1] * w0)
             merged.pop()
             if combined:
                 merged.append((f0, combined))

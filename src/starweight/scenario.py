@@ -80,12 +80,6 @@ class RelativePresentation:
             stored.append(cyclically_reduce(r, self.symbol_order))
         self.relators = stored
 
-    def factor(self, name: str) -> Factor:
-        for f in self.factors:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
 
 @dataclass
 class Scenario:
@@ -199,10 +193,7 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
                 raise ScenarioError(f"undeclared symbol {n!r}", lineno)
         relators.append(w)
 
-    try:
-        pres = RelativePresentation(factors, generators, indets, relators)
-    except ScenarioError:
-        raise
+    pres = RelativePresentation(factors, generators, indets, relators)
     for fd in fact_decls:
         for n in fd.lhs.names() | fd.rhs.names():
             if n not in pres.factor_of:

@@ -34,16 +34,21 @@ other only when their counts are equal, and the implication test on each
 walk catches that.
 
 Level L resumes from level L - 1's frontier, its unpruned paths of L - 1
-edges in depth-first order, instead of walking again from the roots.  A
-frontier path is first tested against the cuts kept at level L - 1, the
-only ones it has not met; testing the whole path tests its prefixes, as
-their counts are <= its own.  The survivors are extended in the order the
-walk pops them, so the new paths keep depth-first order, and only the
-closed ones of exactly L edges are canonicalised.  Each level pops its
-frontier and its new paths, a subset of the nodes one unpruned walk to
-``GUARD_LEN`` pops, within the guard's budget ``GUARD_BUDGET``: no search
-that such a walk would let finish gives up here.
-Exhausting the walk budget or the eq rewrite cap ends the search as gave-up.
+edges in depth-first order, instead of walking again from the roots.  The
+walk asks about each path as it pops it, and a frontier path is popped
+again at level L, so it meets the cuts kept at level L - 1 by itself.  The
+test on a path P looks only at the kept cuts that hold P's last edge, yet
+no path that covers a kept cut is extended.  A cut shorter than P that P
+covers without its last edge is covered by P's prefix, which was popped
+after the cut was kept and so was dropped there, by induction on length;
+and a cut as long as P that P covers has P's counts, so it holds P's last
+edge.  The survivors are extended in the order the walk pops them, so the
+new paths keep depth-first order, and only the closed ones of exactly L
+edges are canonicalised.  Each level pops its frontier and its new paths, a
+subset of the nodes one unpruned walk to ``GUARD_LEN`` pops, within the
+guard's budget ``GUARD_BUDGET``: no search that such a walk would let
+finish gives up here.  Exhausting the walk budget or the eq rewrite cap
+ends the search as gave-up.
 """
 
 from __future__ import annotations
@@ -58,7 +63,6 @@ from .stargraph import StarGraph, build_star_graph, path_label
 from .weights import (
     GUARD_BUDGET,
     GUARD_LEN,
-    DegenerateZeroCycleError,
     WalkBudgetError,
     WeightFunction,
     reduced_closed_walks_by_length,
@@ -236,7 +240,6 @@ def _fallback_cuts(
     label."""
     wf = WeightFunction(values)
     kept: list[dict[str, int]] = []
-    fresh: list[dict[str, int]] = []  # kept at the last level, which its frontier has not met
     by_edge: dict[str, list[dict[str, int]]] = {}  # kept count vectors per edge they hold
     cuts = []
 
@@ -245,20 +248,14 @@ def _fallback_cuts(
         held = by_edge.get(path[-1].edge.edge_id)
         return bool(held) and _implied(_edge_counts(path), held)
 
-    def covers_fresh(path) -> bool:
-        # prefix counts are <= the path's, so testing the path tests its prefixes
-        return bool(fresh) and _implied(_edge_counts(path), fresh)
-
     for walks in reduced_closed_walks_by_length(
-        g, GUARD_LEN, wf, Fraction(2), GUARD_BUDGET, covers_kept, covers_fresh
+        g, GUARD_LEN, wf, Fraction(2), GUARD_BUDGET, covers_kept
     ):
-        fresh.clear()
         for walk in walks:
             counts = _edge_counts(walk)
             if _implied(counts, kept) or fb.refute_trivial(path_label(walk)):
                 continue
             kept.append(counts)
-            fresh.append(counts)
             for e in counts:
                 by_edge.setdefault(e, []).append(counts)
             cuts.append((counts, "light walk " + _path_desc(walk)))
@@ -349,9 +346,9 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
         candidates.append(values)
         try:
             report, chosen = _verify_candidates(s, candidates, fb)
-            if report is not None and report.verdict == "Aspherical":
+            if report.verdict == "Aspherical":
                 return SearchOutcome("found", chosen, iteration, constraints)
-            if report is None or report.notes:
+            if report.notes:
                 # degenerate or entangled zero subgraph: bounded direct cuts
                 new_cuts = _fallback_cuts(g, fb, chosen)
                 last_violations = ["zero-weight subgraph not analyzable"]
@@ -380,20 +377,17 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
 
 def _verify_candidates(s: Scenario, candidates: list[dict[str, Fraction]], fb: FactBase):
     """(report, candidate) of the first Aspherical candidate, else of the
-    first one; report is None for a degenerate zero cycle.  A candidate equal
-    to an earlier one would get the same report, so it is skipped.  ``fb`` is
-    the scenario's fact base, shared by every verification."""
+    first one.  A candidate equal to an earlier one would get the same
+    report, so it is skipped.  ``fb`` is the scenario's fact base, shared by
+    every verification."""
     first = None
     seen: list[dict[str, Fraction]] = []
     for cand in candidates:
         if cand in seen:
             continue
         seen.append(cand)
-        try:
-            rep = verify_weight_test(scenario_with_weights(s, cand), fb)
-        except DegenerateZeroCycleError:
-            rep = None
-        if rep is not None and rep.verdict == "Aspherical":
+        rep = verify_weight_test(scenario_with_weights(s, cand), fb)
+        if rep.verdict == "Aspherical":
             return rep, cand
         first = first or (rep, cand)
     return first

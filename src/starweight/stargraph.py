@@ -212,17 +212,6 @@ def path_atoms(traversals: Iterable[Traversal]) -> tuple[tuple[tuple[str, tuple]
     return tuple(t.atom() for t in traversals)
 
 
-def is_reduced(traversals: list[Traversal], cyclic: bool = False) -> bool:
-    """No immediate backtracking (same edge, opposite direction, adjacent)."""
-    n = len(traversals)
-    pairs = range(n - 1) if not cyclic else range(n)
-    for i in pairs:
-        a, b = traversals[i], traversals[(i + 1) % n]
-        if a.edge is b.edge and a.direction == -b.direction:
-            return False
-    return True
-
-
 def canonical_atom_cycle(traversals: Iterable[Traversal]) -> tuple:
     """Canonical form of the atom sequence under rotation and inversion;
     positive orientations sort before inverted ones.

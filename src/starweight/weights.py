@@ -9,9 +9,10 @@ One rooted depth-first walker, ``_closed_walks``, enumerates every closed
 path used here, each rotation/inversion class from its least edge only.  It
 scales the weights and the threshold once by their least common
 denominator and adds and compares ints; family weights stay Fractions.  It
-turns back over an edge only where a zero pump can mend the backtrack, the
-same test the family builder applies to every marked junction, so it drops
-exactly the skeletons that yield no family, before walking their subtrees.
+turns back over an edge only where a zero pump can mend the backtrack,
+asking ``_ZeroSubgraph.fits``, the test the family builder applies to every
+marked junction, so it drops exactly the skeletons that yield no family,
+before walking their subtrees.
 
 ``enumerate_light_cycles`` walks around the zero-weight subgraph and lists
 all closed paths of weight below the threshold as finitely many *cycle
@@ -89,7 +90,6 @@ from .stargraph import (
     Vertex,
     build_star_graph,
     canonical_atom_cycle,
-    is_reduced,
     path_atoms,
     path_label,
     vertex_name,
@@ -301,6 +301,20 @@ class _ZeroSubgraph:
         """(prefix, cycle) pairs anchorable at v, both cycle directions."""
         return self._pumps.get(v, [])
 
+    @staticmethod
+    def fits(t: Traversal, prefix: tuple, cycle: tuple, s: Traversal) -> bool:
+        """Whether the pump prefix, cycle, prefix^-1 at t.end sits reduced
+        between the arriving traversal t and the leaving traversal s.  The
+        pump is reduced inside: neither its tree path nor its cycle repeats
+        an edge, and where they meet a tree edge meets a cycle edge.  So
+        only its first traversal can turn back onto t and only its last
+        onto s.  Edges compare by identity."""
+        first, last = (prefix[0], prefix[0].reverse()) if prefix else (cycle[0], cycle[-1])
+        return not (
+            (first.edge is t.edge and first.direction == -t.direction)
+            or (last.edge is s.edge and last.direction == -s.direction)
+        )
+
 
 # -- cycle families ----------------------------------------------------
 
@@ -463,10 +477,11 @@ def _closed_walks(
     reduced instance, so it yields no family, and neither does any walk
     through it: its subtree is skipped.
 
-    ``prune``, when given, is asked about every path before it is pushed,
-    roots included; a path it answers true for is dropped with its whole
-    subtree, and the rest keep their DFS order.  A path reaches it only
-    after each of its proper prefixes has passed.
+    ``prune``, when given, is asked about each path as it is popped, before
+    its step is counted; a path it answers true for is dropped with its
+    whole subtree, and the rest keep their DFS order.  A path reaches it
+    only after each of its proper prefixes has passed.  A path given in
+    ``starts`` is popped, and so asked, again.
 
     ``leaves``, when given, receives the state of each path the walk
     reached at max_len, in DFS order.  A later walk to a greater max_len
@@ -496,16 +511,9 @@ def _closed_walks(
     scale = math.lcm(Fraction(threshold).denominator, *(w.denominator for w in exact.values()))
     weight = {k: int(w * scale) for k, w in exact.items()}
     limit = int(threshold * scale)
-    mendable: dict[tuple[str, int], bool] = {}
 
     def mends(t: Traversal) -> bool:
-        key = (t.edge.edge_id, t.direction)
-        if key not in mendable:
-            mendable[key] = any(
-                is_reduced([t, *Pump(0, prefix, cycle).instance(1), t.reverse()])
-                for prefix, cycle in zsub.pumps_at(t.end)
-            )
-        return mendable[key]
+        return any(zsub.fits(t, prefix, cycle, t.reverse()) for prefix, cycle in zsub.pumps_at(t.end))
 
     alone = {v: frozenset([v]) for v in g.vertices}
     # per vertex, each step out of it as (traversal, edge, direction, end,
@@ -523,7 +531,7 @@ def _closed_walks(
         starts = []
         for e in g.edges:
             t0 = Traversal(e, +1)
-            if e.edge_id not in zero and weight[e.edge_id] < limit and not (prune and prune((t0,))):
+            if e.edge_id not in zero and weight[e.edge_id] < limit:
                 starts.append(((t0,), weight[e.edge_id], alone[t0.end], frozenset()))
     results: list[tuple[tuple[Traversal, ...], frozenset]] = []
     steps = 0
@@ -534,6 +542,8 @@ def _closed_walks(
         stack.reverse()
         while stack:
             path, used, run_seen, marked = stack.pop()
+            if prune and prune(path):
+                continue
             steps += 1
             if steps > budget:
                 raise WalkBudgetError("closed-walk enumeration budget exceeded")
@@ -560,15 +570,11 @@ def _closed_walks(
                 if w is not None:
                     if r < root or used + w >= limit:
                         continue
-                    child = (path + (t,), used + w, alone[end], new_marked)
+                    stack.append((path + (t,), used + w, alone[end], new_marked))
                 elif backtrack:
-                    child = (path + (t,), used, alone[end], new_marked)
+                    stack.append((path + (t,), used, alone[end], new_marked))
                 elif end not in run_seen:  # revisits belong to pumps
-                    child = (path + (t,), used, run_seen | {end}, new_marked)
-                else:
-                    continue
-                if not (prune and prune(child[0])):
-                    stack.append(child)
+                    stack.append((path + (t,), used, run_seen | {end}, new_marked))
     return results
 
 
@@ -599,10 +605,9 @@ def enumerate_light_cycles(
         mandatory_opts: dict[int, list[Pump]] = {q: [] for q in marked}
         for i, t in enumerate(base):
             for prefix, cycle in zsub.pumps_at(t.end):
-                p = Pump(i, prefix, cycle, mandatory=(i in marked))
-                local = [base[i]] + list(p.instance(1)) + [base[(i + 1) % n]]
-                if not is_reduced(local, cyclic=False):
+                if not zsub.fits(t, prefix, cycle, base[(i + 1) % n]):
                     continue
+                p = Pump(i, prefix, cycle, mandatory=(i in marked))
                 if p.mandatory:
                     mandatory_opts[i].append(p)
                 else:
@@ -642,7 +647,6 @@ def reduced_closed_walks_by_length(
     threshold: Fraction,
     budget: int,
     prune: Callable[[tuple[Traversal, ...]], bool],
-    prune_frontier: Callable[[tuple[Traversal, ...]], bool],
 ) -> Iterator[list[tuple[Traversal, ...]]]:
     """For L = 1..max_len, the cyclically reduced closed walks of exactly L
     edges and weight < threshold, one per canonical class in canonical
@@ -651,17 +655,18 @@ def reduced_closed_walks_by_length(
 
     Level L resumes from the paths of L - 1 edges that level L - 1 reached,
     so it walks each path of L edges once and re-walks no shorter one.
-    ``prune`` is asked about every path before it is pushed and may grow
-    stricter between levels; ``prune_frontier`` is then asked about each
-    path of L - 1 edges before level L extends it, and must answer true
-    exactly when the stricter ``prune`` would drop it or a prefix of it.
-    Each level pops its frontier and its new paths, a subset of what a walk
-    to L from the roots pops, within ``budget`` steps."""
+    ``prune`` is asked about each path as it is popped and may grow
+    stricter between levels.  A resumed path is popped again at level L,
+    so it meets that level's ``prune`` by itself; a shorter prefix was last
+    asked at an earlier level.  So ``prune`` must drop a path at level L
+    whenever it would drop one of the path's prefixes there, given that
+    each prefix passed the last time it was popped.  The search's
+    ``covers_kept`` does (its module docstring gives why).  Each level pops
+    its frontier and its new paths, a subset of what a walk to L from the
+    roots pops, within ``budget`` steps."""
     zsub = _ZeroSubgraph([])
     frontier = None
     for length in range(1, max_len + 1):
-        if frontier is not None:
-            frontier = [state for state in frontier if not prune_frontier(state[0])]
         leaves = [] if length < max_len else None
         walks = _closed_walks(g, wf, threshold, zsub, length, budget, prune, frontier, leaves)
         frontier = leaves
@@ -783,7 +788,10 @@ GUARD_BUDGET = 400_000  # walker steps for the guard; exhausting it forbids Asph
 def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestReport:
     """Run the full weight test for a scenario carrying weights.  ``fb``, when
     given, is the fact base of the scenario's presentation and facts; its
-    queries are pure, so a warm one gives the same report.
+    queries are pure, so a warm one gives the same report.  An entangled
+    zero subgraph or a degenerate zero cycle (a closed path of weight 0 with
+    a trivial label) leaves no family list; the report carries it as a
+    note, which rules out Aspherical.
 
     The guard decides each light closed walk of at most ``GUARD_LEN``
     traversals in three steps, the first that settles it winning:
@@ -816,7 +824,7 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
     notes: list[str] = []
     try:
         families = enumerate_light_cycles(g, wf)
-    except EntangledZeroSubgraphError as e:
+    except (EntangledZeroSubgraphError, DegenerateZeroCycleError) as e:
         return WeightTestReport(s.name, g, wf, relator_checks, [], notes=[str(e)])
     verdicts = []
     for fam in families:

@@ -18,14 +18,14 @@ def check_confluence(fb: FactBase) -> bool:
             n2 = len(l2)
             for k in range(1, min(n1, n2)):
                 if l1[n1 - k :] == l2[:k]:
-                    a = fb._normalize_raw(Word(l1[: n1 - k] + r2.expand()))
-                    b = fb._normalize_raw(Word(r1.expand() + l2[k:]))
+                    a = fb.normalize_any(Word(l1[: n1 - k] + r2.expand()))
+                    b = fb.normalize_any(Word(r1.expand() + l2[k:]))
                     if a != b:
                         return False
             if n2 <= n1:
                 for i in range(n1 - n2 + 1):
                     if l1[i : i + n2] == l2:
-                        a = fb._normalize_raw(Word(l1[:i] + r2.expand() + l1[i + n2 :]))
-                        if a != fb._normalize_raw(r1):
+                        a = fb.normalize_any(Word(l1[:i] + r2.expand() + l1[i + n2 :]))
+                        if a != fb.normalize_any(r1):
                             return False
     return True

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import starweight
+import starweight.facts as facts_module
 from confluence import check_confluence
 from starweight.cli import main
 from starweight.facts import FactBase, FactError
@@ -265,9 +266,9 @@ def test_power_cache_matches_uncached_answers_on_corpus_queries(monkeypatch):
     queries = []
     cached = FactBase.as_power_of
 
-    def record(self, w, g, limit=8):
-        k = cached(self, w, g, limit)
-        queries.append((self, w, g, limit, k))
+    def record(self, w, g):
+        k = cached(self, w, g)
+        queries.append((self, w, g, k))
         return k
 
     monkeypatch.setattr(FactBase, "as_power_of", record)
@@ -276,13 +277,11 @@ def test_power_cache_matches_uncached_answers_on_corpus_queries(monkeypatch):
     assert len(queries) > 100
     limited = 0
     fresh_of = {}
-    for fb, w, g, limit, k in queries:
+    for fb, w, g, k in queries:
         if fb not in fresh_of:
             fresh_of[fb] = FactBase(fb.presentation, fb.decls)
         fresh = fresh_of[fb]  # answers through the reference, which caches nothing
-        assert k == _reference_as_power_of(fresh, w, g, limit), (w, g)
-        # a second limit on the same (w, g) must not read the first answer
-        assert fb.as_power_of(w, g, 1) == _reference_as_power_of(fresh, w, g, 1), (w, g)
+        assert k == _reference_as_power_of(fresh, w, g), (w, g)
         limited += k is not None and abs(k) > 1
     assert limited > 0
 
@@ -303,23 +302,28 @@ def _random_eq_facts(rng, gens):
     return facts
 
 
-def test_power_filter_matches_full_exponent_scan_on_random_fact_bases():
+def test_power_filter_matches_full_exponent_scan_on_random_fact_bases(monkeypatch):
     rng = random.Random(13)
     gens = ["a1", "a2", "a3", "a4"]
     hits = far = asked = 0
     for _ in range(100):
-        fb = fb_from(_random_eq_facts(rng, gens))
+        facts = _random_eq_facts(rng, gens)
+        fb = fb_from(facts)
         # words built from letters and fact sides, so that many are g-powers
         pieces = [W(g) for g in gens] + [fd.lhs for fd in fb.decls] + [fd.rhs for fd in fb.decls]
+        queries = []
         for _ in range(20):
             w = Word()
             for _ in range(rng.randint(1, 4)):
                 p = rng.choice(pieces)
                 w = w * (p if rng.random() < 0.5 else p.inverse())
-            g = rng.choice(gens)
-            for limit in (1, 8):
+            queries.append((w, rng.choice(gens)))
+        for limit in (1, 8):
+            monkeypatch.setattr(facts_module, "_POWER_LIMIT", limit)
+            fb = fb_from(facts)  # a fresh power cache, filled under this limit only
+            for w, g in queries:
                 want = _reference_as_power_of(fb, w, g, limit)
-                assert fb.as_power_of(w, g, limit) == want, (fb.decls, w, g, limit)
+                assert fb.as_power_of(w, g) == want, (fb.decls, w, g, limit)
                 asked += 1
                 hits += want is not None
                 far += want is not None and abs(want) > 1

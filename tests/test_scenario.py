@@ -21,7 +21,7 @@ def test_parse_px_relator():
     s = parse_scenario(PX_FILE)
     expected = word_from_tokens("a1 X b1 X^-1 a2 X b2 X^-1 a3 X b3 X^-1 a4 X b4 X^-1".split())
     assert s.presentation.relators == [expected]
-    assert s.presentation.factor("A").noncyclic
+    assert next(f for f in s.presentation.factors if f.name == "A").noncyclic
     assert len(s.fact_decls) == 3
 
 

@@ -527,21 +527,22 @@ def test_fallback_by_length_matches_the_single_walk(stem):
 def test_fallback_never_extends_a_prefix_that_covers_a_cut(monkeypatch):
     # a cut of j edges is kept at level j, before any path of more than j
     # edges is asked about, so no asked path may have a proper prefix that
-    # covers one: the frontier must be re-tested against each level's cuts
+    # covers one: a frontier path must meet each level's cuts again, and
+    # dropped counts the frontier paths, asked a second time, that it drops
     by_length = search_module.reduced_closed_walks_by_length
     asked, dropped = [], [0]
 
-    def spy(g, max_len, wf, threshold, budget, prune, prune_frontier):
+    def spy(g, max_len, wf, threshold, budget, prune):
+        seen = set()
+
         def recording(path):
             asked.append(path)
-            return prune(path)
-
-        def counting(path):
-            drop = prune_frontier(path)
-            dropped[0] += drop
+            drop = prune(path)
+            dropped[0] += drop and path in seen
+            seen.add(path)
             return drop
 
-        return by_length(g, max_len, wf, threshold, budget, recording, counting)
+        return by_length(g, max_len, wf, threshold, budget, recording)
 
     monkeypatch.setattr(search_module, "reduced_closed_walks_by_length", spy)
     for stem in ["px4_w0", "px5_w1", "px17_w3"] + INFEASIBLE_STEMS:
@@ -557,18 +558,18 @@ def test_fallback_never_extends_a_prefix_that_covers_a_cut(monkeypatch):
 
 
 def _least_budget(g, values):
-    """Fewest walker steps one unpruned walk to GUARD_LEN needs: a finished
-    walk pops every path it pushes, one step each, and a predicate that
-    prunes nothing sees every push.  Checked on both sides of the count."""
+    """Fewest walker steps one unpruned walk to GUARD_LEN needs: a predicate
+    that prunes nothing is asked about every pop, and each pop it passes
+    is one step.  Checked on both sides of the count."""
     wf = WeightFunction(values)
-    pushed = [0]
+    popped = [0]
 
     def count(path):
-        pushed[0] += 1
+        popped[0] += 1
         return False
 
     _closed_walks(g, wf, Fraction(2), _ZeroSubgraph([]), GUARD_LEN, 5_000_000, count)
-    least = pushed[0]
+    least = popped[0]
     reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=least)
     with pytest.raises(WalkBudgetError):
         reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=least - 1)

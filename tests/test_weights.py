@@ -19,7 +19,6 @@ from starweight.stargraph import (
     Traversal,
     build_star_graph,
     canonical_atom_cycle,
-    is_reduced,
     path_label,
 )
 from starweight.weights import (
@@ -27,6 +26,7 @@ from starweight.weights import (
     GUARD_LEN,
     DegenerateZeroCycleError,
     EntangledZeroSubgraphError,
+    Pump,
     WalkBudgetError,
     WeightError,
     WeightFunction,
@@ -252,8 +252,7 @@ weight: label:b1 = 0
     assert report.verdict == "Aspherical", [v.family.display() for v in report.violations]
 
 
-def test_degenerate_zero_cycle_error():
-    text = """\
+DEGENERATE = """\
 factor A
 gens A: a1 a2
 indet: t
@@ -263,10 +262,24 @@ weight: label:a2 = 1
 weight: label:1#0 = 0
 weight: label:1#1 = 0
 """
-    s = parse_scenario(text)
+
+
+def test_degenerate_zero_cycle_error():
+    s = parse_scenario(DEGENERATE)
     g = build_star_graph(s.presentation)
     with pytest.raises(DegenerateZeroCycleError):
         enumerate_light_cycles(g, WeightFunction.from_scenario(s, g))
+
+
+def test_check_weights_reports_a_degenerate_zero_cycle_as_a_violation(tmp_path, capsys):
+    # the zero cycle 1 1^-1 weighs 0 and its label is trivial: a closed path
+    # the weight test cannot refute, so a verdict, not an input error
+    path = tmp_path / "degenerate.scn"
+    path.write_text(DEGENERATE)
+    assert main(["check-weights", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "note: degenerate zero cycle: zero-weight cycle 1 1^-1 has empty label" in out
+    assert out[-1] == "verdict: PotentialViolations"
 
 
 def test_entangled_zero_subgraph_error():
@@ -390,6 +403,20 @@ def _grid_text(k, q):
     lines += [f"fact: neq {x} {y}" for i, x in enumerate(gens) for y in gens[i + 1 :]]
     lines += [f"weight: 0.{c} = 1/{q}" for c in range(k)]
     return "\n".join(lines) + "\n"
+
+
+# The reducedness check that the walker's mends and the family builder
+# asked before ``_ZeroSubgraph.fits``, kept verbatim as the oracle of the
+# fit test and of the reference walkers below.
+def is_reduced(traversals: list[Traversal], cyclic: bool = False) -> bool:
+    """No immediate backtracking (same edge, opposite direction, adjacent)."""
+    n = len(traversals)
+    pairs = range(n - 1) if not cyclic else range(n)
+    for i in pairs:
+        a, b = traversals[i], traversals[(i + 1) % n]
+        if a.edge is b.edge and a.direction == -b.direction:
+            return False
+    return True
 
 
 # The two DFS copies the rooted walker replaced, kept verbatim as oracles:
@@ -911,6 +938,35 @@ def test_pumps_match_the_simple_path_search_they_replace():
     assert compared >= 3000 and entangled >= 200 and long_prefixes >= 500
 
 
+def test_pump_fit_matches_the_reduced_check_it_replaced():
+    # every pump at every vertex between every arriving and leaving traversal
+    # there; at_arrival and at_leaving count the misfits that only the
+    # arriving or only the leaving end decides, so a fit that checks one end
+    # only fails here
+    cases = [(s.name, g, WeightFunction.from_scenario(s, g)) for s, g in _corpus() if s.weights]
+    cases += [(f"random {i}", g, wf) for i, (g, wf) in enumerate(_random_graphs(300))]
+    compared = prefixed = at_arrival = at_leaving = 0
+    for name, g, wf in cases:
+        try:
+            zsub = _ZeroSubgraph([e for e in g.edges if wf[e.edge_id] == 0])
+        except EntangledZeroSubgraphError:
+            continue
+        for v in g.vertices:
+            leaving = g.incident(v)
+            arriving = [s.reverse() for s in leaving]
+            for prefix, cycle in zsub.pumps_at(v):
+                pump = Pump(0, prefix, cycle).instance(1)
+                for t in arriving:
+                    for s in leaving:
+                        want = is_reduced([t, *pump, s])
+                        assert zsub.fits(t, prefix, cycle, s) == want, (name, t, prefix, cycle, s)
+                        compared += 1
+                        prefixed += bool(prefix)
+                        at_arrival += not want and is_reduced([*pump, s])
+                        at_leaving += not want and is_reduced([t, *pump])
+    assert compared >= 3000 and prefixed >= 100 and at_arrival >= 500 and at_leaving >= 500
+
+
 # -- pump shapes against the two enumerations they replaced -----------------------
 
 
@@ -1214,11 +1270,8 @@ def test_guard_reports_what_the_eager_coverage_set_reports(monkeypatch, max_mark
     ]
     checked = reported = 0
     for s in scenarios:
-        try:
-            report = verify_weight_test(s)
-        except DegenerateZeroCycleError:
-            continue
-        if report.notes:  # an entangled zero subgraph: no guard ran
+        report = verify_weight_test(s)
+        if report.notes:  # an entangled or degenerate zero subgraph: no guard ran
             continue
         got = [fv.family.base for fv in report.families if fv.witness == "guard walk not covered"]
         assert got == _reference_guard(s, report), s.name
@@ -1244,10 +1297,7 @@ def test_refuted_families_refute_each_short_expansion_on_its_own():
     scenarios = _guard_cases() + [_random_scenario(g, wf) for g, wf in _random_graphs(300)]
     checked = families = 0
     for s in scenarios:
-        try:
-            report = verify_weight_test(s)
-        except DegenerateZeroCycleError:
-            continue
+        report = verify_weight_test(s)
         fb = FactBase(s.presentation, s.fact_decls)
         for fv in report.families:
             if fv.refuted:
