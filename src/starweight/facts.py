@@ -87,7 +87,9 @@ class FactBase:
     exponent sum of every other letter is invariant under rewriting and free
     reduction, which rules out most exponents ``as_power_of`` would try.
     ``_refute_power`` looks a power of a cyclic normal form up directly when
-    no rule pattern occurs in it cyclically.  Each docstring carries its
+    no rule pattern occurs in it cyclically.  ``normalize_any`` returns its
+    argument when there are no eq rules (as on the neq-only grid), since the
+    rewrite loop would return it unchanged.  Each docstring carries its
     proof that the answer is the one a full normalisation would give.
     """
 
@@ -179,7 +181,10 @@ class FactBase:
         """Fixed point of the Eq-derived rewrites plus free reduction.  The
         word may be mixed; cross-factor cancellations cascade through free
         reduction.  Symbols are not checked: the presentation checked its
-        relators' letters, and construction the facts' words."""
+        relators' letters, and construction the facts' words.  Without eq
+        rules there is nothing to rewrite, and w is returned as it is."""
+        if not self.rules:
+            return w
         cur = w
         for _ in range(_REWRITE_CAP):
             nxt = self._rewrite_once(cur.expand())
@@ -286,7 +291,8 @@ class FactBase:
     # -- syllables -----------------------------------------------------
 
     def syllables(self, w: Word) -> list[tuple[str, Word]]:
-        """Maximal single-factor runs of w as (factor, subword) pairs."""
+        """Maximal single-factor runs of w as (factor, subword) pairs.  A run
+        of a reduced word is reduced, so each is built without a merge."""
         runs: list[tuple[str, list]] = []
         for lt in w.letters:
             f = self.factor_of[lt[0]]
@@ -294,7 +300,7 @@ class FactBase:
                 runs[-1][1].append(lt)
             else:
                 runs.append((f, [lt]))
-        return [(f, Word(letters)) for f, letters in runs]
+        return [(f, Word._reduced(tuple(letters))) for f, letters in runs]
 
     # -- refutation -----------------------------------------------------
 
@@ -359,11 +365,6 @@ class FactBase:
                                 f"{w} = 1 forces {core} into <{g}>, contradicting notincyclic",
                             )
         return UNKNOWN
-
-    def known_refuted(self, w: Word) -> bool:
-        """Whether ``refute_trivial`` has already refuted w: a memo lookup
-        that asks no new question."""
-        return w in self._refuted
 
     def refute_trivial(self, w: Word) -> Verdict:
         """Refuted only if w = 1 contradicts the facts; Unknown otherwise.

@@ -9,7 +9,8 @@ to vertex y^-d labelled g.  Vertices are the signed indeterminate letters.
 Edge ids are "<relator-index>.<corner-index>" with corner 0 the corner
 following the first indeterminate letter of the stored relator rotation.
 An alias "label:<compact-label>#<k>" (or without "#<k>" when unambiguous)
-addresses edges by label.
+addresses edges by label; where edges with different labels share the
+compact string (``a b`` and ``ab`` both read ``ab``) it is an error.
 """
 
 from __future__ import annotations
@@ -128,12 +129,16 @@ class StarGraph:
         return self._incident.get(v, ())
 
     def resolve(self, key: str) -> Edge:
-        """Resolve an edge id or label alias to an edge."""
+        """Resolve an edge id or label alias to an edge.  An alias whose
+        edges carry different labels reading the same compact string
+        (``Edge.ambiguous``) names no edge, with or without ``#k``."""
         if key in self.by_id:
             return self.by_id[key]
         name = key[len("label:") :] if key.startswith("label:") else key
         label, _, idx = name.partition("#")
         ids = self._alias.get(label, [])
+        if ids and self.by_id[ids[0]].ambiguous:
+            raise GraphError(f"ambiguous edge alias {key!r}: edges {ids} carry different labels")
         if idx:
             try:
                 return self.by_id[ids[int(idx)]]

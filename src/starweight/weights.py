@@ -7,8 +7,9 @@ reduced, label trivial in a factor) has weight >= 2.
 
 One rooted depth-first walker, ``_closed_walks``, enumerates every closed
 path used here, each rotation/inversion class from its least edge only.  It
-scales the weights and the threshold once by their least common
-denominator and adds and compares ints; family weights stay Fractions.  It
+scales the weights and the threshold once by ``_weight_scale``, their least
+common denominator, adds and compares ints and hands each path's int back,
+from which a family's weight is built and by which families sort.  It
 turns back over an edge only where a zero pump can mend the backtrack,
 asking ``_ZeroSubgraph.fits``, the test the family builder applies to every
 marked junction, so it drops exactly the skeletons that yield no family,
@@ -50,26 +51,29 @@ a missed one.  A pump-free family spells one sequence, and its key is just
 ``canonical_atom_cycle`` of its base, built without any expansion.
 
 ``reduced_closed_walks`` walks with an empty zero subgraph and so lists the
-cyclically reduced closed walks up to a length: the guard of the weight
-test and ``enumerate_trivial_cycles``.  ``reduced_closed_walks_by_length``
+cyclically reduced closed walks up to a length, one per edge class, for
+``enumerate_trivial_cycles``; the guard of the weight test makes the same
+walk and canonicalises only what it keeps.  ``reduced_closed_walks_by_length``
 lists them one length at a time, each level resumed from the paths the
 last one reached, for the fallback cuts of the search.
 
 ``verify_weight_test`` refutes every family's full expansion set through
 the fact base and reports the survivors; the verdict is Aspherical exactly
 when the relator condition holds and nothing survives.  Its guard checks
-that the family list missed no short light walk.  It walks every light
-closed walk of at most ``GUARD_LEN`` traversals and decides each one in
-three steps: (1) a walk whose label the fact base has already refuted is
-done, and asking that costs a dict lookup; (2) a walk that some family
-spells, that is whose ``canonical_atom_cycle`` is that of a family
-expansion of at most ``GUARD_LEN`` traversals, is done, with the set of
-those expansions built on the first walk that gets this far; (3) any other
-walk goes to ``refute_trivial`` and, unrefuted, is reported as "guard walk
-not covered".  Step 2 is sound for a refuted family because its template
-refutation covers every expansion, so the walk's label is refuted; a
-surviving family is reported anyway.  Only the walks no family spells reach
-the fact base.
+that the family list missed no short light walk, in two steps.  (1) It
+walks every light closed walk of at most ``GUARD_LEN`` traversals, as the
+walker emits them, and drops each walk that some family spells: one whose
+``canonical_atom_cycle`` is that of a family expansion of at most
+``GUARD_LEN`` traversals.  A pump-free family spells only its base, whose
+key ``enumerate_light_cycles`` already holds; only power and pumped
+families are expanded.  (2) The walks left, the first per edge class in
+canonical order, go to ``refute_trivial`` and, unrefuted, are reported as
+"guard walk not covered".  Step 1 is sound for a refuted family because its
+template refutation covers every expansion, so the walk's label is refuted;
+a surviving family is reported anyway.  Each walk is canonicalised once,
+and only the walks no family spells reach the fact base;
+``verify_weight_test`` proves that this reports what a guard that first
+asked the fact base's memo reported.
 """
 
 from __future__ import annotations
@@ -78,7 +82,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 
 from .facts import FactBase, Verdict, UNKNOWN
@@ -319,12 +323,15 @@ class _ZeroSubgraph:
 # -- cycle families ----------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)  # a report keeps every family: no per-instance dict
 class CycleFamily:
     base: tuple[Traversal, ...]
     pumps: tuple[Pump, ...]
     weight: Fraction
     kind: str  # "cycle" (pump multiplicities m >= 0) | "power" (base^m, m >= 1)
+    # canonical_atom_cycle(base) of a pump-free family the guard may meet,
+    # as enumerate_light_cycles keyed it
+    atom_cycle: tuple = field(default=(), compare=False, repr=False)
 
     def base_label(self) -> Word:
         return path_label(self.base)
@@ -456,6 +463,12 @@ def zero_cycle_families(g: StarGraph, wf: WeightFunction) -> tuple[_ZeroSubgraph
 MAX_MARKED = 4  # backtrack junctions per skeleton, each mended by a mandatory pump
 
 
+def _weight_scale(g: StarGraph, wf: WeightFunction, threshold: Fraction) -> int:
+    """The least common denominator of the threshold and every edge weight:
+    ``_closed_walks`` weighs in units of 1/scale."""
+    return math.lcm(Fraction(threshold).denominator, *(wf[e.edge_id].denominator for e in g.edges))
+
+
 def _closed_walks(
     g: StarGraph,
     wf: WeightFunction,
@@ -466,14 +479,15 @@ def _closed_walks(
     prune: Callable[[tuple[Traversal, ...]], bool] | None = None,
     starts: list[tuple] | None = None,
     leaves: list[tuple] | None = None,
-) -> list[tuple[tuple[Traversal, ...], frozenset]]:
-    """(path, marked) per closed walk of at most max_len traversals that
-    uses an edge outside the zero subgraph, weighs less than threshold on
-    those edges and runs vertex-simply over zero-subgraph edges, in DFS
-    order.  A walk may backtrack (at the seam too) only where it can be
-    mended: some pump p at the turning vertex makes ``t p t^-1`` reduced for
-    the arriving traversal t.  marked holds those junctions, where a pump
-    insertion is mandatory.  A walk with an unmendable backtrack has no
+) -> list[tuple[tuple[Traversal, ...], frozenset, int]]:
+    """(path, marked, weight) per closed walk of at most max_len traversals
+    that uses an edge outside the zero subgraph, weighs less than threshold
+    on those edges and runs vertex-simply over zero-subgraph edges, in DFS
+    order; weight is the path's weight times ``_weight_scale(g, wf,
+    threshold)``, an int.  A walk may backtrack (at the seam too) only
+    where it can be mended: some pump p at the turning vertex makes
+    ``t p t^-1`` reduced for the arriving traversal t.  marked holds those
+    junctions, where a pump insertion is mandatory.  A walk with an unmendable backtrack has no
     reduced instance, so it yields no family, and neither does any walk
     through it: its subtree is skipped.
 
@@ -490,9 +504,10 @@ def _closed_walks(
     would visit below them, in the same order, and lists their own closed
     paths again.
 
-    Weights and threshold are scaled once by their least common
-    denominator, so the walk adds and compares ints, exactly as the
-    Fractions they stand for would compare.
+    Weights and threshold are scaled once by ``_weight_scale``, so the walk
+    adds and compares ints, exactly as the Fractions they stand for would
+    compare.  A zero-subgraph edge weighs 0, whose denominator is 1, so the
+    scale is that of the weights the walk adds.
 
     Rooting: the DFS starts from the forward traversal of each edge outside
     the zero subgraph, in ``g.edges`` order, and never steps onto such an
@@ -507,9 +522,8 @@ def _closed_walks(
     """
     zero = {e.edge_id for e in zsub.edges}
     rank = {e.edge_id: i for i, e in enumerate(g.edges)}
-    exact = {e.edge_id: Fraction(wf[e.edge_id]) for e in g.edges if e.edge_id not in zero}
-    scale = math.lcm(Fraction(threshold).denominator, *(w.denominator for w in exact.values()))
-    weight = {k: int(w * scale) for k, w in exact.items()}
+    scale = _weight_scale(g, wf, threshold)
+    weight = {e.edge_id: int(wf[e.edge_id] * scale) for e in g.edges if e.edge_id not in zero}
     limit = int(threshold * scale)
 
     def mends(t: Traversal) -> bool:
@@ -533,7 +547,7 @@ def _closed_walks(
             t0 = Traversal(e, +1)
             if e.edge_id not in zero and weight[e.edge_id] < limit:
                 starts.append(((t0,), weight[e.edge_id], alone[t0.end], frozenset()))
-    results: list[tuple[tuple[Traversal, ...], frozenset]] = []
+    results: list[tuple[tuple[Traversal, ...], frozenset, int]] = []
     steps = 0
     for e0, group in itertools.groupby(starts, key=lambda state: state[0][0].edge):
         stack = list(group)
@@ -552,9 +566,9 @@ def _closed_walks(
             if cur == home:
                 # internal junctions are reduced-or-marked by construction
                 if last.edge is not e0 or last.direction > 0:
-                    results.append((path, marked))
+                    results.append((path, marked, used))
                 elif len(marked) < MAX_MARKED and mends(last):
-                    results.append((path, marked | {len(path) - 1}))
+                    results.append((path, marked | {len(path) - 1}, used))
             if len(path) >= max_len:
                 if leaves is not None:
                     leaves.append((path, used, run_seen, marked))
@@ -584,12 +598,16 @@ def enumerate_light_cycles(
     """Complete family list of reduced closed paths of weight < threshold.
 
     Each candidate (a walked base with its optional pumps and one choice of
-    pump per mandatory point) is keyed by ``_dedup_key`` before it is
-    weighed, and only the first candidate per key becomes a family, so each
-    family is weighed once and shows the edges and weight of the first of
-    them the walker found.  Equal keys give equal label sequences for every
-    multiplicity vector (see the module docstring), so the merged
-    candidates spell nothing the kept one does not.  Raises
+    pump per mandatory point) is keyed by ``_dedup_key``, and only the first
+    candidate per key becomes a family, which shows the edges and weight of
+    the first of them the walker found; a pump-free one of at most
+    ``GUARD_LEN`` traversals keeps its key's one entry as ``atom_cycle``,
+    for the guard.  Its weight is the walker's scaled int over
+    ``_weight_scale``, one Fraction per value; families sort on that int,
+    which orders as the weights do, as every family shares the scale (a
+    zero-cycle power family weighs 0).  Equal keys give equal label
+    sequences for every multiplicity vector (see the module docstring), so
+    the merged candidates spell nothing the kept one does not.  Raises
     DegenerateZeroCycleError for an empty-label zero cycle and
     EntangledZeroSubgraphError when a zero component has cycle rank >= 2
     (the family decomposition would not be exhaustive there).
@@ -598,8 +616,10 @@ def enumerate_light_cycles(
         raise WeightError("threshold must be positive")
     wf.require_total(g)
     zsub, families = zero_cycle_families(g, wf)
-    seen = {_dedup_key(fam.base, fam.pumps, fam.kind): fam for fam in families}
-    for base, marked in _closed_walks(g, wf, threshold, zsub, max_len=40, budget=2_000_000):
+    scale = _weight_scale(g, wf, threshold)
+    weight_at = cache(lambda used: Fraction(used, scale))  # one Fraction per weight value
+    seen = {_dedup_key(fam.base, fam.pumps, fam.kind): (0, fam) for fam in families}
+    for base, marked, used in _closed_walks(g, wf, threshold, zsub, max_len=40, budget=2_000_000):
         n = len(base)
         optional: list[Pump] = []
         mandatory_opts: dict[int, list[Pump]] = {q: [] for q in marked}
@@ -617,8 +637,10 @@ def enumerate_light_cycles(
             pumps = tuple(sorted(optional + list(chosen), key=lambda p: p.insert_after))
             key = _dedup_key(base, pumps)
             if key not in seen:
-                seen[key] = CycleFamily(base, pumps, wf.weight_of(base), "cycle")
-    return sorted(seen.values(), key=lambda f: (f.weight, f.display()))
+                atom_cycle = key[0] if not pumps and n <= GUARD_LEN else ()
+                fam = CycleFamily(base, pumps, weight_at(used), "cycle", atom_cycle)
+                seen[key] = (used, fam)
+    return [fam for _, fam in sorted(seen.values(), key=lambda item: (item[0], item[1].display()))]
 
 
 # -- cyclically reduced closed walks -------------------------------------
@@ -637,7 +659,7 @@ def reduced_closed_walks(
         wf, threshold = WeightFunction({e.edge_id: Fraction(0) for e in g.edges}), Fraction(1)
     # an empty zero subgraph allows no backtrack and imposes no simple runs
     walks = _closed_walks(g, wf, threshold, _ZeroSubgraph([]), max_len, budget)
-    return _first_per_class(path for path, _ in walks)
+    return _first_per_class(path for path, _, _ in walks)
 
 
 def reduced_closed_walks_by_length(
@@ -670,7 +692,7 @@ def reduced_closed_walks_by_length(
         leaves = [] if length < max_len else None
         walks = _closed_walks(g, wf, threshold, zsub, length, budget, prune, frontier, leaves)
         frontier = leaves
-        yield _first_per_class(path for path, _ in walks if len(path) == length)
+        yield _first_per_class(path for path, _, _ in walks if len(path) == length)
 
 
 def _first_per_class(paths) -> list[tuple[Traversal, ...]]:
@@ -794,21 +816,48 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
     note, which rules out Aspherical.
 
     The guard decides each light closed walk of at most ``GUARD_LEN``
-    traversals in three steps, the first that settles it winning:
+    traversals in two steps:
 
-    1. its label is in the fact base's memo of refuted words: done;
-    2. some family spells it (equal ``canonical_atom_cycle`` to an
-       expansion of at most ``GUARD_LEN`` traversals, built once, on the
-       first walk to get here): done;
-    3. ``refute_trivial`` refutes its label: done; else it is reported as
-       "guard walk not covered".
+    1. each walk the walker emits is keyed once by ``canonical_atom_cycle``
+       and dropped when some family spells it, that is when an expansion of
+       at most ``GUARD_LEN`` traversals has that key;
+    2. of the walks left, ``_first_per_class`` keeps the first per edge
+       class in canonical order; each whose label ``refute_trivial`` does not
+       refute is reported as "guard walk not covered".
 
-    Step 2 is sound: a walk of L traversals can only equal an expansion of
+    Step 1 is sound: a walk of L traversals can only equal an expansion of
     L traversals, so the lookup misses no spelling family, and a refuted
     family's template refutation covers each of its expansions, so the
-    walk's label is refuted; a surviving family is already reported.
+    walk's label is refuted; a surviving family is already reported.  A
+    pump-free family's only expansion is its base, whose
+    ``canonical_atom_cycle`` the family holds as ``atom_cycle`` (its
+    ``_dedup_key``'s one entry), so only power and pumped families are
+    expanded.
 
-    An earlier guard asked the fact base about every walk it did not find
+    An earlier guard took the first walk per edge class in canonical order
+    and asked, in turn: is its label in the fact base's memo of refuted
+    words, does a family spell it, does ``refute_trivial`` refute it.  This
+    guard reports the same walks, with the same witnesses, in the same
+    order:
+
+    (a) the memo holds only refuted words, and ``refute_trivial`` answers
+        from the memo first, so "spelled, else ``refute_trivial``" reports
+        exactly the walks "memo, else spelled, else ``refute_trivial``"
+        reports;
+    (b) walks of one edge class read the same edges, so they lie in one
+        atom class and are all spelled or all not: a class the earlier
+        guard took to its spelled test unspelled keeps every one of its
+        walks among those left after step 1;
+    (c) so the walks left are an order-keeping sublist of the walker's
+        output made of whole edge classes, and ``_first_per_class`` returns
+        for each the member it returned on the full list, in the same
+        canonical order;
+    (d) ``_refute_cyclic`` is asked about exactly the same words, in the
+        same order: the labels of the unspelled firsts that the memo does
+        not hold when they are reached, the memo growing by the same
+        answers on both sides.
+
+    A guard before that asked the fact base about every walk it did not find
     in a set of survivor label classes.  Its reports could differ from
     these in two cases only: a walk some refuted family spells but
     ``refute_trivial`` cannot refute, which it reported and this guard
@@ -833,23 +882,22 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
 
     # belt-and-suspenders guard: short walks must be refuted or reported
     try:
-        walks = reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=GUARD_BUDGET)
+        walks = _closed_walks(g, wf, Fraction(2), _ZeroSubgraph([]), GUARD_LEN, GUARD_BUDGET)
     except WalkBudgetError:
         walks = []
         notes.append(f"guard enumeration over length <= {GUARD_LEN} skipped (budget)")
-    spelled: set[tuple] | None = None
-    for w in walks:
-        label = path_label(w)
-        if fb.known_refuted(label):
-            continue
-        if spelled is None:
-            spelled = {
-                canonical_atom_cycle(x) for f in families for x in f.expansions_to_length(GUARD_LEN)
-            }
-        if canonical_atom_cycle(w) in spelled or fb.refute_trivial(label):
-            continue
-        fam = CycleFamily(w, (), wf.weight_of(w), "cycle")
-        verdicts.append(FamilyVerdict(fam, UNKNOWN, witness="guard walk not covered"))
+    if walks:
+        spelled: set[tuple] = set()
+        for f in families:
+            if f.kind == "power" or f.pumps:
+                spelled.update(canonical_atom_cycle(x) for x in f.expansions_to_length(GUARD_LEN))
+            elif len(f.base) <= GUARD_LEN:
+                spelled.add(f.atom_cycle)
+        unspelled = (path for path, _, _ in walks if canonical_atom_cycle(path) not in spelled)
+        for w in _first_per_class(unspelled):
+            if not fb.refute_trivial(path_label(w)):
+                fam = CycleFamily(w, (), wf.weight_of(w), "cycle")
+                verdicts.append(FamilyVerdict(fam, UNKNOWN, witness="guard walk not covered"))
     return WeightTestReport(s.name, g, wf, relator_checks, verdicts, notes)
 
 

@@ -81,6 +81,21 @@ def test_check_weights_violations_exit_code(tmp_path, capsys):
     assert "SURVIVES" in capsys.readouterr().out
 
 
+def test_check_weights_rejects_an_alias_over_different_labels(tmp_path, capsys):
+    # ab and a b both compact to "ab"; label:ab#0 used to pick the a b edge
+    f = tmp_path / "colliding.scn"
+    f.write_text(
+        "factor A noncyclic nontrivial\ngens A: a b ab c\nindet: t\nrelator: a b t ab t c t\n"
+        "weight: label:ab#0 = 1/2\nweight: 0.1 = 1/2\nweight: 0.2 = 1/2\n"
+    )
+    assert main(["check-weights", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: ambiguous edge alias 'label:ab#0': edges ['0.0', '0.2'] carry different labels\n"
+    )
+
+
 def test_search_weights_cli(gamma8_file, capsys):
     assert main(["search-weights", gamma8_file]) == 0
     out = capsys.readouterr().out

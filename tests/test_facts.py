@@ -1,3 +1,4 @@
+import itertools
 import random
 import zlib
 from pathlib import Path
@@ -328,6 +329,49 @@ def test_power_filter_matches_full_exponent_scan_on_random_fact_bases(monkeypatc
                 hits += want is not None
                 far += want is not None and abs(want) > 1
     assert 0 < far < hits < asked
+
+
+# -- the short cuts of a fact base that has nothing to rewrite -------------
+
+
+def test_normalize_any_returns_its_argument_without_eq_rules(monkeypatch):
+    # with no eq rules the rewrite loop would return the word unchanged: it
+    # comes back as the same object, on random words and on every query a
+    # corpus run puts to such a fact base
+    fb = fb_from(["neq a1 a2", "neq a3 1", "notincyclic a4 a1"])
+    assert not fb.rules
+    rng = random.Random(zlib.crc32(b"normalize_any without rules"))
+    for _ in range(300):
+        w = Word(
+            (rng.choice(("a1", "a2", "a3", "a4")), rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(0, 9))
+        )
+        assert fb.normalize_any(w) is w
+    queries = _record_corpus_queries(monkeypatch, "normalize_any")
+    bare = [(args[0], answer) for f, args, answer in queries if not f.rules]
+    assert len(bare) > 100 and all(answer is w for w, answer in bare)
+
+
+def test_syllables_are_the_checked_words_of_their_runs(monkeypatch):
+    # syllables skips the merge, as a run of a reduced word is reduced; each
+    # one equals the word its letters build the checked way
+    def reference(fb, w):
+        runs = itertools.groupby(w.letters, key=lambda lt: fb.factor_of[lt[0]])
+        return [(f, Word(list(letters))) for f, letters in runs]
+
+    queries = _record_corpus_queries(monkeypatch, "syllables")
+    fb = fb_from([], gens="a1 a2", gens_b="b1 b2")
+    rng = random.Random(zlib.crc32(b"syllables"))
+    for _ in range(300):
+        w = Word(
+            (rng.choice(("a1", "a2", "b1", "b2")), rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(0, 12))
+        )
+        queries.append((fb, (w,), fb.syllables(w)))
+    for f, (w,), answer in queries:
+        want = reference(f, w)
+        assert [(g, s.letters) for g, s in answer] == [(g, s.letters) for g, s in want], w
+    assert len(queries) > 500
 
 
 # -- the neq lookup and the refutation memo against the code they replaced --

@@ -124,6 +124,23 @@ def test_resolve_alias():
     assert g.resolve("label:1#0").label == Word()
 
 
+def test_resolve_rejects_an_alias_whose_edges_carry_different_labels():
+    # edges 0.0 (ab) and 0.2 (a b) both compact to "ab": no index picks one
+    g = graph_of(
+        "factor A noncyclic nontrivial\ngens A: a b ab c\nindet: t\nrelator: a b t ab t c t\n"
+    )
+    for key in ("label:ab", "label:ab#0", "label:ab#1", "ab#0"):
+        with pytest.raises(GraphError, match=r"ambiguous edge alias .*\['0\.0', '0\.2'\]"):
+            g.resolve(key)
+    assert g.resolve("label:c").edge_id == "0.1"
+    assert g.resolve("0.2").label == Word([("a", 1), ("b", 1)])
+    # over equal labels an index still picks one edge, and a bare alias none
+    g = graph_of("factor A noncyclic nontrivial\ngens A: a c\nindet: t\nrelator: a t a t c t\n")
+    assert [g.resolve(f"label:a#{k}").edge_id for k in (0, 1)] == ["0.0", "0.2"]
+    with pytest.raises(GraphError, match=r"candidates \['0\.0', '0\.2'\]"):
+        g.resolve("label:a")
+
+
 def test_dot_export_stable():
     g = graph_of(SEC3_1111)
     dot = export_dot(g)

@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import zlib
 from fractions import Fraction
 from pathlib import Path
@@ -12,7 +15,7 @@ import starweight
 import starweight.weights as weights_module
 from expansions import expansions_upto
 from starweight.cli import main
-from starweight.facts import FactBase
+from starweight.facts import UNKNOWN, FactBase
 from starweight.scenario import parse_scenario
 from starweight.stargraph import (
     StarGraph,
@@ -32,6 +35,8 @@ from starweight.weights import (
     WeightFunction,
     _ZeroSubgraph,
     _closed_walks,
+    _refute_family_all,
+    _weight_scale,
     canonical_atom_edge_cycle,
     check_relator_condition,
     enumerate_light_cycles,
@@ -537,6 +542,12 @@ def test_reduced_closed_walks_match_reference():
     assert weighted == 49
 
 
+def _skeletons(g, wf, threshold, zsub):
+    """(path, marked) per path the walker emits for the family list."""
+    walks = _closed_walks(g, wf, threshold, zsub, 40, 2_000_000)
+    return [(path, marked) for path, marked, _ in walks]
+
+
 def _first_per_class(skeletons):
     first = {}
     for path, marked in skeletons:
@@ -571,7 +582,7 @@ def test_closed_walks_first_skeleton_per_class_matches_reference():
         except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
             continue
         want = _first_per_class(_reference_skeletons(g, wf, Fraction(2), zsub))
-        got = _first_per_class(_closed_walks(g, wf, Fraction(2), zsub, 40, 2_000_000))
+        got = _first_per_class(_skeletons(g, wf, Fraction(2), zsub))
         kept = {key for key, _ in got}
         assert got == [item for item in want if item[0] in kept], name
         for key, (path, marked) in want:
@@ -635,7 +646,7 @@ def test_closed_walks_are_the_rooted_mendable_reference_skeletons():
             zsub, _ = zero_cycle_families(g, wf)
         except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
             continue
-        got = _closed_walks(g, wf, Fraction(2), zsub, 40, 2_000_000)
+        got = _skeletons(g, wf, Fraction(2), zsub)
         rooted = [
             (p, m) for p, m in _reference_skeletons(g, wf, Fraction(2), zsub) if _rooted(g, zsub, p)
         ]
@@ -672,11 +683,42 @@ def test_closed_walks_integer_scaling_matches_fraction_reference(text, threshold
     g = build_star_graph(s.presentation)
     wf = WeightFunction.from_scenario(s, g)
     zsub, _ = zero_cycle_families(g, wf)
-    got = _closed_walks(g, wf, threshold, zsub, 40, 2_000_000)
+    got = _skeletons(g, wf, threshold, zsub)
     assert got and got == _pruned_reference(g, wf, threshold, zsub)
     assert all(wf.weight_of(p) < threshold for p, _ in got)
     above = _reference_skeletons(g, wf, threshold + Fraction(1, 1000), zsub)
     assert any(wf.weight_of(p) == threshold for p, _ in above) == exact
+
+
+def test_closed_walks_hand_back_each_weight_in_units_of_the_scale():
+    # every path the walker emits, for the family list and for the guard,
+    # carries its weight as an int over _weight_scale; the families are
+    # weighed and sorted from those ints alone
+    cases = [(s.name, s, Fraction(2)) for s, _ in _corpus() if s.weights]
+    cases += [("thirds", parse_scenario(THIRDS), t) for t in (Fraction(5, 3), Fraction(7, 4))]
+    cases += [("sevenths", parse_scenario(SEVENTHS), t) for t in (Fraction(12, 7), Fraction(7, 4))]
+    cases += [
+        (f"grid k={k} q={q}", parse_scenario(_grid_text(k, q)), Fraction(2))
+        for k, q in ((4, 3), (4, 5), (5, 4))
+    ]
+    paths = families = 0
+    for name, s, threshold in cases:
+        g = build_star_graph(s.presentation)
+        wf = WeightFunction.from_scenario(s, g)
+        scale = _weight_scale(g, wf, threshold)
+        try:
+            zsub, _ = zero_cycle_families(g, wf)
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            continue
+        for walker in (zsub, _ZeroSubgraph([])):
+            for path, _, used in _closed_walks(g, wf, threshold, walker, GUARD_LEN + 4, 2_000_000):
+                assert isinstance(used, int) and Fraction(used, scale) == wf.weight_of(path), name
+                paths += 1
+        fams = enumerate_light_cycles(g, wf, threshold)
+        assert all(f.weight == wf.weight_of(f.base) for f in fams), name
+        assert fams == sorted(fams, key=lambda f: (f.weight, f.display())), name
+        families += len(fams)
+    assert paths > 10_000 and families > 2_000, (paths, families)
 
 
 # -- the guard of the weight test ----------------------------------------------
@@ -703,12 +745,24 @@ def test_guard_reports_an_unrefuted_uncovered_walk(monkeypatch):
     assert cls("a2 a4^-1") in survivors
 
 
+def _on_guard_walks(monkeypatch, then):
+    """Route the guard's walk list, the one walk to ``GUARD_LEN``, through
+    ``then(walk, args)``; the family list's walk is left as it is."""
+    walk = weights_module._closed_walks
+
+    def spy(g, wf, threshold, zsub, max_len, budget, *rest):
+        args = (g, wf, threshold, zsub, max_len, budget, *rest)
+        return then(walk, args) if max_len == GUARD_LEN else walk(*args)
+
+    monkeypatch.setattr(weights_module, "_closed_walks", spy)
+
+
 def test_guard_budget_note_forbids_aspherical(monkeypatch):
-    def exhausted(*a, **k):
+    def exhausted(walk, args):
         raise WalkBudgetError("closed-walk enumeration budget exceeded")
 
     assert verify_weight_test(scenario_fn1()).verdict == "Aspherical"
-    monkeypatch.setattr(weights_module, "reduced_closed_walks", exhausted)
+    _on_guard_walks(monkeypatch, exhausted)
     report = verify_weight_test(scenario_fn1())
     assert report.notes == ["guard enumeration over length <= 6 skipped (budget)"]
     assert all(rc.passed for rc in report.relator_checks) and not report.violations
@@ -1313,13 +1367,13 @@ def test_guard_asks_nothing_about_a_walk_some_family_spells(monkeypatch):
     # inside another) is about the label of a walk no family spells
     state = {"guard": False, "depth": 0, "walks": []}
     asked = []
-    listed = weights_module.reduced_closed_walks
     refute = FactBase.refute_trivial
 
-    def guard_walks(*args, **kwargs):
-        state["walks"] = listed(*args, **kwargs)
+    def guard_walks(walk, args):
+        walks = walk(*args)
+        state["walks"] = [path for path, _, _ in walks]
         state["guard"] = True  # the families are refuted; the guard starts
-        return state["walks"]
+        return walks
 
     def spy(self, w):
         if state["guard"] and state["depth"] == 0:
@@ -1330,7 +1384,7 @@ def test_guard_asks_nothing_about_a_walk_some_family_spells(monkeypatch):
         finally:
             state["depth"] -= 1
 
-    monkeypatch.setattr(weights_module, "reduced_closed_walks", guard_walks)
+    _on_guard_walks(monkeypatch, guard_walks)
     monkeypatch.setattr(FactBase, "refute_trivial", spy)
     spelled_walks = walks = 0
     for s in _guard_cases():
@@ -1363,6 +1417,120 @@ def test_guard_on_random_graphs_271_and_273():
             assert len(report.violations) == survivors, (i, facts)
             assert not any(fv.witness == "guard walk not covered" for fv in report.families)
             assert report.verdict == "PotentialViolations" and not report.notes
+
+
+# -- the guard against the memo-first guard it replaced ---------------------------
+
+
+def _memo_first_report(s):
+    """(verdicts, notes) of ``verify_weight_test`` before its guard keyed
+    each raw walk once: its body verbatim, but for the memo lookup, which
+    reads ``fb._refuted`` where ``FactBase.known_refuted`` stood."""
+    g = build_star_graph(s.presentation)
+    fb = FactBase(s.presentation, s.fact_decls)
+    wf = WeightFunction.from_scenario(s, g)
+    notes = []
+    try:
+        families = weights_module.enumerate_light_cycles(g, wf)
+    except (EntangledZeroSubgraphError, DegenerateZeroCycleError) as e:
+        return [], [str(e)]
+    verdicts = []
+    for fam in families:
+        v, witness = _refute_family_all(fb, fam)
+        verdicts.append(weights_module.FamilyVerdict(fam, v, witness))
+
+    # belt-and-suspenders guard: short walks must be refuted or reported
+    try:
+        walks = reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=GUARD_BUDGET)
+    except WalkBudgetError:
+        walks = []
+        notes.append(f"guard enumeration over length <= {GUARD_LEN} skipped (budget)")
+    spelled = None
+    for w in walks:
+        label = path_label(w)
+        if label in fb._refuted:
+            continue
+        if spelled is None:
+            spelled = {
+                canonical_atom_cycle(x) for f in families for x in f.expansions_to_length(GUARD_LEN)
+            }
+        if canonical_atom_cycle(w) in spelled or fb.refute_trivial(label):
+            continue
+        fam = weights_module.CycleFamily(w, (), wf.weight_of(w), "cycle")
+        verdicts.append(weights_module.FamilyVerdict(fam, UNKNOWN, witness="guard walk not covered"))
+    return verdicts, notes
+
+
+def _verdict_rows(verdicts):
+    return [
+        (fv.family.base, fv.family.pumps, fv.family.weight, fv.verdict, fv.witness)
+        for fv in verdicts
+    ]
+
+
+@pytest.mark.parametrize("families", ["as-is", "none"])
+def test_guard_reports_what_the_memo_first_guard_reports(monkeypatch, families):
+    # same verdicts, witnesses and order, and the same words put to
+    # _refute_cyclic in the same order; with no families every walk the fact
+    # base cannot refute is reported, so the order of reported walks is
+    # compared as well
+    if families == "none":
+        monkeypatch.setattr(weights_module, "enumerate_light_cycles", lambda *a, **k: [])
+    asked = []
+    refute_cyclic = FactBase._refute_cyclic
+
+    def spy(self, w):
+        asked.append(w)
+        return refute_cyclic(self, w)
+
+    monkeypatch.setattr(FactBase, "_refute_cyclic", spy)
+    scenarios = [s for s, _ in _corpus() if s.weights]
+    scenarios += [
+        parse_scenario(_grid_text(k, q), name=f"grid k={k} q={q}")
+        for k, q in ((4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (6, 3))
+    ]
+    graphs = _random_graphs(300)
+    scenarios += [_random_scenario(g, wf) for g, wf in graphs]
+    scenarios += [_random_scenario(g, wf, facts="") for g, wf in graphs]
+    reported = 0
+    for s in scenarios:
+        asked.clear()
+        report = verify_weight_test(s)
+        got, got_asked = _verdict_rows(report.families), list(asked)
+        asked.clear()
+        want, notes = _memo_first_report(s)
+        assert got == _verdict_rows(want) and report.notes == notes, s.name
+        assert got_asked == asked, s.name
+        reported += sum(fv.witness == "guard walk not covered" for fv in report.families)
+    assert len(scenarios) == 655
+    assert reported > 1000 if families == "none" else reported == 0
+
+
+def test_check_weights_prints_guard_walks_alike_under_two_hash_seeds(tmp_path):
+    # the guard's order comes from sorted keys, never from the iteration
+    # order of a set or dict of hashed strings
+    # without the pairwise neq facts every a_i a_j^-1 walk stays unrefuted
+    path = tmp_path / "bare.scn"
+    path.write_text(SEC3_BASE.format(exp="") + FN1_WEIGHTS)
+    program = (
+        "import sys\n"
+        "import starweight.weights as weights\n"
+        "from starweight.cli import main\n"
+        "weights.enumerate_light_cycles = lambda *a, **k: []\n"
+        "sys.exit(main(['check-weights', sys.argv[1]]))\n"
+    )
+    src = str(Path(starweight.__file__).parent.parent)
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", program, str(path)], capture_output=True, env=env, timeout=120
+        )
+        assert done.returncode == 1, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"unrefuted instance: guard walk not covered") > 1
 
 
 # -- the parts of the dedup key that no walker candidate tells apart ----------------
