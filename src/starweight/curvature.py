@@ -37,20 +37,6 @@ class CurvatureExpr:
     def __bool__(self) -> bool:
         return bool(self.a or self.b)
 
-    def compare(self, other: "CurvatureExpr") -> str:
-        """'always-less' | 'always-geq' | 'depends', quantified over integer
-        k0 >= 3."""
-        da, db = self.a - other.a, self.b - other.b
-        if db == 0:
-            return "always-less" if da < 0 else "always-geq"
-        # d(k0) = da + db/k0 is monotone in k0; check k0 = 3 and the limit da
-        at3 = da + Fraction(db, 3)
-        if at3 < 0 and da <= 0:
-            return "always-less"
-        if at3 >= 0 and da >= 0:
-            return "always-geq"
-        return "depends"
-
     def __str__(self) -> str:
         parts = []
         if self.a:
@@ -85,10 +71,6 @@ def _fmt_pi(q: Fraction, unit: str) -> str:
     if n == -1:
         return f"-pi/{d}"
     return f"{n}*pi/{d}"
-
-
-PI = CurvatureExpr(Fraction(1))
-FOUR_PI = CurvatureExpr(Fraction(4))
 
 
 def region_curvature(degrees: Sequence[int], boundary: bool = False) -> CurvatureExpr:

@@ -3,52 +3,66 @@ feasibility with lazy cycle-constraint generation.
 
 The LP over edge weights has 0 <= w(e) <= 1, the relator condition
 sum(w) <= corners - 2 per relator, and an accumulating set of cuts
-sum(w over path edges) >= 2, one per admissible-candidate cycle family
-discovered by the verifier on the previous candidate.  Family cuts use the
-minimal member of the family (pumps only add nonnegative weight, so it
-dominates the whole family).  The simplex follows Bland's rule and pivots
+sum(w over walk edges) >= 2, one per unrefuted light walk of at most
+``weights.GUARD_LEN`` (6) edges under a candidate the verifier did not
+accept (``_light_walk_cuts``).  The simplex follows Bland's rule and pivots
 on integers over one common denominator, so its results are exact
 Fractions and runs are deterministic.
 
-Where the zero-weight subgraph is entangled or degenerate there are no
-families, and the search cuts light walks directly (``_fallback_cuts``).
-These cuts are necessary: the verifier's guard reports every unrefuted
-light walk of length <= ``weights.GUARD_LEN`` (6) as a potential
-violation, so every weight function it accepts gives each such walk
-weight >= 2.  A cut is the walk's edge-count vector c with c.w >= 2.
-Weights are >= 0, so when c <= c' in every coordinate, c.w >= 2 implies
-c'.w >= 2: the cut of c' is redundant and dropping it leaves the feasible
-region unchanged.  The same test keeps out any new cut that a held cut
-already implies.
+These cuts are necessary: every weight function the verifier accepts gives
+each unrefuted closed walk of at most ``GUARD_LEN`` edges weight >= 2.  A
+walk that no family spells is reported by the guard when it is light and
+unrefuted.  A walk that some family spells lies in a family that must be
+refuted, and a refuted family's short expansions are then refuted on their
+own; that last step is checked, not proved, by
+``tests/test_weights.py::test_refuted_families_refute_each_short_expansion_on_its_own``
+on the corpus, grid cells and 300 random graphs.  A cut is the walk's
+edge-count vector c with c.w >= 2.  Weights are >= 0, so when c <= c' in
+every coordinate, c.w >= 2 implies c'.w >= 2: the cut of c' is redundant
+and dropping it leaves the feasible region unchanged.
 
-The fallback walks by length: level L takes the walks of exactly L edges
-in canonical order, shortest level first, as one sort of every walk up to
-``GUARD_LEN`` by length would.  The walk never extends a prefix whose counts
-cover a kept cut.  A prefix's counts are <= those of every walk through it,
-and counts do not change under rotation or inversion, so this drops whole
-classes of implied walks and never a member of a class that survives; the
-walk keeps its depth-first order, so each surviving class keeps the member,
-and so the label, that one walk to ``GUARD_LEN`` finds first.  A level's
-cuts are not known while it walks, but two walks of one length imply each
-other only when their counts are equal, and the implication test on each
-walk catches that.
+``_light_walk_cuts`` walks by length: level L takes the walks of exactly L
+edges in canonical order, shortest level first, as one sort of every walk
+up to ``GUARD_LEN`` by length would.  It starts its kept set with the cuts
+the search already holds, skips a walk whose cut a kept cut implies before
+its label is refuted, and never extends a prefix whose counts cover a kept
+cut.  A prefix's counts are <= those of every walk through it, and counts
+do not change under rotation or inversion, so this drops whole classes of
+implied walks and never a member of a class that survives; the walk keeps
+its depth-first order, so each surviving class keeps the member, and so
+the label, that one walk to ``GUARD_LEN`` finds first.  A level's cuts are
+not known while it walks, but two walks of one length imply each other
+only when their counts are equal, and the implication test on each walk
+catches that.
+
+Starting from the held cuts returns exactly the cuts that a walk started
+from nothing returns once those a held cut implies are filtered out.  A
+class that the seeded walk keeps is implied by no held cut and by no new
+cut.  Every cut the unseeded walk keeps is either implied by a held cut or
+is one of the seeded walk's cuts, so such a class is also implied by
+nothing the unseeded walk kept.  The prune drops only whole implied
+classes, so both walks find the same first member of every surviving
+class, with the same label, in the same level and canonical order.
 
 Level L resumes from level L - 1's frontier, its unpruned paths of L - 1
 edges in depth-first order, instead of walking again from the roots.  The
 walk asks about each path as it pops it, and a frontier path is popped
 again at level L, so it meets the cuts kept at level L - 1 by itself.  The
 test on a path P looks only at the kept cuts that hold P's last edge, yet
-no path that covers a kept cut is extended.  A cut shorter than P that P
-covers without its last edge is covered by P's prefix, which was popped
-after the cut was kept and so was dropped there, by induction on length;
-and a cut as long as P that P covers has P's counts, so it holds P's last
-edge.  The survivors are extended in the order the walk pops them, so the
-new paths keep depth-first order, and only the closed ones of exactly L
-edges are canonicalised.  Each level pops its frontier and its new paths, a
-subset of the nodes one unpruned walk to ``GUARD_LEN`` pops, within the
-guard's budget ``GUARD_BUDGET``: no search that such a walk would let
-finish gives up here.  Exhausting the walk budget or the eq rewrite cap
-ends the search as gave-up.
+no path that covers a kept cut is extended.  A kept cut that P covers
+without its last edge is covered by P's prefix, which was popped after the
+cut was kept and so was dropped there, by induction on length: a held cut
+is kept before any path is popped, and a new cut of j edges at level j,
+before any longer path is popped.  A cut as long as P that P covers has
+P's counts, so it holds P's last edge.  The survivors are extended in the
+order the walk pops them, so the new paths keep depth-first order, and
+only the closed ones of exactly L edges are canonicalised.  Each level pops
+its frontier and its new paths, a subset of the nodes one unpruned walk to
+``GUARD_LEN`` pops and of what the same level popped without held cuts,
+within the guard's budget ``GUARD_BUDGET``: no search that such a walk
+would let finish gives up here.  Exhausting the walk budget or the eq
+rewrite cap ends the search as gave-up, and so does a round that finds no
+new cut.
 """
 
 from __future__ import annotations
@@ -222,32 +236,40 @@ def infeasible_certificate(
     return [c.label for c in active]
 
 
-def _fallback_cuts(
+def _light_walk_cuts(
     g: StarGraph,
     fb: FactBase,
     values: dict[str, Fraction],
+    held: list[dict[str, int]],
 ) -> list[tuple[dict[str, int], str]]:
-    """When the family decomposition is unavailable (entangled or degenerate
-    zero subgraph), cut the minimal unrefuted light walks up to the guard's
-    length ``GUARD_LEN``.  For L = 1..``GUARD_LEN`` it extends the previous
-    level's frontier by one edge and takes the walks of exactly L edges in
-    canonical order; a walk whose cut an earlier cut implies is skipped
-    before its label is refuted, and the walk never extends a prefix whose
-    counts cover a kept cut, since every walk through that prefix would be
-    skipped (the module docstring gives why the cuts and their labels are
-    those of one walk to ``GUARD_LEN`` sorted by length).  Each level walks
-    within ``GUARD_BUDGET`` steps.  Each cut is its edge-count vector and its
-    label."""
+    """Cut the minimal unrefuted light walks up to the guard's length
+    ``GUARD_LEN`` that no count vector of ``held``, the cuts the search
+    already holds, implies.  For L = 1..``GUARD_LEN`` it extends the
+    previous level's frontier by one edge and takes the walks of exactly L
+    edges in canonical order; a walk whose cut a held or earlier cut implies
+    is skipped before its label is refuted, and the walk never extends a
+    prefix whose counts cover one, since every walk through that prefix
+    would be skipped (the module docstring gives why the cuts and their
+    labels are those of one walk to ``GUARD_LEN`` sorted by length, less
+    the ones ``held`` implies).  Each level walks within ``GUARD_BUDGET``
+    steps.  Each cut is its edge-count vector and its label."""
     wf = WeightFunction(values)
     kept: list[dict[str, int]] = []
     by_edge: dict[str, list[dict[str, int]]] = {}  # kept count vectors per edge they hold
     cuts = []
 
+    def keep(counts):
+        kept.append(counts)
+        for e in counts:
+            by_edge.setdefault(e, []).append(counts)
+
     def covers_kept(path) -> bool:
         # its prefix passed, so only a cut holding the edge just added can be covered now
-        held = by_edge.get(path[-1].edge.edge_id)
-        return bool(held) and _implied(_edge_counts(path), held)
+        at_edge = by_edge.get(path[-1].edge.edge_id)
+        return bool(at_edge) and _implied(_edge_counts(path), at_edge)
 
+    for counts in held:
+        keep(counts)
     for walks in reduced_closed_walks_by_length(
         g, GUARD_LEN, wf, Fraction(2), GUARD_BUDGET, covers_kept
     ):
@@ -255,9 +277,7 @@ def _fallback_cuts(
             counts = _edge_counts(walk)
             if _implied(counts, kept) or fb.refute_trivial(path_label(walk)):
                 continue
-            kept.append(counts)
-            for e in counts:
-                by_edge.setdefault(e, []).append(counts)
+            keep(counts)
             cuts.append((counts, "light walk " + _path_desc(walk)))
     return cuts
 
@@ -348,28 +368,20 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
             report, chosen = _verify_candidates(s, candidates, fb)
             if report.verdict == "Aspherical":
                 return SearchOutcome("found", chosen, iteration, constraints)
-            if report.notes:
-                # degenerate or entangled zero subgraph: bounded direct cuts
-                new_cuts = _fallback_cuts(g, fb, chosen)
-                last_violations = ["zero-weight subgraph not analyzable"]
-            else:
-                last_violations = [fv.family.display() for fv in report.violations]
-                new_cuts = [
-                    (_edge_counts(fv.family.base), "admissible-candidate " + fv.family.display())
-                    for fv in report.violations
-                ]
+            new_cuts = _light_walk_cuts(g, fb, chosen, held)
         except (WalkBudgetError, RewriteCapError) as e:
             return SearchOutcome("gave-up", None, iteration, constraints, last_violations=[str(e)])
-        added = False
-        for counts, label in new_cuts:
-            if not _implied(counts, held):
-                held.append(counts)
-                constraints.append(_cut(counts, label))
-                added = True
-        if not added:
+        if report.notes:  # degenerate or entangled zero subgraph: no families to show
+            last_violations = ["zero-weight subgraph not analyzable"]
+        else:
+            last_violations = [fv.family.display() for fv in report.violations]
+        if not new_cuts:
             return SearchOutcome(
                 "gave-up", None, iteration, constraints, last_violations=last_violations
             )
+        for counts, label in new_cuts:
+            held.append(counts)
+            constraints.append(_cut(counts, label))
     return SearchOutcome(
         "gave-up", None, cfg.max_iterations, constraints, last_violations=last_violations
     )

@@ -135,15 +135,18 @@ class StarGraph:
         if key in self.by_id:
             return self.by_id[key]
         name = key[len("label:") :] if key.startswith("label:") else key
-        label, _, idx = name.partition("#")
+        label, sep, idx = name.partition("#")
         ids = self._alias.get(label, [])
         if ids and self.by_id[ids[0]].ambiguous:
             raise GraphError(f"ambiguous edge alias {key!r}: edges {ids} carry different labels")
-        if idx:
+        if sep:
+            # an index is digits 0-9 only: int() would also read "-1", "+1" and "1_0"
             try:
-                return self.by_id[ids[int(idx)]]
+                if idx.isascii() and idx.isdigit():
+                    return self.by_id[ids[int(idx)]]
             except (IndexError, ValueError):
-                raise GraphError(f"no edge {key!r}")
+                pass
+            raise GraphError(f"no edge {key!r}")
         if len(ids) == 1:
             return self.by_id[ids[0]]
         if not ids:

@@ -55,7 +55,7 @@ cyclically reduced closed walks up to a length, one per edge class, for
 ``enumerate_trivial_cycles``; the guard of the weight test makes the same
 walk and canonicalises only what it keeps.  ``reduced_closed_walks_by_length``
 lists them one length at a time, each level resumed from the paths the
-last one reached, for the fallback cuts of the search.
+last one reached, for the light-walk cuts of the search.
 
 ``verify_weight_test`` refutes every family's full expansion set through
 the fact base and reports the survivors; the verdict is Aspherical exactly
@@ -682,10 +682,10 @@ def reduced_closed_walks_by_length(
     so it meets that level's ``prune`` by itself; a shorter prefix was last
     asked at an earlier level.  So ``prune`` must drop a path at level L
     whenever it would drop one of the path's prefixes there, given that
-    each prefix passed the last time it was popped.  The search's
-    ``covers_kept`` does (its module docstring gives why).  Each level pops
-    its frontier and its new paths, a subset of what a walk to L from the
-    roots pops, within ``budget`` steps."""
+    each prefix passed the last time it was popped.  The ``covers_kept`` of
+    the search's light-walk cuts does (the search module docstring gives
+    why).  Each level pops its frontier and its new paths, a subset of what
+    a walk to L from the roots pops, within ``budget`` steps."""
     zsub = _ZeroSubgraph([])
     frontier = None
     for length in range(1, max_len + 1):

@@ -20,6 +20,8 @@ from typing import Sequence
 
 from starweight.curvature import CurvatureExpr, region_curvature
 
+FOUR_PI = CurvatureExpr(Fraction(4))  # the total curvature of every spherical diagram
+
 
 def vertex_curvature(region_sizes: Sequence[int], boundary: bool = False) -> CurvatureExpr:
     """2*pi minus the corner angles (n-2)*pi/n of the incident regions; the

@@ -17,7 +17,7 @@ import pytest
 
 import starweight
 from starweight.cli import main
-from starweight.curvature import CurvatureExpr, FOUR_PI, region_curvature
+from starweight.curvature import CurvatureExpr, region_curvature
 from starweight.facts import FactBase
 from starweight.scenario import parse_scenario
 from starweight.search import SearchConfig, search_weights
@@ -32,7 +32,7 @@ from starweight.weights import (
 )
 from starweight.words import canonical_cyclic_class, word_from_tokens
 
-from spherical_diagrams import grow_random, total_curvature
+from spherical_diagrams import FOUR_PI, grow_random, total_curvature
 from expansions import expansions_upto
 from test_equations import SOLVABLE_SHORT, singular_sweep
 

@@ -96,6 +96,19 @@ def test_check_weights_rejects_an_alias_over_different_labels(tmp_path, capsys):
     )
 
 
+def test_check_weights_rejects_a_negative_alias_index(tmp_path, capsys):
+    # a1 labels edges 0.0 and 0.2; label:a1#-1 used to resolve to 0.2 and exit 1
+    f = tmp_path / "negative.scn"
+    f.write_text(
+        "factor A noncyclic nontrivial\ngens A: a1 a2\nindet: t\nrelator: a1 t a1 t a2 t\n"
+        "weight: label:a1#0 = 1/2\nweight: label:a1#-1 = 1/2\nweight: 0.1 = 1/2\n"
+    )
+    assert main(["check-weights", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no edge 'label:a1#-1'\n"
+
+
 def test_search_weights_cli(gamma8_file, capsys):
     assert main(["search-weights", gamma8_file]) == 0
     out = capsys.readouterr().out

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from starweight.curvature import CurvatureExpr, FOUR_PI, region_curvature
+from starweight.curvature import CurvatureExpr, region_curvature
 
 from spherical_diagrams import (
+    FOUR_PI,
     DiagramError,
     grow_random,
     tetrahedron,
@@ -84,16 +85,32 @@ def test_expr_formatting():
     assert str(CurvatureExpr(Fraction(2, 3))) == "2*pi/3"
 
 
+def compare(x: CurvatureExpr, other: CurvatureExpr) -> str:
+    """'always-less' | 'always-geq' | 'depends', quantified over integer
+    k0 >= 3: the paper's comparisons of curvature against multiples of
+    pi/k0."""
+    da, db = x.a - other.a, x.b - other.b
+    if db == 0:
+        return "always-less" if da < 0 else "always-geq"
+    # d(k0) = da + db/k0 is monotone in k0; check k0 = 3 and the limit da
+    at3 = da + Fraction(db, 3)
+    if at3 < 0 and da <= 0:
+        return "always-less"
+    if at3 >= 0 and da >= 0:
+        return "always-geq"
+    return "depends"
+
+
 def test_compare_against_4pi_over_k0():
     four = CurvatureExpr(Fraction(0), Fraction(4))
     # c(k0,3,3,3) = 2*pi/k0 < 4*pi/k0 always
-    assert region_curvature((3, 3, 3), boundary=True).compare(four) == "always-less"
+    assert compare(region_curvature((3, 3, 3), boundary=True), four) == "always-less"
     # c(k0,3,3,3,3,3) + pi/15 = 2*pi/k0 - 3*pi/5 < 4*pi/k0
     e = region_curvature((3, 3, 3, 3, 3), boundary=True) + CurvatureExpr(Fraction(1, 15))
     assert e == CurvatureExpr(Fraction(-3, 5), Fraction(2))
-    assert e.compare(four) == "always-less"
+    assert compare(e, four) == "always-less"
     # 4*pi is not always below 4*pi/k0
-    assert FOUR_PI.compare(four) == "always-geq"
+    assert compare(FOUR_PI, four) == "always-geq"
 
 
 def test_tetrahedron_total_curvature():

@@ -18,10 +18,7 @@ import starweight
 
 PACKAGE = Path(starweight.__file__).parent
 
-ALLOWED = {
-    "curvature.CurvatureExpr.compare": "the paper's comparisons of curvature against"
-    " multiples of pi/k0, which the curvature tests check",
-}
+ALLOWED: dict[str, str] = {}
 
 
 @functools.cache

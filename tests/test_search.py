@@ -11,23 +11,26 @@ import starweight.facts as facts_module
 import starweight.search as search_module
 from starweight.cli import main
 from starweight.facts import FactBase, FactError, RewriteCapError
-from starweight.scenario import parse_scenario
+from starweight.scenario import Scenario, parse_scenario
 from starweight.search import (
     Constraint,
     SearchConfig,
+    SearchOutcome,
     _base_constraints,
     _cut,
     _edge_counts,
-    _fallback_cuts,
     _implied,
+    _light_walk_cuts,
     _path_desc,
+    _snap,
+    _verify_candidates,
     infeasible_certificate,
     search_weights,
     scenario_with_weights,
     solve_feasible,
     weight_lines,
 )
-from starweight.stargraph import build_star_graph, path_label
+from starweight.stargraph import StarGraph, Traversal, build_star_graph, path_label
 from starweight.weights import (
     GUARD_BUDGET,
     GUARD_LEN,
@@ -37,9 +40,12 @@ from starweight.weights import (
     _closed_walks,
     _ZeroSubgraph,
     reduced_closed_walks,
+    reduced_closed_walks_by_length,
     render_report,
     verify_weight_test,
 )
+
+from test_weights import _grid_text, _random_graphs, _random_scenario
 
 GAMMA8 = """\
 factor A noncyclic nontrivial
@@ -338,8 +344,7 @@ def test_search_two_corner_relator_infeasible():
     text = "factor A\ngens A: a1 a2\nindet: X\nrelator: X a1 X^-1 a2\n"
     out = search_weights(parse_scenario(text))
     assert out.status == "infeasible"
-    assert out.certificate
-    assert any("relator" in c or "cycle" in c or "candidate" in c for c in out.certificate)
+    assert out.certificate == ["relator 0 condition", "light walk 0.1"]
 
 
 def test_search_no_relators():
@@ -366,7 +371,7 @@ def test_search_config_validation():
         SearchConfig(max_iterations=0)
 
 
-# -- minimal fallback cuts ----------------------------------------------------
+# -- minimal light-walk cuts -------------------------------------------------
 
 CORPUS = Path(starweight.__file__).parent / "corpus"
 STEMS = sorted(p.stem for p in CORPUS.glob("*.scn"))
@@ -410,7 +415,7 @@ def _geq(a, b):
 @pytest.mark.parametrize("stem", STEMS)
 def test_fallback_cuts_are_the_minimal_unrefuted_walks(stem):
     g, fb, zero, walks = _at_zero(_bare(stem))
-    cuts = _fallback_cuts(g, fb, zero)
+    cuts = _light_walk_cuts(g, fb, zero, [])
     by_label = {"light walk " + _path_desc(w): w for w in walks}
     for counts, label in cuts:
         assert not fb.refute_trivial(path_label(by_label[label])), label
@@ -432,7 +437,7 @@ def test_pruned_cuts_keep_feasibility(stem, text, feasible):
     g, fb, zero, walks = _at_zero(s)
     base = _base_constraints(g, len(s.presentation.relators))
     variables = [e.edge_id for e in g.edges]
-    pruned = [_cut(counts, label) for counts, label in _fallback_cuts(g, fb, zero)]
+    pruned = [_cut(counts, label) for counts, label in _light_walk_cuts(g, fb, zero, [])]
     rows = {}  # one row per distinct count vector, as exact-match deduplication keeps
     for w in walks:
         cut = _cut(_edge_counts(w), _path_desc(w))
@@ -457,12 +462,12 @@ def test_search_infeasible_corpus_certificate_is_infeasible(stem):
 
 
 def test_walk_budget_is_gave_up_not_an_input_error(monkeypatch, tmp_path, capsys):
-    # exhausted through the fallback's own walk: one step per level
+    # exhausted through the light-walk cuts' own walk: one step per level
     monkeypatch.setattr(search_module, "GUARD_BUDGET", 1)
     s = _bare("px4_w0")
     g, fb, zero, _ = _at_zero(s)
     with pytest.raises(WalkBudgetError, match="^closed-walk enumeration budget exceeded$"):
-        _fallback_cuts(g, fb, zero)
+        _light_walk_cuts(g, fb, zero, [])
     assert issubclass(WalkBudgetError, WeightError)
     out = search_weights(s)
     assert out.status == "gave-up" and out.weights is None
@@ -488,7 +493,7 @@ def test_rewrite_cap_is_gave_up_not_an_input_error(stem, iterations, monkeypatch
     assert "unresolved: eq rewrite step cap exceeded" in capsys.readouterr().out
 
 
-# -- the fallback by length --------------------------------------------------
+# -- light-walk cuts by length -----------------------------------------------
 
 
 def _reference_fallback_cuts(g, fb, values):
@@ -520,7 +525,7 @@ def test_fallback_by_length_matches_the_single_walk(stem):
     for values in draws:
         # separate fact bases, so neither side sees the other's memo
         want = _reference_fallback_cuts(g, FactBase(s.presentation, s.fact_decls), values)
-        got = _fallback_cuts(g, FactBase(s.presentation, s.fact_decls), values)
+        got = _light_walk_cuts(g, FactBase(s.presentation, s.fact_decls), values, [])
         assert got == want, values
 
 
@@ -547,13 +552,19 @@ def test_fallback_never_extends_a_prefix_that_covers_a_cut(monkeypatch):
     monkeypatch.setattr(search_module, "reduced_closed_walks_by_length", spy)
     for stem in ["px4_w0", "px5_w1", "px17_w3"] + INFEASIBLE_STEMS:
         g, fb, zero, _ = _at_zero(_bare(stem))
-        asked.clear()
-        cuts = [counts for counts, _ in _fallback_cuts(g, fb, zero)]
-        assert asked and cuts
-        for path in asked:
-            for k in range(1, len(path)):
-                prefix = _edge_counts(path[:k])
-                assert not any(_geq(prefix, c) for c in cuts), (stem, _path_desc(path))
+        held, sizes = [], []
+        # held cuts are kept before any path is asked about, so they prune too
+        for _ in range(2):
+            asked.clear()
+            cuts = held + [counts for counts, _ in _light_walk_cuts(g, fb, zero, held)]
+            assert asked and cuts
+            for path in asked:
+                for k in range(1, len(path)):
+                    prefix = _edge_counts(path[:k])
+                    assert not any(_geq(prefix, c) for c in cuts), (stem, _path_desc(path))
+            held = cuts[::2]
+            sizes.append(len(asked))
+        assert sizes[1] < sizes[0]
     assert dropped[0] > 0
 
 
@@ -586,7 +597,7 @@ def test_fallback_by_length_finishes_on_the_single_walks_least_budget(stem, monk
     fb = FactBase(s.presentation, s.fact_decls)
     want = _reference_fallback_cuts(g, fb, zero)
     monkeypatch.setattr(search_module, "GUARD_BUDGET", _least_budget(g, zero))
-    assert _fallback_cuts(g, fb, zero) == want
+    assert _light_walk_cuts(g, fb, zero, []) == want
 
 
 WEIGHTED = [stem for stem in STEMS if "weight:" in (CORPUS / f"{stem}.scn").read_text()]
@@ -642,34 +653,222 @@ def test_search_verifies_each_distinct_candidate_once_on_one_fact_base(stem, mon
         assert all(a != b for a, b in itertools.combinations(weights, 2)), weights
 
 
-# the two-corner relator of test_search_two_corner_relator_infeasible, whose
-# search cuts from a family report
+# -- one cut source ------------------------------------------------------------
+#
+# The search before it lost its family cuts, kept verbatim as the oracle:
+# the light-walk cuts were walked from no held cut, and their caller filtered
+# them against the held cuts; a report without notes was cut by the base of
+# each surviving family instead (``admissible-candidate`` labels).
+
+
+def _reference_unseeded_cuts(
+    g: StarGraph,
+    fb: FactBase,
+    values: dict[str, Fraction],
+) -> list[tuple[dict[str, int], str]]:
+    """When the family decomposition is unavailable (entangled or degenerate
+    zero subgraph), cut the minimal unrefuted light walks up to the guard's
+    length ``GUARD_LEN``.  For L = 1..``GUARD_LEN`` it extends the previous
+    level's frontier by one edge and takes the walks of exactly L edges in
+    canonical order; a walk whose cut an earlier cut implies is skipped
+    before its label is refuted, and the walk never extends a prefix whose
+    counts cover a kept cut, since every walk through that prefix would be
+    skipped (the module docstring gives why the cuts and their labels are
+    those of one walk to ``GUARD_LEN`` sorted by length).  Each level walks
+    within ``GUARD_BUDGET`` steps.  Each cut is its edge-count vector and its
+    label."""
+    wf = WeightFunction(values)
+    kept: list[dict[str, int]] = []
+    by_edge: dict[str, list[dict[str, int]]] = {}  # kept count vectors per edge they hold
+    cuts = []
+
+    def covers_kept(path) -> bool:
+        # its prefix passed, so only a cut holding the edge just added can be covered now
+        held = by_edge.get(path[-1].edge.edge_id)
+        return bool(held) and _implied(_edge_counts(path), held)
+
+    for walks in reduced_closed_walks_by_length(
+        g, GUARD_LEN, wf, Fraction(2), GUARD_BUDGET, covers_kept
+    ):
+        for walk in walks:
+            counts = _edge_counts(walk)
+            if _implied(counts, kept) or fb.refute_trivial(path_label(walk)):
+                continue
+            kept.append(counts)
+            for e in counts:
+                by_edge.setdefault(e, []).append(counts)
+            cuts.append((counts, "light walk " + _path_desc(walk)))
+    return cuts
+
+
+def _reference_search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcome:
+    cfg = cfg or SearchConfig()
+    g = build_star_graph(s.presentation) if s.presentation.relators else None
+    if g is None or not g.edges:
+        return SearchOutcome("found", {}, 0, [])
+    variables = [e.edge_id for e in g.edges]
+    constraints = _base_constraints(g, len(s.presentation.relators))
+    try:
+        fb = FactBase(s.presentation, s.fact_decls)
+    except RewriteCapError as e:
+        return SearchOutcome("gave-up", None, 0, constraints, last_violations=[str(e)])
+
+    held: list[dict[str, int]] = []  # count vectors of the cuts in constraints
+    last_violations: list[str] = []
+    for iteration in range(1, cfg.max_iterations + 1):
+        values = solve_feasible(variables, constraints)
+        if values is None:
+            return SearchOutcome(
+                "infeasible",
+                None,
+                iteration,
+                constraints,
+                certificate=infeasible_certificate(variables, constraints),
+            )
+        # prefer weights in {0, 1/2, 1} while they still satisfy every constraint
+        candidates = [
+            cand
+            for cand in (_snap(values), {v: Fraction(1, 2) for v in variables})
+            if all(c.satisfied(cand) for c in constraints)
+        ]
+        candidates.append(values)
+        try:
+            report, chosen = _verify_candidates(s, candidates, fb)
+            if report.verdict == "Aspherical":
+                return SearchOutcome("found", chosen, iteration, constraints)
+            if report.notes:
+                # degenerate or entangled zero subgraph: bounded direct cuts
+                new_cuts = _reference_unseeded_cuts(g, fb, chosen)
+                last_violations = ["zero-weight subgraph not analyzable"]
+            else:
+                last_violations = [fv.family.display() for fv in report.violations]
+                new_cuts = [
+                    (_edge_counts(fv.family.base), "admissible-candidate " + fv.family.display())
+                    for fv in report.violations
+                ]
+        except (WalkBudgetError, RewriteCapError) as e:
+            return SearchOutcome("gave-up", None, iteration, constraints, last_violations=[str(e)])
+        added = False
+        for counts, label in new_cuts:
+            if not _implied(counts, held):
+                held.append(counts)
+                constraints.append(_cut(counts, label))
+                added = True
+        if not added:
+            return SearchOutcome(
+                "gave-up", None, iteration, constraints, last_violations=last_violations
+            )
+    return SearchOutcome(
+        "gave-up", None, cfg.max_iterations, constraints, last_violations=last_violations
+    )
+
+
+def _reference_held_filter(new_cuts, held):
+    """The filter loop of ``_reference_search_weights``, verbatim but for the
+    constraint list: the cuts it appends, in order."""
+    appended = []
+    for counts, label in new_cuts:
+        if not _implied(counts, held):
+            held.append(counts)
+            appended.append((counts, label))
+    return appended
+
+
+@pytest.mark.parametrize("stem", STEMS + ["infeasible_k3"])
+def test_seeded_cuts_are_the_unseeded_cuts_less_those_held_implies(stem):
+    # the weight draws of test_fallback_by_length_matches_the_single_walk;
+    # each draw holds the cuts the draws before it added, as a search would
+    s = parse_scenario(INFEASIBLE_K3, name=stem) if stem == "infeasible_k3" else _bare(stem)
+    g = build_star_graph(s.presentation)
+    rng = random.Random(zlib.crc32(stem.encode()))
+    draws = [{e.edge_id: Fraction(0) for e in g.edges}]
+    draws += [{e.edge_id: rng.choice(WEIGHT_LEVELS) for e in g.edges} for _ in range(3)]
+    held: list[dict[str, int]] = []
+    implied = 0
+    for values in draws:
+        # separate fact bases, so neither side sees the other's memo
+        got = _light_walk_cuts(g, FactBase(s.presentation, s.fact_decls), values, list(held))
+        unseeded = _reference_unseeded_cuts(g, FactBase(s.presentation, s.fact_decls), values)
+        want = _reference_held_filter(unseeded, held)
+        assert got == want, values
+        implied += len(unseeded) - len(want)
+    assert implied > 0  # some held cut implied an unseeded one, so seeding did something
+
+
+def _search_cases():
+    """The random graphs of tests/test_weights.py with their two neq facts
+    (a search ignores their weights) and the weight-stripped grid cells."""
+    cases = [_random_scenario(g, wf) for g, wf in _random_graphs(300)]
+    for k, q in [(3, 3), (4, 3), (4, 4), (5, 3)]:
+        lines = _grid_text(k, q).splitlines()
+        text = "".join(l + "\n" for l in lines if not l.startswith("weight:"))
+        cases.append(parse_scenario(text, name=f"grid_k{k}_q{q}"))
+    return cases
+
+
+def test_search_matches_the_family_cut_search_but_for_candidate_labels():
+    # cutting light walks where the old search cut a family's base changes
+    # no status, weight function or iteration count on these 304 searches;
+    # an infeasible certificate keeps its length, and only a label that
+    # named a family changes
+    relabelled = infeasible = 0
+    for s in _search_cases():
+        got, want = search_weights(s), _reference_search_weights(s)
+        assert (got.status, got.weights, got.iterations) == (
+            want.status,
+            want.weights,
+            want.iterations,
+        ), s.presentation
+        assert got.last_violations == want.last_violations
+        assert len(got.certificate) == len(want.certificate)
+        for a, b in zip(got.certificate, want.certificate):
+            assert a == b or b.startswith("admissible-candidate "), (a, b)
+        infeasible += got.status == "infeasible"
+        relabelled += got.certificate != want.certificate
+    assert relabelled >= 100 and infeasible > relabelled
+
+
+# relator X a1 X^-1 a2: its search cut a family's base, whose label the old
+# certificate named as ``admissible-candidate (a2)^m, m >= 1``
 TWO_CORNERS = "factor A\ngens A: a1 a2\nindet: X\nrelator: X a1 X^-1 a2\n"
 
 
-def _family_cut_bases(report):
-    """Base labels the search would cut from this report: none unless the
-    report lists families (no notes) and is not Aspherical."""
-    if report is None or report.notes or report.verdict == "Aspherical":
-        return []
-    return [fv.family.base_label() for fv in report.violations]
+def _walk(g, desc):
+    """The traversals a ``_path_desc`` names."""
+    return tuple(
+        Traversal(g.by_id[t[: -len("^-1")]], -1) if t.endswith("^-1") else Traversal(g.by_id[t], 1)
+        for t in desc.split()
+    )
 
 
-def test_no_family_cut_rests_on_a_refuted_base(monkeypatch):
-    # a family cut asks the base to weigh >= 2; were the base label refuted,
-    # the family would survive only through a pumped template, and the cut
-    # could exclude weights the verifier accepts.  On the corpus every report
-    # a search cuts from has notes or a degenerate zero cycle, so only the
-    # two-corner relator makes family cuts; the families of every verified
-    # report, the cuts the search would make had it chosen that candidate,
-    # are checked as well.
-    calls = _capture_searches(monkeypatch)
-    for s in [_bare(stem) for stem in STEMS] + [parse_scenario(TWO_CORNERS)]:
-        search_weights(s)
-    chosen = [(c["fb"], base) for c in calls for base in _family_cut_bases(c["report"])]
-    verified = [
-        (c["fb"], base) for c in calls for _, report in c["verified"] for base in _family_cut_bases(report)
-    ]
-    for fb, base in chosen + verified:
-        assert not fb.refute_trivial(base), str(base)
-    assert chosen and len(verified) >= 100
+def test_every_search_cut_is_an_unrefuted_light_walk(monkeypatch):
+    # a cut asks a walk to weigh >= 2; it is sound only where the verifier
+    # asks that too: the walk is light under the candidate it was cut at,
+    # and no fact refutes its label
+    cut_at = {}  # label -> weights of the candidate it was cut at
+    build = search_module._light_walk_cuts
+
+    def spy(g, fb, values, held):
+        cuts = build(g, fb, values, held)
+        cut_at.update((label, values) for _, label in cuts)
+        return cuts
+
+    monkeypatch.setattr(search_module, "_light_walk_cuts", spy)
+    scenarios = [_bare(stem) for stem in STEMS] + [parse_scenario(TWO_CORNERS)]
+    scenarios += [_random_scenario(g, wf) for g, wf in _random_graphs(50)]
+    checked = 0
+    for s in scenarios:
+        cut_at.clear()
+        out = search_weights(s)
+        g = build_star_graph(s.presentation)
+        fb = FactBase(s.presentation, s.fact_decls)
+        for c in out.constraints:
+            if c.label.startswith(("bound ", "relator ")):
+                continue
+            assert c.label.startswith("light walk "), c.label
+            walk = _walk(g, c.label[len("light walk ") :])
+            assert not fb.refute_trivial(path_label(walk)), c.label
+            assert WeightFunction(cut_at[c.label]).weight_of(walk) < 2, c.label
+            assert c.coeffs == _cut(_edge_counts(walk), c.label).coeffs
+            checked += 1
+    assert checked >= 500

@@ -1,4 +1,5 @@
 import random
+import re
 import zlib
 from pathlib import Path
 
@@ -139,6 +140,18 @@ def test_resolve_rejects_an_alias_whose_edges_carry_different_labels():
     assert [g.resolve(f"label:a#{k}").edge_id for k in (0, 1)] == ["0.0", "0.2"]
     with pytest.raises(GraphError, match=r"candidates \['0\.0', '0\.2'\]"):
         g.resolve("label:a")
+
+
+# a1 labels edges 0.0 and 0.2, so int() read "#-1" as 0.2 and "#-2" as 0.0
+REPEATED_A1 = "factor A noncyclic nontrivial\ngens A: a1 a2\nindet: t\nrelator: a1 t a1 t a2 t\n"
+
+
+@pytest.mark.parametrize("k", ["-1", "-2", "+1", "1_0", " 1", "", "2"])
+def test_resolve_rejects_an_alias_index_that_is_not_a_digit_string_in_range(k):
+    g = graph_of(REPEATED_A1)
+    assert [g.resolve(f"label:a1#{i}").edge_id for i in (0, 1)] == ["0.0", "0.2"]
+    with pytest.raises(GraphError, match=f"^no edge 'label:a1#{re.escape(k)}'$"):
+        g.resolve(f"label:a1#{k}")
 
 
 def test_dot_export_stable():
