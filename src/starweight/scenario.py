@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .words import Word, cyclically_reduce, word_from_tokens
+from .words import Word, cyclically_reduce, decode, encode, word_from_tokens
 
 INDETERMINATE = "@indet"
 
@@ -72,12 +72,13 @@ class RelativePresentation:
         self.factor_of = seen
         self.symbol_order = [g for f in self.factors for g in self.generators.get(f.name, [])]
         self.symbol_order += list(self.indeterminates)
+        self.code = {name: 2 * i for i, name in enumerate(self.symbol_order)}  # words.encode
         stored = []
         for r in self.relators:
             for name in r.names():
                 if name not in seen:
                     raise ScenarioError(f"undeclared symbol {name!r} in relator")
-            stored.append(cyclically_reduce(r, self.symbol_order))
+            stored.append(decode(cyclically_reduce(encode(r, self.code)), self.symbol_order))
         self.relators = stored
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .scenario import INDETERMINATE, RelativePresentation
-from .words import Word, least_rotation_start
+from .words import Codes, Word, decode, encode, inverse, least_rotation_start
 
 Vertex = tuple[str, int]  # (indeterminate name, +1 or -1)
 
@@ -37,6 +37,7 @@ class Edge:
     src: Vertex
     dst: Vertex
     label: Word
+    codes: tuple[Codes, Codes]  # the label's codes and its inverse's, read by direction
     factor: str  # factor name, or "identity-any" for unresolvable identity labels
     ambiguous: bool = False  # another edge's different label reads the same compact string
 
@@ -72,11 +73,6 @@ class Edge:
         per edge."""
         return (self.edge_id, 1), (self.edge_id, -1)
 
-    @cached_property
-    def inverse_label(self) -> Word:
-        """The label read backwards, built once per edge."""
-        return self.label.inverse()
-
 
 class Traversal(NamedTuple):
     edge: Edge
@@ -89,10 +85,6 @@ class Traversal(NamedTuple):
     @property
     def end(self) -> Vertex:
         return self.edge.dst if self.direction > 0 else self.edge.src
-
-    @property
-    def label(self) -> Word:
-        return self.edge.label if self.direction > 0 else self.edge.inverse_label
 
     def atom(self) -> tuple[tuple[str, tuple], int]:
         """(label key, direction): atoms key the dedup of families and
@@ -157,9 +149,10 @@ class StarGraph:
 def build_star_graph(p: RelativePresentation) -> StarGraph:
     """Construct the star graph; relators must contain indeterminate letters."""
     edges: list[Edge] = []
+    order = p.symbol_order
     for ri, rel in enumerate(p.relators):
-        expanded = rel.expand()
-        positions = [i for i, (n, _) in enumerate(expanded) if p.factor_of[n] == INDETERMINATE]
+        expanded = encode(rel, p.code)
+        positions = [i for i, c in enumerate(expanded) if p.factor_of[order[c >> 1]] == INDETERMINATE]
         if not positions:
             raise GraphError(f"relator {ri} has no corners (no indeterminate letters)")
         corners = []
@@ -170,15 +163,18 @@ def build_star_graph(p: RelativePresentation) -> StarGraph:
                 coeff = expanded[i + 1 : j]
             else:
                 coeff = expanded[i + 1 :] + expanded[:j]
-            corners.append((expanded[i], Word(coeff), expanded[j]))
-        labels = [c[1] for c in corners]
+            corners.append((expanded[i], coeff, expanded[j]))
+        labels = [decode(c[1], order) for c in corners]
         for ci, (inc, coeff, out) in enumerate(corners):
-            src: Vertex = inc
-            dst: Vertex = (out[0], -out[1])
-            factor = _coefficient_factor(p, coeff)
+            # a vertex is a signed indeterminate: the incoming letter, the outgoing one inverted
+            src: Vertex = (order[inc >> 1], 1 - 2 * (inc & 1))
+            dst: Vertex = (order[out >> 1], 2 * (out & 1) - 1)
+            factor = _coefficient_factor(p, labels[ci])
             if factor is None:
                 factor = _adjacent_factor(p, labels, ci)
-            edges.append(Edge(f"{ri}.{ci}", ri, ci, src, dst, coeff, factor))
+            edges.append(
+                Edge(f"{ri}.{ci}", ri, ci, src, dst, labels[ci], (coeff, inverse(coeff)), factor)
+            )
     readings: dict[str, set[Word]] = {}
     for e in edges:
         readings.setdefault(e.label_str(), set()).add(e.label)
@@ -212,8 +208,18 @@ def _adjacent_factor(p: RelativePresentation, labels: list[Word], ci: int) -> st
     return "identity-any"
 
 
-def path_label(traversals: Iterable[Traversal]) -> Word:
-    return Word([lt for t in traversals for lt in t.label.letters])
+def path_label(traversals: Iterable[Traversal]) -> Codes:
+    """The path's label as codes; each edge label is reduced, so only the
+    junctions cancel."""
+    out: list[int] = []
+    for t in traversals:
+        label = t.edge.codes[t.direction < 0]
+        j = 0
+        while out and j < len(label) and out[-1] == label[j] ^ 1:
+            out.pop()
+            j += 1
+        out += label[j:]
+    return tuple(out)
 
 
 def path_atoms(traversals: Iterable[Traversal]) -> tuple[tuple[tuple[str, tuple], int], ...]:

@@ -98,7 +98,7 @@ from .stargraph import (
     path_label,
     vertex_name,
 )
-from .words import Word, canonical_cyclic_class, least_rotation, least_rotation_start
+from .words import Codes, Word, canonical_cyclic_class, decode, least_rotation, least_rotation_start
 
 
 class WeightError(ValueError):
@@ -186,7 +186,7 @@ class Pump:
         back = tuple(t.reverse() for t in reversed(self.prefix))
         return self.prefix + self.cycle * m + back
 
-    def label(self) -> Word:
+    def label(self) -> Codes:
         return path_label(self.instance(1))
 
     @cached_property
@@ -333,7 +333,7 @@ class CycleFamily:
     # as enumerate_light_cycles keyed it
     atom_cycle: tuple = field(default=(), compare=False, repr=False)
 
-    def base_label(self) -> Word:
+    def base_label(self) -> Codes:
         return path_label(self.base)
 
     def display(self) -> str:
@@ -403,11 +403,14 @@ class CycleFamily:
             extend(0, {}, len(self.base))
         return out
 
-    def templates(self) -> list[tuple[list[Word], list[Word]]]:
-        """(segments, pumps) pairs whose refutation covers every expansion."""
+    def templates(self) -> list[tuple[list[Codes], list[Codes]]]:
+        """(segments, pumps) pairs whose refutation covers every expansion;
+        a pump-free family's one shape is its base."""
         if self.kind == "power":
-            return [([Word()], [self.base_label()])]
-        out: list[tuple[list[Word], list[Word]]] = []
+            return [([()], [self.base_label()])]
+        if not self.pumps:
+            return [([self.base_label()], [])]
+        out: list[tuple[list[Codes], list[Codes]]] = []
         for qs, pis in self._shapes():
             # segment j runs from after point j-1 to point j, cyclically
             chunks = [self.base[qs[-1] + 1 :] + self.base[: qs[0] + 1]] if qs else [self.base]
@@ -449,8 +452,8 @@ def zero_cycle_families(g: StarGraph, wf: WeightFunction) -> tuple[_ZeroSubgraph
     zsub = _ZeroSubgraph(zero_edges)
     families = []
     for cycle in zsub.cycles:
-        label = path_label(cycle)
-        if not canonical_cyclic_class(label):
+        # a freely reduced nonempty word is never conjugate to 1
+        if not path_label(cycle):
             raise DegenerateZeroCycleError(
                 "degenerate zero cycle: zero-weight cycle "
                 + " ".join(_atom_str(t) for t in cycle)
@@ -469,6 +472,40 @@ def _weight_scale(g: StarGraph, wf: WeightFunction, threshold: Fraction) -> int:
     return math.lcm(Fraction(threshold).denominator, *(wf[e.edge_id].denominator for e in g.edges))
 
 
+def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _ZeroSubgraph) -> tuple:
+    """The tables ``_closed_walks`` reads, which depend only on its first
+    four arguments: edge ranks, the scaled threshold, the mend test, the
+    one-vertex runs, the steps out of each vertex and the root states.  A
+    caller that walks one graph several times builds them once."""
+    zero = {e.edge_id for e in zsub.edges}
+    rank = {e.edge_id: i for i, e in enumerate(g.edges)}
+    scale = _weight_scale(g, wf, threshold)
+    weight = {e.edge_id: int(wf[e.edge_id] * scale) for e in g.edges if e.edge_id not in zero}
+    limit = int(threshold * scale)
+
+    def mends(t: Traversal) -> bool:
+        return any(zsub.fits(t, prefix, cycle, t.reverse()) for prefix, cycle in zsub.pumps_at(t.end))
+
+    alone = {v: frozenset([v]) for v in g.vertices}
+    # per vertex, each step out of it as (traversal, edge, direction, end,
+    # scaled weight or None on a zero edge, edge rank, whether a walk that
+    # arrived along the reverse step may turn back onto it)
+    steps_at = {
+        v: [
+            (t, t.edge, t.direction, t.end, weight.get(t.edge.edge_id), rank[t.edge.edge_id],
+             mends(t.reverse()))
+            for t in g.incident(v)
+        ]
+        for v in g.vertices
+    }
+    roots = []
+    for e in g.edges:
+        t0 = Traversal(e, +1)
+        if e.edge_id not in zero and weight[e.edge_id] < limit:
+            roots.append(((t0,), weight[e.edge_id], alone[t0.end], frozenset()))
+    return rank, limit, mends, alone, steps_at, roots
+
+
 def _closed_walks(
     g: StarGraph,
     wf: WeightFunction,
@@ -479,6 +516,7 @@ def _closed_walks(
     prune: Callable[[tuple[Traversal, ...]], bool] | None = None,
     starts: list[tuple] | None = None,
     leaves: list[tuple] | None = None,
+    tables: tuple | None = None,
 ) -> list[tuple[tuple[Traversal, ...], frozenset, int]]:
     """(path, marked, weight) per closed walk of at most max_len traversals
     that uses an edge outside the zero subgraph, weighs less than threshold
@@ -504,6 +542,9 @@ def _closed_walks(
     would visit below them, in the same order, and lists their own closed
     paths again.
 
+    ``tables``, when given, is ``_walk_tables`` of the first four
+    arguments, built once by a caller that walks them again.
+
     Weights and threshold are scaled once by ``_weight_scale``, so the walk
     adds and compares ints, exactly as the Fractions they stand for would
     compare.  A zero-subgraph edge weighs 0, whose denominator is 1, so the
@@ -520,33 +561,9 @@ def _closed_walks(
     orientation only; that junction lies on the zero cycle, whose pumps all
     start or end with the backtracked edge, so the walk yields no family.
     """
-    zero = {e.edge_id for e in zsub.edges}
-    rank = {e.edge_id: i for i, e in enumerate(g.edges)}
-    scale = _weight_scale(g, wf, threshold)
-    weight = {e.edge_id: int(wf[e.edge_id] * scale) for e in g.edges if e.edge_id not in zero}
-    limit = int(threshold * scale)
-
-    def mends(t: Traversal) -> bool:
-        return any(zsub.fits(t, prefix, cycle, t.reverse()) for prefix, cycle in zsub.pumps_at(t.end))
-
-    alone = {v: frozenset([v]) for v in g.vertices}
-    # per vertex, each step out of it as (traversal, edge, direction, end,
-    # scaled weight or None on a zero edge, edge rank, whether a walk that
-    # arrived along the reverse step may turn back onto it)
-    steps_at = {
-        v: [
-            (t, t.edge, t.direction, t.end, weight.get(t.edge.edge_id), rank[t.edge.edge_id],
-             mends(t.reverse()))
-            for t in g.incident(v)
-        ]
-        for v in g.vertices
-    }
+    rank, limit, mends, alone, steps_at, roots = tables or _walk_tables(g, wf, threshold, zsub)
     if starts is None:
-        starts = []
-        for e in g.edges:
-            t0 = Traversal(e, +1)
-            if e.edge_id not in zero and weight[e.edge_id] < limit:
-                starts.append(((t0,), weight[e.edge_id], alone[t0.end], frozenset()))
+        starts = roots
     results: list[tuple[tuple[Traversal, ...], frozenset, int]] = []
     steps = 0
     for e0, group in itertools.groupby(starts, key=lambda state: state[0][0].edge):
@@ -676,7 +693,9 @@ def reduced_closed_walks_by_length(
     as it stands at level L, finds first.
 
     Level L resumes from the paths of L - 1 edges that level L - 1 reached,
-    so it walks each path of L edges once and re-walks no shorter one.
+    so it walks each path of L edges once and re-walks no shorter one.  The
+    levels share one ``_walk_tables``, as they walk one graph with one
+    weight function and threshold; each level has its own ``budget``.
     ``prune`` is asked about each path as it is popped and may grow
     stricter between levels.  A resumed path is popped again at level L,
     so it meets that level's ``prune`` by itself; a shorter prefix was last
@@ -687,10 +706,11 @@ def reduced_closed_walks_by_length(
     why).  Each level pops its frontier and its new paths, a subset of what
     a walk to L from the roots pops, within ``budget`` steps."""
     zsub = _ZeroSubgraph([])
+    tables = _walk_tables(g, wf, threshold, zsub)
     frontier = None
     for length in range(1, max_len + 1):
         leaves = [] if length < max_len else None
-        walks = _closed_walks(g, wf, threshold, zsub, length, budget, prune, frontier, leaves)
+        walks = _closed_walks(g, wf, threshold, zsub, length, budget, prune, frontier, leaves, tables)
         frontier = leaves
         yield _first_per_class(path for path, _, _ in walks if len(path) == length)
 
@@ -743,7 +763,7 @@ def enumerate_trivial_cycles(g: StarGraph, length: int, fb: FactBase) -> list[Tr
             continue
         key = canonical_atom_cycle(walk)
         atoms = tuple((shown[label], d) for label, d in key)
-        out.setdefault(key, TrivialCycle(atoms, canonical_cyclic_class(label, fb.order)))
+        out.setdefault(key, TrivialCycle(atoms, decode(canonical_cyclic_class(label), fb.order)))
     return [out[k] for k in sorted(out)]
 
 
@@ -794,10 +814,10 @@ def _refute_family_all(fb: FactBase, fam: CycleFamily) -> tuple[Verdict, str]:
         if not v.refuted:
             if pumps:
                 desc = " ".join(
-                    f"{s} ({p})^m" for s, p in zip(segments, pumps)
+                    f"{decode(s, fb.order)} ({decode(p, fb.order)})^m" for s, p in zip(segments, pumps)
                 )
             else:
-                desc = str(segments[0])
+                desc = str(decode(segments[0], fb.order))
             return UNKNOWN, desc
         last = v
     return (last if last is not None else UNKNOWN), ""

@@ -1,16 +1,36 @@
 """Words over free products with indeterminates.
 
-A word is a sequence of letters ``(name, exponent)`` with nonzero integer
-exponents and no two adjacent letters sharing a name (freely reduced form).
-The empty word is the identity.  Words carry no factor information of their
-own; scenarios supply a symbol table when factor membership matters.
+Words are parsed and printed as ``Word``: letters ``(name, exponent)`` with
+nonzero integer exponents and no two adjacent letters sharing a name
+(freely reduced form).  The empty word is the identity.
+
+Everything else computes on letter codes.  A presentation numbers its
+letters once, in ``symbol_order``: letter i is ``2*i`` and its inverse is
+``2*i + 1``, so inversion is ``c ^ 1``.  A word is the tuple of the codes
+of its letters with exponents expanded, freely reduced: no code stands next
+to its inverse.  ``encode`` and ``decode`` translate, and a word is decoded
+only where a string is made.
 
 Cyclic words (conjugacy classes) are represented by a deterministic
-canonical rotation: lexicographically least under the declared symbol
-order, with inverse letters ordered after positive ones.
+canonical rotation: the least under plain tuple comparison.
 ``least_rotation_start`` is the single canonical-rotation rule:
 ``least_rotation`` and the cyclic forms of star-graph paths
 (``canonical_atom_cycle``, ``canonical_atom_edge_cycle``) all use it.
+
+Tuple order on codes is the order the name-based words used: the letter
+key ``(index in symbol_order, name, 0 for a positive letter and 1 for an
+inverse one)`` of each expanded letter, compared as lists.  Every letter of
+a presentation has an index, and equal indices mean equal names, so the
+key is ordered by (index, sign bit) alone.  Codes 2i + s and 2j + t
+(s, t in {0, 1}) compare as (i, s) and (j, t) do: for i < j,
+2i + s <= 2i + 1 < 2j <= 2j + t, and for i = j they compare as s and t.
+Tuples of codes and lists of keys both compare element by element, a
+proper prefix first, so every comparison of two words gives the same
+answer.  Hence the canonical rotations, the orientation of each eq rule
+(``FactBase._build_rules`` compares (length, word)) and every order built
+on them are unchanged; family order compares weights and printed strings,
+never letters.  Encoding letter i as i + 1 and its inverse as -(i + 1)
+would not keep the order: under int order a1^-1 < a1, and a2^-1 < a1^-1.
 """
 
 from __future__ import annotations
@@ -18,6 +38,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 Letter = tuple[str, int]
+Codes = tuple[int, ...]
 
 
 def _merge(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -59,45 +80,8 @@ class Word:
     def __hash__(self) -> int:
         return hash(self.letters)
 
-    def __len__(self) -> int:
-        """Letter count with exponents expanded."""
-        return sum(abs(e) for _, e in self.letters)
-
     def __bool__(self) -> bool:
         return bool(self.letters)
-
-    def __mul__(self, other: "Word") -> "Word":
-        """Both operands are reduced, so only their junction can merge."""
-        a, b = self.letters, other.letters
-        i, j = len(a), 0
-        while i and j < len(b) and a[i - 1][0] == b[j][0]:
-            e = a[i - 1][1] + b[j][1]
-            if e:
-                return Word._reduced(a[: i - 1] + ((b[j][0], e),) + b[j + 1 :])
-            i, j = i - 1, j + 1
-        return Word._reduced(a[:i] + b[j:])
-
-    def inverse(self) -> "Word":
-        return Word._reduced(tuple((n, -e) for n, e in reversed(self.letters)))
-
-    def __pow__(self, k: int) -> "Word":
-        if k < 0:
-            return self.inverse() ** (-k)
-        w = Word()
-        for _ in range(k):
-            w = w * self
-        return w
-
-    def expand(self) -> tuple[Letter, ...]:
-        """Single-exponent letters, e.g. t^2 -> (t,1),(t,1)."""
-        out: list[Letter] = []
-        for lt in self.letters:
-            n, e = lt
-            if e == 1 or e == -1:
-                out.append(lt)
-            else:
-                out.extend([(n, 1 if e > 0 else -1)] * abs(e))
-        return tuple(out)
 
     def names(self) -> set[str]:
         return {n for n, _ in self.letters}
@@ -148,36 +132,62 @@ def word_from_tokens(tokens: Sequence[str]) -> Word:
     return Word(letters)
 
 
-def letter_key(order: Sequence[str] | None):
-    """Sort key of a letter: declared symbol order, inverse after positive."""
-    if order is None:
-        return lambda lt: (lt[0], 0 if lt[1] > 0 else 1)
-    index = {name: i for i, name in enumerate(order)}
-
-    def key(lt: Letter):
-        n, e = lt
-        return (index.get(n, len(index)), n, 0 if e > 0 else 1)
-
-    return key
+# -- codes ---------------------------------------------------------------
 
 
-def least_rotation(seq: Sequence, key=None, inverse: bool = False) -> tuple:
-    """Lexicographically least rotation of ``seq``, comparing ``key(x)``.
+def encode(w: Word, code: dict[str, int]) -> Codes:
+    """The codes of w's expanded letters; ``code`` maps each name to 2i."""
+    return tuple(code[n] | (e < 0) for n, e in w.letters for _ in range(abs(e)))
 
-    ``key`` is applied once per element.  With ``inverse`` the rotations of
-    the inverse sequence (reversed, each ``(name, sign)`` pair sign-flipped)
-    compete as well, so the result is constant on rotation/inversion orbits.
-    Among equal keys the first rotation found wins, the inverse's after the
-    sequence's (see ``least_rotation_start``).
-    """
+
+def decode(codes: Codes, order: Sequence[str]) -> Word:
+    """The word of reduced codes: each run of one code is one letter, as
+    no code stands next to its inverse."""
+    letters: list[Letter] = []
+    prev = -1
+    for c in codes:
+        if c == prev:
+            n, e = letters[-1]
+            letters[-1] = (n, e - 1 if c & 1 else e + 1)
+        else:
+            letters.append((order[c >> 1], -1 if c & 1 else 1))
+            prev = c
+    return Word._reduced(tuple(letters))
+
+
+def inverse(w: Codes) -> Codes:
+    return tuple(c ^ 1 for c in reversed(w))
+
+
+def free_reduce(codes: Iterable[int]) -> Codes:
+    out: list[int] = []
+    for c in codes:
+        if out and out[-1] == c ^ 1:
+            out.pop()
+        else:
+            out.append(c)
+    return tuple(out)
+
+
+def join(a: Codes, b: Codes) -> Codes:
+    """The reduced product of reduced a and b: only the junction cancels."""
+    i, j = len(a), 0
+    while i and j < len(b) and a[i - 1] == b[j] ^ 1:
+        i, j = i - 1, j + 1
+    return a[:i] + b[j:]
+
+
+def least_rotation(seq: Iterable, with_inverse: bool = False) -> tuple:
+    """Least rotation of ``seq`` as a tuple.  With ``with_inverse`` the
+    rotations of the inverse of the code sequence compete as well, so the
+    result is constant on rotation/inversion orbits.  Among equal rotations
+    the first found wins, the inverse's after the sequence's (see
+    ``least_rotation_start``)."""
     seq = tuple(seq)
     if not seq:
         return seq
-    candidates = [seq]
-    if inverse:
-        candidates.append(tuple((n, -e) for n, e in reversed(seq)))
-    keyed = candidates if key is None else [list(map(key, cand)) for cand in candidates]
-    which, start = least_rotation_start(keyed)
+    candidates = (seq, inverse(seq)) if with_inverse else (seq,)
+    which, start = least_rotation_start(candidates)
     best = candidates[which]
     return best[start:] + best[:start]
 
@@ -202,55 +212,32 @@ def least_rotation_start(candidates: Sequence[Sequence]) -> tuple[int, int]:
     return found
 
 
-def strip_conjugation(w: Word) -> tuple[Word, Word]:
-    """Write w = h * core * h^-1 with core cyclically reduced.
-
-    Works on w's letters with their exponents: while the first and last
-    letters share a name and have opposite signs, the smaller power
-    cancels from both ends.  If one end keeps a remainder, the letter next
-    to the other end has another name (w is reduced), so the loop stops;
-    hence h and core are reduced as built."""
-    letters = w.letters
-    head: list[Letter] = []
-    while len(letters) >= 2:
-        (n, e), (m, f) = letters[0], letters[-1]
-        if n != m or (e > 0) == (f > 0):
-            break
-        k = min(abs(e), abs(f)) * (1 if e > 0 else -1)
-        head.append((n, k))
-        letters = ((n, e - k),) * (e != k) + letters[1:-1] + ((m, f + k),) * (f != -k)
-    return Word._reduced(tuple(head)), Word._reduced(letters)
+def strip_conjugation(w: Codes) -> tuple[Codes, Codes]:
+    """Write w = h * core * h^-1 with core cyclically reduced: while the
+    first and last codes are inverse to each other, strip both."""
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == w[j - 1] ^ 1:
+        i, j = i + 1, j - 1
+    return w[:i], w[i:j]
 
 
-def cyclically_reduce(w: Word, order: Sequence[str] | None = None) -> Word:
-    """Cyclically reduced conjugate of w in canonical rotation.
-
-    Canonical rotation = lexicographically least expanded rotation under
-    the declared symbol order; deterministic across runs.
-    """
-    _, core = strip_conjugation(w)
-    return Word(least_rotation(core.expand(), letter_key(order)))
+def cyclically_reduce(w: Codes) -> Codes:
+    """Cyclically reduced conjugate of w in canonical rotation."""
+    return least_rotation(strip_conjugation(w)[1])
 
 
-def canonical_cyclic_class(w: Word, order: Sequence[str] | None = None) -> Word:
+def canonical_cyclic_class(w: Codes) -> Codes:
     """Canonical representative of {rotations of w} u {rotations of w^-1}.
 
     Constant on each rotation/inversion orbit, injective across orbits.
     """
-    _, core = strip_conjugation(w)
-    return Word(least_rotation(core.expand(), letter_key(order), inverse=True))
+    return least_rotation(strip_conjugation(w)[1], with_inverse=True)
 
 
-def max_root(w: Word) -> tuple[Word, int]:
+def max_root(w: Codes) -> tuple[Codes, int]:
     """Maximal d with w = r^d as a linear word; returns (r, d)."""
-    expanded = w.expand()
-    n = len(expanded)
-    if n == 0:
-        return Word(), 1
+    n = len(w)
     for period in range(1, n + 1):
-        if n % period:
-            continue
-        root = expanded[:period]
-        if root * (n // period) == expanded:
-            return Word(root), n // period
-    return Word(expanded), 1
+        if n % period == 0 and w[:period] * (n // period) == w:
+            return w[:period], n // period
+    return w, 1

@@ -7,7 +7,7 @@ known not to be is caught.
 """
 
 from starweight.facts import FactBase
-from starweight.words import Word
+from starweight.words import free_reduce
 
 
 def check_confluence(fb: FactBase) -> bool:
@@ -18,14 +18,14 @@ def check_confluence(fb: FactBase) -> bool:
             n2 = len(l2)
             for k in range(1, min(n1, n2)):
                 if l1[n1 - k :] == l2[:k]:
-                    a = fb.normalize_any(Word(l1[: n1 - k] + r2.expand()))
-                    b = fb.normalize_any(Word(r1.expand() + l2[k:]))
+                    a = fb.normalize_any(free_reduce(l1[: n1 - k] + r2))
+                    b = fb.normalize_any(free_reduce(r1 + l2[k:]))
                     if a != b:
                         return False
             if n2 <= n1:
                 for i in range(n1 - n2 + 1):
                     if l1[i : i + n2] == l2:
-                        a = fb.normalize_any(Word(l1[:i] + r2.expand() + l1[i + n2 :]))
+                        a = fb.normalize_any(free_reduce(l1[:i] + r2 + l1[i + n2 :]))
                         if a != fb.normalize_any(r1):
                             return False
     return True

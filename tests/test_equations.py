@@ -16,7 +16,7 @@ from starweight.equations import (
     partial_sums,
     shift_rewrite,
 )
-from starweight.words import Word
+from oracle_words import Word
 
 
 def eq(ms):

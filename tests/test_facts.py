@@ -1,17 +1,17 @@
 import itertools
 import random
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import starweight
 import starweight.facts as facts_module
+import starweight.words as words
 from confluence import check_confluence
-from starweight.cli import main
-from starweight.facts import FactBase, FactError
-from starweight.scenario import INDETERMINATE, FactDecl, parse_scenario
-from starweight.words import (
+from oracle_facts import oracle_fact_base
+from oracle_words import (
     Word,
     canonical_cyclic_class,
     cyclically_reduce,
@@ -19,10 +19,28 @@ from starweight.words import (
     strip_conjugation,
     word_from_tokens,
 )
+from starweight.cli import main
+from starweight.facts import FactBase, FactError
+from starweight.scenario import INDETERMINATE, FactDecl, parse_scenario
+from starweight.stargraph import build_star_graph
+from starweight.weights import WeightFunction
+
+# Words with letter names are the oracle's (``oracle_words``), on which the
+# reference functions below run; a fact base takes letter codes.
 
 
 def W(text):
     return word_from_tokens(text.split()) if text != "1" else Word()
+
+
+def C(fb, w):
+    """The codes, in fb's presentation, of a word or its text."""
+    return words.encode(W(w) if isinstance(w, str) else w, fb.presentation.code)
+
+
+def O(fb, codes):
+    """The oracle word of codes in fb's presentation."""
+    return Word(words.decode(codes, fb.order).letters)
 
 
 def fb_from(fact_lines, gens="a1 a2 a3 a4", gens_b=""):
@@ -38,48 +56,48 @@ def fb_from(fact_lines, gens="a1 a2 a3 a4", gens_b=""):
 
 def test_normalize_substitution():
     fb = fb_from(["eq a1 a2"])
-    assert fb.normalize_any(W("a2")) == W("a1")
+    assert fb.normalize_any(C(fb, "a2")) == C(fb, "a1")
 
 
 def test_normalize_cancellation_case2():
     # a1 = a2 in A makes a1 a2^-1 trivial
     fb = fb_from(["eq a1 a2"])
-    assert fb.normalize_any(W("a1 a2^-1")) == Word()
+    assert fb.normalize_any(C(fb, "a1 a2^-1")) == ()
 
 
 def test_normalize_noop():
     fb = fb_from([])
-    assert fb.normalize_any(W("a3 a4")) == W("a3 a4")
+    assert fb.normalize_any(C(fb, "a3 a4")) == C(fb, "a3 a4")
 
 
 def test_normalize_idempotent():
     fb = fb_from(["eq a1 a2 a3 a4 = 1", "eq a1 a3"])
     for text in ["a1 a2 a3 a4", "a4 a3", "a2^-1 a4", "a1 a1 a3"]:
-        n = fb.normalize_any(W(text))
+        n = fb.normalize_any(C(fb, text))
         assert fb.normalize_any(n) == n
 
 
 def test_refute_power_torsion_free():
     # (a3^-1 a4)^3 with a3 != a4: torsion-free root rule (R2)
     fb = fb_from(["neq a3 a4"])
-    v = fb.refute_trivial(W("a3^-1 a4 a3^-1 a4 a3^-1 a4"))
+    v = fb.refute_trivial(C(fb, "a3^-1 a4 a3^-1 a4 a3^-1 a4"))
     assert v.refuted and v.rule == "R2"
 
 
 def test_refute_notincyclic_power():
     fb = fb_from(["notincyclic a1 a3"])
-    v = fb.refute_trivial(W("a1^-1 a3 a3 a3"))
+    v = fb.refute_trivial(C(fb, "a1^-1 a3 a3 a3"))
     assert v.refuted and v.rule == "R3"
 
 
 def test_unknown_is_the_contract():
     fb = fb_from([])
-    assert not fb.refute_trivial(W("a1 a4 a3")).refuted
+    assert not fb.refute_trivial(C(fb, "a1 a4 a3")).refuted
 
 
 def test_refute_family_pump_only():
     fb = fb_from(["neq a2 a4"])
-    assert fb.refute_template([Word()], [W("a2^-1 a4")]).refuted
+    assert fb.refute_template([()], [C(fb, "a2^-1 a4")]).refuted
 
 
 def test_refute_family_notincyclic_after_rewrite():
@@ -87,28 +105,28 @@ def test_refute_family_notincyclic_after_rewrite():
     # fact.  Oracle (integers, A = Z additively): a2 = 2, a3 = a4 = -2,
     # a1 = 5: base + m*pump = (-2 - 5) + m*(-4) != 0 for all m >= 1.
     fb = fb_from(["eq a2 a3^-1", "eq a4 a3", "notincyclic a1 a2"])
-    v = fb.refute_template([W("a1^-1 a4")], [W("a2^-1 a4")])
+    v = fb.refute_template([C(fb, "a1^-1 a4")], [C(fb, "a2^-1 a4")])
     assert v.refuted and v.rule == "R3"
 
 
 def test_refute_family_unknown_without_facts():
     fb = fb_from([])
-    assert not fb.refute_template([W("a1^-1 a4")], [W("a2^-1 a4")]).refuted
+    assert not fb.refute_template([C(fb, "a1^-1 a4")], [C(fb, "a2^-1 a4")]).refuted
 
 
 def test_refute_family_conjugated_pump():
     fb = fb_from(["notincyclic b1 b2"], gens="a1", gens_b="b1 b2")
-    v = fb.refute_template([W("b1")], [W("b1^-1 b2 b1")])
+    v = fb.refute_template([C(fb, "b1")], [C(fb, "b1^-1 b2 b1")])
     assert v.refuted
 
 
 def test_refute_family_mixed_alternation():
     fb = fb_from(["neq a4 1", "neq b1 1"], gens="a1 a4", gens_b="b1")
     # a1^-1 b1^m a1 a4^-1 is mixed and stays mixed for every m >= 1
-    v = fb.refute_template([W("a1 a4^-1 a1^-1")], [W("b1")])
+    v = fb.refute_template([C(fb, "a1 a4^-1 a1^-1")], [C(fb, "b1")])
     assert v.refuted and v.rule == "FP"
     # a trivial pump in a second slot just drops out of the template
-    v2 = fb.refute_template([W("a1^-1"), W("a1 a4^-1")], [W("b1"), Word()])
+    v2 = fb.refute_template([C(fb, "a1^-1"), C(fb, "a1 a4^-1")], [C(fb, "b1"), ()])
     assert v2.refuted
 
 
@@ -116,21 +134,21 @@ def test_refute_family_degenerate_to_trivial():
     fb = fb_from(["neq b1 1"], gens="a1", gens_b="b1")
     # every pump rewrites away and the base itself is trivial: no refutation
     fb2 = fb_from(["eq b2 b1", "neq b1 1"], gens="a1", gens_b="b1 b2")
-    v = fb2.refute_template([W("b1 b2^-1")], [W("b2 b1^-1")])
+    v = fb2.refute_template([C(fb2, "b1 b2^-1")], [C(fb2, "b2 b1^-1")])
     assert not v.refuted
 
 
 def test_refute_trivial_stable_under_normalize():
     fb = fb_from(["eq a1 a2", "neq a3 a4", "notincyclic a3 a1"])
     for text in ["a3^-1 a4", "a2 a3 a1^-1", "a1 a2^-1", "a3 a1 a1"]:
-        w = W(text)
+        w = C(fb, text)
         assert fb.refute_trivial(w).refuted == fb.refute_trivial(fb.normalize_any(w)).refuted
 
 
 def test_isolated_no_lemma31():
     # eq a4 a3 puts the peer a4 in <a3>, so a3 is not isolated
     fb = fb_from(["eq a4 a3"])
-    assert fb.as_power_of(W("a4"), "a3") == 1
+    assert fb.as_power_of(C(fb, "a4"), fb.order.index("a3")) == 1
 
 
 def test_inconsistent_facts_rejected():
@@ -153,8 +171,8 @@ def test_monotone_in_facts():
     weak = fb_from(["neq a3 a4"])
     strong = fb_from(["neq a3 a4", "eq a1 a3", "neq a1 a2"])
     for text in ["a3^-1 a4", "a3^-1 a4 a3^-1 a4"]:
-        if weak.refute_trivial(W(text)).refuted:
-            assert strong.refute_trivial(W(text)).refuted
+        if weak.refute_trivial(C(weak, text)).refuted:
+            assert strong.refute_trivial(C(strong, text)).refuted
 
 
 # -- model-instantiation soundness (factor = Z, written additively) ------
@@ -186,7 +204,7 @@ def test_soundness_by_integer_models(seed):
     rng = random.Random(seed)
     fb = fb_from(["eq a1 a2", "neq a3 a4", "notincyclic a3 a1", "neq a1 1"])
     words = [W("a3^-1 a4"), W("a1 a2^-1 a3"), W("a3 a1 a1"), W("a1 a1"), W("a3^-1 a4 a3^-1 a4")]
-    refutes = [(w, fb.refute_trivial(w)) for w in words]
+    refutes = [(w, fb.refute_trivial(C(fb, w))) for w in words]
     tested = 0
     while tested < 1000:
         values = {n: rng.randint(-9, 9) for n in ["a1", "a2", "a3", "a4"]}
@@ -241,15 +259,16 @@ def test_cyclic_normalize_matches_reference_on_random_words():
     for name, fb in _corpus_factbases():
         if not fb.rules:
             continue
+        oracle = oracle_fact_base(fb.presentation, fb.decls)
         rng = random.Random(zlib.crc32(name.encode()))
         gens = [n for n in fb.order if fb.factor_of[n] != INDETERMINATE]
         for _ in range(200):
             w = Word(
                 (rng.choice(gens), rng.choice((-2, -1, 1, 2))) for _ in range(rng.randint(1, 10))
             )
-            n, occurs = fb._cyclic_normalize(w)
-            assert n == _reference_cyclic_normalize(fb, w), (name, w)
-            assert occurs == fb._occurs_cyclically(n.expand()), (name, w)
+            n, occurs = fb._cyclic_normalize(C(fb, w))
+            assert O(fb, n) == _reference_cyclic_normalize(oracle, w), (name, w)
+            assert occurs == fb._occurs_cyclically(n), (name, w)
         checked += 1
     assert checked >= 20
 
@@ -257,10 +276,11 @@ def test_cyclic_normalize_matches_reference_on_random_words():
 def test_cyclic_normalize_rewrites_across_the_seam():
     # a4 a1 occurs in the cyclic word a1 a2 a4 only across the seam
     fb = fb_from(["eq a4 a1 = a3"])
-    w = W("a1 a2 a4")
-    assert fb.normalize_any(w) == w and cyclically_reduce(w, fb.order) == w
-    assert fb._cyclic_normalize(w) == (W("a2 a3"), False)
-    assert _reference_cyclic_normalize(fb, w) == W("a2 a3")
+    w = C(fb, "a1 a2 a4")
+    assert fb.normalize_any(w) == w and words.cyclically_reduce(w) == w
+    assert fb._cyclic_normalize(w) == (C(fb, "a2 a3"), False)
+    oracle = oracle_fact_base(fb.presentation, fb.decls)
+    assert _reference_cyclic_normalize(oracle, W("a1 a2 a4")) == W("a2 a3")
 
 
 def test_power_cache_matches_uncached_answers_on_corpus_queries(monkeypatch):
@@ -280,9 +300,9 @@ def test_power_cache_matches_uncached_answers_on_corpus_queries(monkeypatch):
     fresh_of = {}
     for fb, w, g, k in queries:
         if fb not in fresh_of:
-            fresh_of[fb] = FactBase(fb.presentation, fb.decls)
+            fresh_of[fb] = oracle_fact_base(fb.presentation, fb.decls)
         fresh = fresh_of[fb]  # answers through the reference, which caches nothing
-        assert k == _reference_as_power_of(fresh, w, g), (w, g)
+        assert k == _reference_as_power_of(fresh, O(fb, w), fb.order[g]), (w, g)
         limited += k is not None and abs(k) > 1
     assert limited > 0
 
@@ -311,7 +331,8 @@ def test_power_filter_matches_full_exponent_scan_on_random_fact_bases(monkeypatc
         facts = _random_eq_facts(rng, gens)
         fb = fb_from(facts)
         # words built from letters and fact sides, so that many are g-powers
-        pieces = [W(g) for g in gens] + [fd.lhs for fd in fb.decls] + [fd.rhs for fd in fb.decls]
+        sides = [W(str(side)) for fd in fb.decls for side in (fd.lhs, fd.rhs)]
+        pieces = [W(g) for g in gens] + sides
         queries = []
         for _ in range(20):
             w = Word()
@@ -322,9 +343,10 @@ def test_power_filter_matches_full_exponent_scan_on_random_fact_bases(monkeypatc
         for limit in (1, 8):
             monkeypatch.setattr(facts_module, "_POWER_LIMIT", limit)
             fb = fb_from(facts)  # a fresh power cache, filled under this limit only
+            oracle = oracle_fact_base(fb.presentation, fb.decls)
             for w, g in queries:
-                want = _reference_as_power_of(fb, w, g, limit)
-                assert fb.as_power_of(w, g) == want, (fb.decls, w, g, limit)
+                want = _reference_as_power_of(oracle, w, g, limit)
+                assert fb.as_power_of(C(fb, w), fb.order.index(g)) == want, (fb.decls, w, g, limit)
                 asked += 1
                 hits += want is not None
                 far += want is not None and abs(want) > 1
@@ -342,10 +364,10 @@ def test_normalize_any_returns_its_argument_without_eq_rules(monkeypatch):
     assert not fb.rules
     rng = random.Random(zlib.crc32(b"normalize_any without rules"))
     for _ in range(300):
-        w = Word(
+        w = C(fb, Word(
             (rng.choice(("a1", "a2", "a3", "a4")), rng.choice((-2, -1, 1, 2)))
             for _ in range(rng.randint(0, 9))
-        )
+        ))
         assert fb.normalize_any(w) is w
     queries = _record_corpus_queries(monkeypatch, "normalize_any")
     bare = [(args[0], answer) for f, args, answer in queries if not f.rules]
@@ -353,8 +375,8 @@ def test_normalize_any_returns_its_argument_without_eq_rules(monkeypatch):
 
 
 def test_syllables_are_the_checked_words_of_their_runs(monkeypatch):
-    # syllables skips the merge, as a run of a reduced word is reduced; each
-    # one equals the word its letters build the checked way
+    # syllables reads the runs off the codes, as a run of a reduced word is
+    # reduced; each one decodes to the word its letters build the checked way
     def reference(fb, w):
         runs = itertools.groupby(w.letters, key=lambda lt: fb.factor_of[lt[0]])
         return [(f, Word(list(letters))) for f, letters in runs]
@@ -363,14 +385,14 @@ def test_syllables_are_the_checked_words_of_their_runs(monkeypatch):
     fb = fb_from([], gens="a1 a2", gens_b="b1 b2")
     rng = random.Random(zlib.crc32(b"syllables"))
     for _ in range(300):
-        w = Word(
+        w = C(fb, Word(
             (rng.choice(("a1", "a2", "b1", "b2")), rng.choice((-2, -1, 1, 2)))
             for _ in range(rng.randint(0, 12))
-        )
+        ))
         queries.append((fb, (w,), fb.syllables(w)))
     for f, (w,), answer in queries:
-        want = reference(f, w)
-        assert [(g, s.letters) for g, s in answer] == [(g, s.letters) for g, s in want], w
+        want = reference(f, O(f, w))
+        assert [(g, O(f, s).letters) for g, s in answer] == [(g, s.letters) for g, s in want], w
     assert len(queries) > 500
 
 
@@ -427,16 +449,18 @@ def test_neq_lookup_matches_canonical_class_lookup_on_corpus_queries(monkeypatch
     # short closed path of each corpus graph
     queries = _record_corpus_queries(monkeypatch, "_refute_power", trivial_lengths=(1, 2, 3, 4))
     classes = {}
+    oracles = {}
     hits = settled = 0
     for fb, (w, occurs), v in queries:
         if fb not in classes:
-            classes[fb] = _reference_neq_classes(fb)
-        want = _reference_refute_power(fb, w, classes[fb])
+            oracles[fb] = oracle_fact_base(fb.presentation, fb.decls)
+            classes[fb] = _reference_neq_classes(oracles[fb])
+        want = _reference_refute_power(oracles[fb], O(fb, w), classes[fb])
         assert (v.refuted, v.rule, v.trace) == want, w
         # every caller passes the flag its cyclic normal form came with
-        assert occurs == fb._occurs_cyclically(w.expand()), w
+        assert occurs == fb._occurs_cyclically(w), w
         # the inverse class is matched as well
-        assert fb._refute_power(*fb._cyclic_normalize(w.inverse())).refuted == want[0], w
+        assert fb._refute_power(*fb._cyclic_normalize(words.inverse(w))).refuted == want[0], w
         hits += v.refuted
         settled += not occurs
     assert len(queries) > 1000 and 0 < hits < len(queries)
@@ -458,3 +482,93 @@ def test_remembered_refutations_match_a_fresh_fact_base(monkeypatch):
     assert repeats > 0  # some answers came from the memo
     for fb in {fb for fb, _ in asked}:
         assert all(v.refuted for v in fb._refuted.values())  # no Unknown is kept
+
+
+# -- the fact base against the name-based one it replaced (oracle_facts) ----
+
+
+def _same_answers(fb, queries):
+    """Puts each query, (method name, arguments as codes), to fb and to the
+    oracle fact base of the same facts, which reads the arguments decoded;
+    both give the same (refuted, rule, trace).  Returns the rules given."""
+    oracle = oracle_fact_base(fb.presentation, fb.decls)
+    rules = Counter()
+    for name, args in queries:
+        got = getattr(fb, name)(*args)
+        if name == "refute_trivial":
+            want = oracle.refute_trivial(O(fb, args[0]))
+        else:
+            want = oracle.refute_template([O(fb, s) for s in args[0]], [O(fb, p) for p in args[1]])
+        assert (got.refuted, got.rule, got.trace) == (want.refuted, want.rule, want.trace), (name, args)
+        rules[got.rule or "unknown"] += 1
+    return rules
+
+
+def test_fact_base_answers_as_the_oracle_on_corpus_queries(monkeypatch):
+    by_fb = {}
+    for name in ("refute_trivial", "refute_template"):
+        for fb, args, _ in _record_corpus_queries(monkeypatch, name):
+            by_fb.setdefault(fb, []).append((name, args))
+    rules = Counter()
+    for fb, queries in by_fb.items():
+        # a fresh fact base, so that no answer comes from the corpus run's memo
+        rules += _same_answers(FactBase(fb.presentation, fb.decls), queries)
+    assert sum(rules.values()) > 1000
+    assert all(rules[r] for r in ("R2", "R3", "R4", "unknown")), rules
+
+
+def test_fact_base_answers_as_the_oracle_on_grid_families():
+    from test_weights import _grid_text
+    from starweight.weights import enumerate_light_cycles
+
+    families = 0
+    for k, q in ((4, 3), (4, 4), (5, 3), (5, 4)):
+        s = parse_scenario(_grid_text(k, q))
+        g = build_star_graph(s.presentation)
+        queries = []
+        for fam in enumerate_light_cycles(g, WeightFunction.from_scenario(s, g)):
+            queries += [("refute_template", template) for template in fam.templates()]
+            queries.append(("refute_trivial", (fam.base_label(),)))
+            families += 1
+        rules = _same_answers(FactBase(s.presentation, s.fact_decls), queries)
+        assert rules["R2"] and rules["unknown"], (k, q, rules)
+    assert families > 500
+
+
+def test_fact_base_answers_as_the_oracle_on_random_eq_fact_bases():
+    # eq facts from _random_eq_facts with neq and notincyclic facts beside
+    # them, over a factor A and a factor B, so that every rule is reached
+    rng = random.Random(zlib.crc32(b"fact base oracle"))
+    gens, gens_b = ["a1", "a2", "a3", "a4"], ["b1", "b2"]
+    rules = Counter()
+    bases = 0
+    while bases < 100:
+        facts = _random_eq_facts(rng, gens)
+        for _ in range(rng.randint(1, 3)):
+            x = rng.choice(gens + gens_b)
+            y = rng.choice([g for g in gens + gens_b if g[0] == x[0] and g != x] + ["1"])
+            facts.append(f"neq {x} {y}")
+        if rng.random() < 0.5:
+            x, y = rng.sample(gens, 2)
+            facts.append(f"notincyclic {x} {y}")
+        try:
+            fb = fb_from(facts, gens=" ".join(gens), gens_b=" ".join(gens_b))
+        except FactError:
+            continue  # inconsistent facts
+        bases += 1
+        # words from letters and fact sides, so that many rewrite and many refute
+        pieces = [W(g) for g in gens + gens_b] + [W(str(side)) for fd in fb.decls for side in (fd.lhs, fd.rhs)]
+
+        def word():
+            w = Word()
+            for _ in range(rng.randint(1, 4)):
+                p = rng.choice(pieces)
+                w = w * (p if rng.random() < 0.5 else p.inverse())
+            return C(fb, w)
+
+        queries = [("refute_trivial", (word(),)) for _ in range(20)]
+        for _ in range(10):
+            k = rng.randint(1, 2)
+            queries.append(("refute_template", ([word() for _ in range(k)], [word() for _ in range(k)])))
+        rules += _same_answers(fb, queries)
+    assert all(rules[r] for r in ("R2", "R3", "R4", "FP", "unknown")), rules

@@ -25,7 +25,8 @@ from starweight.weights import (
     canonical_atom_edge_cycle,
     enumerate_light_cycles,
 )
-from starweight.words import Word, least_rotation, word_from_tokens
+from oracle_words import least_rotation
+from starweight.words import Word, decode, encode, word_from_tokens
 
 CORPUS = Path(starweight.__file__).parent / "corpus"
 
@@ -226,7 +227,9 @@ def test_path_label_matches_left_fold_on_corpus_family_expansions():
             continue
         for f in fams:
             for path in expansions_upto(f, 3):
-                assert path_label(path) == _reference_path_label(path), (s.name, path)
+                want = _reference_path_label(path)
+                assert decode(path_label(path), s.presentation.symbol_order) == want, (s.name, path)
+                assert path_label(path) == encode(want, s.presentation.code), (s.name, path)
                 checked += 1
     assert checked > 1000
 

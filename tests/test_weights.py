@@ -45,9 +45,10 @@ from starweight.weights import (
     verify_weight_test,
     zero_cycle_families,
 )
-from starweight.words import Word, canonical_cyclic_class, word_from_tokens
+from starweight.words import Word, canonical_cyclic_class, decode, encode, word_from_tokens
 
 ORDER = ["a1", "a2", "a3", "a4", "t"]
+CODE = {name: 2 * i for i, name in enumerate(ORDER)}
 
 
 def W(text):
@@ -55,7 +56,7 @@ def W(text):
 
 
 def cls(text):
-    return canonical_cyclic_class(W(text), ORDER)
+    return canonical_cyclic_class(encode(W(text), CODE))
 
 
 SEC3_BASE = """\
@@ -140,11 +141,11 @@ def test_sec3_fn2_exactly_the_five_family_shapes():
     got = set()
     pump_cls = cls("a2^-1 a4")
     for f in fams:
-        base_cls = canonical_cyclic_class(f.base_label(), ORDER)
+        base_cls = canonical_cyclic_class(f.base_label())
         if f.kind == "power":
             got.add(("power", base_cls))
         else:
-            pumps = {canonical_cyclic_class(p.label(), ORDER) for p in f.pumps}
+            pumps = {canonical_cyclic_class(p.label()) for p in f.pumps}
             assert pumps == {pump_cls}
             got.add(("cycle", base_cls))
     expected = {
@@ -190,8 +191,9 @@ relator: a1 X b1 X^-1 a2 X b2 X^-1 a3 X b3 X^-1 a4 X b4 X^-1
     g = build_star_graph(s.presentation)
     fams = enumerate_light_cycles(g, WeightFunction.from_scenario(s, g))
     # brute force: the only reduced closed walks of weight < 2 are the 8 loops
-    labels = {canonical_cyclic_class(f.base_label(), None) for f in fams}
-    expected = {canonical_cyclic_class(W(f"{x}{i}"), None) for x in "ab" for i in range(1, 5)}
+    order = s.presentation.symbol_order
+    labels = {decode(canonical_cyclic_class(f.base_label()), order) for f in fams}
+    expected = {W(f"{x}{i}") for x in "ab" for i in range(1, 5)}
     assert labels == expected
     assert all(f.kind == "cycle" and not f.pumps for f in fams)
 
@@ -207,7 +209,7 @@ def test_verify_fn1_missing_fact_reports_violation():
     s = parse_scenario(text + FN1_WEIGHTS, name="mutated")
     report = verify_weight_test(s)
     assert report.verdict == "PotentialViolations"
-    survivors = {canonical_cyclic_class(v.family.base_label(), ORDER) for v in report.violations}
+    survivors = {canonical_cyclic_class(v.family.base_label()) for v in report.violations}
     assert cls("a2 a4^-1") in survivors
 
 
@@ -741,7 +743,7 @@ def test_guard_reports_an_unrefuted_uncovered_walk(monkeypatch):
     unrefuted = [w for w in walks if not fb.refute_trivial(path_label(w))]
     assert 0 < len(unrefuted) < len(walks)
     assert [v.family.base for v in report.violations] == unrefuted
-    survivors = {canonical_cyclic_class(v.family.base_label(), ORDER) for v in report.violations}
+    survivors = {canonical_cyclic_class(v.family.base_label()) for v in report.violations}
     assert cls("a2 a4^-1") in survivors
 
 
@@ -1050,7 +1052,7 @@ def _reference_expansions_upto(fam, mmax):
 def _reference_templates(fam):
     """``CycleFamily.templates`` before the shapes were shared, verbatim."""
     if fam.kind == "power":
-        return [([Word()], [fam.base_label()])]
+        return [([()], [fam.base_label()])]
     mandatory = fam.mandatory_points()
     out = []
     if not mandatory:
@@ -1153,13 +1155,11 @@ def test_labels_with_equal_compact_strings_stay_apart():
     s = parse_scenario(COLLIDING_LABELS)
     g = build_star_graph(s.presentation)
 
-    def cc(w):
-        return canonical_cyclic_class(w, s.presentation.symbol_order)
-
-    pairs = [cc(W(text)) for text in ("ab c^-1", "a b c^-1", "ab b^-1 a^-1")]
+    cc = canonical_cyclic_class
+    pairs = [cc(encode(W(text), s.presentation.code)) for text in ("ab c^-1", "a b c^-1", "ab b^-1 a^-1")]
     fams = enumerate_light_cycles(g, WeightFunction.from_scenario(s, g))
     short = [cc(path_label(f.base)) for f in fams if f.weight == Fraction(2, 3)]
-    assert sorted(map(str, short)) == sorted(map(str, pairs))
+    assert sorted(short) == sorted(pairs)
     # only ab c^-1 is refuted; a b c^-1 survives as a family of its own
     report = verify_weight_test(s)
     survivors = {cc(path_label(fv.family.base)): fv.witness for fv in report.violations}
@@ -1168,9 +1168,8 @@ def test_labels_with_equal_compact_strings_stay_apart():
     # without the fact, trivial-cycles lists all three length-2 classes
     bare = parse_scenario(COLLIDING_LABELS.replace("fact: neq ab = c\n", ""))
     fb = FactBase(bare.presentation, bare.fact_decls)
-    assert sorted(str(cc(c.label)) for c in enumerate_trivial_cycles(g, 2, fb)) == sorted(
-        map(str, pairs)
-    )
+    labels = [cc(encode(c.label, bare.presentation.code)) for c in enumerate_trivial_cycles(g, 2, fb)]
+    assert sorted(labels) == sorted(pairs)
 
 
 def test_labels_with_equal_compact_strings_print_apart(tmp_path, capsys):
@@ -1275,7 +1274,7 @@ def _reference_guard(s, report):
     fb = FactBase(s.presentation, s.fact_decls)
     verdicts = [fv for fv in report.families if fv.witness != "guard walk not covered"]
     covered = {
-        canonical_cyclic_class(path_label(w), fb.order)
+        canonical_cyclic_class(path_label(w))
         for fv in verdicts
         if not fv.refuted
         for w in expansions_upto(fv.family, GUARD_LEN)
@@ -1284,7 +1283,7 @@ def _reference_guard(s, report):
     out = []
     for w in walks:
         label = path_label(w)
-        if covered and canonical_cyclic_class(label, fb.order) in covered:
+        if covered and canonical_cyclic_class(label) in covered:
             continue
         if fb.refute_trivial(label):
             continue
