@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .curvature import region_curvature
 from .equations import EquationError, classify, parse_equation
 from .facts import FactBase, FactError, RewriteCapError
-from .scenario import Scenario, ScenarioError, parse_scenario, print_scenario
+from .scenario import Scenario, ScenarioError, parse_rational, parse_scenario, print_scenario
 from .search import SearchConfig, search_weights, weight_lines
 from .stargraph import GraphError, build_star_graph, export_dot, vertex_name
 from .weights import (
@@ -112,8 +111,8 @@ def cmd_cycles(args) -> int:
     g = build_star_graph(s.presentation)
     wf = WeightFunction.from_scenario(s, g)
     try:
-        threshold = Fraction(args.threshold)
-    except ZeroDivisionError:
+        threshold = parse_rational(args.threshold)
+    except ScenarioError:
         raise ValueError(f"bad threshold {args.threshold!r}") from None
     fams = enumerate_light_cycles(g, wf, threshold)
     for f in fams:

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .words import parse_int
+
 
 class EquationError(ValueError):
     pass
@@ -195,7 +197,10 @@ def parse_equation(tokens: list[str]) -> EquationWord:
         else:
             if not is_t:
                 raise EquationError(f"expected t power, got {tok!r}")
-            exps.append(1 if tok == "t" else int(tok[2:]))
+            try:
+                exps.append(1 if tok == "t" else parse_int(tok[2:]))
+            except ValueError:
+                raise EquationError(f"bad t power {tok!r}") from None
         expect_coeff = not expect_coeff
     if not expect_coeff:
         raise EquationError("dangling coefficient without t power")

@@ -99,11 +99,16 @@ def _split_comment(raw: str) -> tuple[str, str]:
     return raw, ""
 
 
-def _parse_fraction(text: str, line: int) -> Fraction:
+def parse_rational(text: str, line: int | None = None) -> Fraction:
+    """A rational as ``Fraction`` reads it, from ASCII text without "_":
+    ``Fraction`` reads "1/2_0" as 1/20 from Python 3.11 on and rejects it on
+    3.10, and it reads digits of other scripts."""
     try:
-        return Fraction(text)
+        if "_" not in text and text.isascii():
+            return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ScenarioError(f"bad rational {text!r}", line)
+        pass
+    raise ScenarioError(f"bad rational {text!r}", line)
 
 
 def _split_fact_args(tokens: list[str], line: int) -> tuple[list[str], list[str]]:
@@ -134,6 +139,8 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
             continue
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        word = head.partition(":")[0]
+        directive, colon, body = line.partition(":")
         if head == "factor":
             toks = rest.split()
             if not toks:
@@ -153,14 +160,15 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
             if fname in generators:
                 raise ScenarioError(f"duplicate gens line for {fname!r}", lineno)
             generators[fname] = names.split()
-        elif head.startswith("indet"):
-            _, _, names = line.partition(":")
-            indets.extend(names.split())
-        elif head.startswith("relator"):
-            _, _, body = line.partition(":")
+        elif word not in ("indet", "relator", "fact", "weight"):
+            raise ScenarioError(f"unknown directive {head!r}", lineno)
+        elif not colon or directive.strip() != word:
+            raise ScenarioError(f"{word} line needs '{word}:'", lineno)
+        elif word == "indet":
+            indets.extend(body.split())
+        elif word == "relator":
             relator_tokens.append((body.split(), lineno))
-        elif head.startswith("fact"):
-            _, _, body = line.partition(":")
+        elif word == "fact":
             toks = body.split()
             if not toks:
                 raise ScenarioError("empty fact", lineno)
@@ -173,14 +181,11 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
             except ValueError as e:
                 raise ScenarioError(str(e), lineno)
             fact_decls.append(FactDecl(kind, lhs, rhs, comment))
-        elif head.startswith("weight"):
-            _, _, body = line.partition(":")
+        else:  # weight
             key, sep, val = body.partition("=")
             if not sep:
                 raise ScenarioError("weight line needs '<edge> = <rational>'", lineno)
-            weights.append((key.strip(), _parse_fraction(val.strip(), lineno)))
-        else:
-            raise ScenarioError(f"unknown directive {head!r}", lineno)
+            weights.append((key.strip(), parse_rational(val.strip(), lineno)))
 
     relators = []
     declared = {g for gs in generators.values() for g in gs} | set(indets)

@@ -10,10 +10,11 @@ path used here, each rotation/inversion class from its least edge only.  It
 scales the weights and the threshold once by ``_weight_scale``, their least
 common denominator, adds and compares ints and hands each path's int back,
 from which a family's weight is built and by which families sort.  It
-turns back over an edge only where a zero pump can mend the backtrack,
-asking ``_ZeroSubgraph.fits``, the test the family builder applies to every
-marked junction, so it drops exactly the skeletons that yield no family,
-before walking their subtrees.
+turns back only over an edge outside the zero subgraph, and only where a
+zero pump can mend the turn, asking ``_ZeroSubgraph.fits``, the test the
+family builder applies to every marked junction; so it drops the skeletons
+that yield no family before walking their subtrees.  A turn over a zero
+edge would yield only paths another base yields (proved below).
 
 ``enumerate_light_cycles`` walks around the zero-weight subgraph and lists
 all closed paths of weight below the threshold as finitely many *cycle
@@ -50,6 +51,59 @@ structure spell the same sequences, which costs a duplicate family, never
 a missed one.  A pump-free family spells one sequence, and its key is just
 ``canonical_atom_cycle`` of its base, built without any expansion.
 
+Every light reduced closed path P lies in exactly one family, within the
+walker's caps (``max_len`` traversals, ``MAX_MARKED`` marked junctions).  A
+P that runs only over zero edges is a power of a zero cycle, which that
+cycle's power family spells.  Otherwise P's nonzero traversals cut it into
+zero runs; a run R from a to b is reduced, stays in one zero component and
+meets its two nonzero neighbours on other edges.  In a component with a
+cycle C, let r(x) be the tree path from x to C, landing at x*; a walk from a
+to b is homotopic to r(a) W r(b)^-1 for a walk W on C, and each homotopy
+class holds one reduced walk.  So, with c the cycle C based where it is
+spliced in:
+
+(1) if a* = b*, R is the tree path from a to b, or that path with
+    r(x) c^m r(x)^-1 (m >= 1, c either way round) spliced in at its vertex x
+    nearest C, the pump at x;
+(2) if a* != b*, R is r(a) c^m w r(b)^-1 (m >= 0), where w is one of the
+    two arcs of C from a* to b* and c runs the way w runs: the path
+    r(a) w r(b)^-1 with the pump c^m at a*.
+
+In a tree component R is the tree path.  The tree path and r(a) w r(b)^-1
+are vertex-simple, and the pump fits where it is spliced in.  Dropping the
+pumps from P leaves a base B whose zero runs are vertex-simple and which
+turns back only where R is a pump alone, r(v) c^m r(v)^-1: over the nonzero
+edge into v, a turn that pump mends.  B weighs what P weighs, so the
+walker, rooted at the forward traversal of B's least nonzero edge (of B
+inverted, if B crosses that edge only backwards), walks B; B's candidate
+with P's pump at each marked junction holds every pump that fits at its
+other gaps, so it has P as an instance, and the family kept under its key
+spells P.
+
+Uniqueness.  If P, rotated or inverted, is an instance of two candidates,
+both bases carry P's nonzero traversals in P's cyclic order, and at each
+run R each carries a vertex-simple zero run from a to b.  If a* = b*, or in
+a tree component, the tree path is the only one.  If a* != b*, there is one
+through each arc w, and along it a pump fits only at a*, inside w and at
+b*, with c run the way w runs: elsewhere the pump's first traversal turns
+back onto the arriving one or its last onto the leaving one.  So that run's
+instances wind round C from w in one sense only, and the two arcs'
+instances are disjoint: R fixes its arc.  So the two bases are one base,
+rotated or inverted; the pumps that fit at its unmarked gaps are fixed by
+it, and at a marked junction R's pump fixes the way c runs.  The two
+candidates have one ``_dedup_key``, so they are one family.  (Several
+multiplicity vectors of that family may spell P, where pumps fit at several
+vertices of one arc; that repeats an instance, not a family.)
+
+So a base that turned back over a zero edge z from v to u would add no
+path, and directly: only a pump at u could mend the turn, and in a rank-1
+component a nonempty reduced closed zero walk at u is r(u) c^m r(u)^-1.  If
+z runs towards C, the excursion z [r(u) c^m r(u)^-1] z^-1 is v's own pump,
+whose prefix z r(u) is r(v); the base without the excursion holds it at v,
+where it fits.  If z runs away from C, every pump at u starts with z^-1; if
+z lies on C, each pump at u starts with z^-1 or ends with z: no excursion
+away from C, or along it, is ever mendable.
+
 ``reduced_closed_walks`` walks with an empty zero subgraph and so lists the
 cyclically reduced closed walks up to a length, one per edge class, for
 ``enumerate_trivial_cycles``; the guard of the weight test makes the same
@@ -71,9 +125,7 @@ canonical order, go to ``refute_trivial`` and, unrefuted, are reported as
 "guard walk not covered".  Step 1 is sound for a refuted family because its
 template refutation covers every expansion, so the walk's label is refuted;
 a surviving family is reported anyway.  Each walk is canonicalised once,
-and only the walks no family spells reach the fact base;
-``verify_weight_test`` proves that this reports what a guard that first
-asked the fact base's memo reported.
+and only the walks no family spells reach the fact base.
 """
 
 from __future__ import annotations
@@ -475,8 +527,10 @@ def _weight_scale(g: StarGraph, wf: WeightFunction, threshold: Fraction) -> int:
 def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _ZeroSubgraph) -> tuple:
     """The tables ``_closed_walks`` reads, which depend only on its first
     four arguments: edge ranks, the scaled threshold, the mend test, the
-    one-vertex runs, the steps out of each vertex and the root states.  A
-    caller that walks one graph several times builds them once."""
+    one-vertex runs, the steps out of each vertex and the root states.  The
+    mend test is asked only about steps off the zero subgraph, the only ones
+    a walk turns back over.  A caller that walks one graph several times
+    builds them once."""
     zero = {e.edge_id for e in zsub.edges}
     rank = {e.edge_id: i for i, e in enumerate(g.edges)}
     scale = _weight_scale(g, wf, threshold)
@@ -493,7 +547,7 @@ def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _Z
     steps_at = {
         v: [
             (t, t.edge, t.direction, t.end, weight.get(t.edge.edge_id), rank[t.edge.edge_id],
-             mends(t.reverse()))
+             t.edge.edge_id in weight and mends(t.reverse()))
             for t in g.incident(v)
         ]
         for v in g.vertices
@@ -522,12 +576,14 @@ def _closed_walks(
     that uses an edge outside the zero subgraph, weighs less than threshold
     on those edges and runs vertex-simply over zero-subgraph edges, in DFS
     order; weight is the path's weight times ``_weight_scale(g, wf,
-    threshold)``, an int.  A walk may backtrack (at the seam too) only
-    where it can be mended: some pump p at the turning vertex makes
-    ``t p t^-1`` reduced for the arriving traversal t.  marked holds those
-    junctions, where a pump insertion is mandatory.  A walk with an unmendable backtrack has no
+    threshold)``, an int.  A walk may turn back (at the seam too) only over
+    an edge outside the zero subgraph, and only where the turn can be
+    mended: some pump p at the turning vertex makes ``t p t^-1`` reduced
+    for the arriving traversal t.  marked holds those junctions, where a
+    pump insertion is mandatory.  A walk with an unmendable turn has no
     reduced instance, so it yields no family, and neither does any walk
-    through it: its subtree is skipped.
+    through it: its subtree is skipped.  A zero run never turns back, as it
+    is vertex-simple; the module docstring proves that no family is lost.
 
     ``prune``, when given, is asked about each path as it is popped, before
     its step is counted; a path it answers true for is dropped with its
@@ -556,10 +612,7 @@ def _closed_walks(
     rotation/inversion class reaches the forward traversal of its least
     edge, and pruned subtrees keep the order of the rest: the first path per
     class is the one an unrooted DFS from both directions of every edge
-    finds first.  Only classes whose zero run returns to the vertex of a
-    zero backtrack are lost, as such a run is vertex-simple in one
-    orientation only; that junction lies on the zero cycle, whose pumps all
-    start or end with the backtracked edge, so the walk yields no family.
+    finds first.
     """
     rank, limit, mends, alone, steps_at, roots = tables or _walk_tables(g, wf, threshold, zsub)
     if starts is None:
@@ -592,20 +645,16 @@ def _closed_walks(
                 continue
             last_edge, turn = last.edge, -last.direction
             for t, edge, direction, end, w, r, turnable in steps_at[cur]:
-                backtrack = edge is last_edge and direction == turn
-                new_marked = marked
-                if backtrack:
-                    if len(marked) >= MAX_MARKED or not turnable:
-                        continue
-                    new_marked = marked | {len(path) - 1}
-                if w is not None:
-                    if r < root or used + w >= limit:
-                        continue
-                    stack.append((path + (t,), used + w, alone[end], new_marked))
-                elif backtrack:
-                    stack.append((path + (t,), used, alone[end], new_marked))
-                elif end not in run_seen:  # revisits belong to pumps
-                    stack.append((path + (t,), used, run_seen | {end}, new_marked))
+                if w is None:
+                    # a zero run never turns back: it is vertex-simple, and
+                    # revisits belong to pumps
+                    if end not in run_seen:
+                        stack.append((path + (t,), used, run_seen | {end}, marked))
+                elif r >= root and used + w < limit:
+                    if edge is not last_edge or direction != turn:
+                        stack.append((path + (t,), used + w, alone[end], marked))
+                    elif turnable and len(marked) < MAX_MARKED:
+                        stack.append((path + (t,), used + w, alone[end], marked | {len(path) - 1}))
     return results
 
 
@@ -852,39 +901,7 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
     pump-free family's only expansion is its base, whose
     ``canonical_atom_cycle`` the family holds as ``atom_cycle`` (its
     ``_dedup_key``'s one entry), so only power and pumped families are
-    expanded.
-
-    An earlier guard took the first walk per edge class in canonical order
-    and asked, in turn: is its label in the fact base's memo of refuted
-    words, does a family spell it, does ``refute_trivial`` refute it.  This
-    guard reports the same walks, with the same witnesses, in the same
-    order:
-
-    (a) the memo holds only refuted words, and ``refute_trivial`` answers
-        from the memo first, so "spelled, else ``refute_trivial``" reports
-        exactly the walks "memo, else spelled, else ``refute_trivial``"
-        reports;
-    (b) walks of one edge class read the same edges, so they lie in one
-        atom class and are all spelled or all not: a class the earlier
-        guard took to its spelled test unspelled keeps every one of its
-        walks among those left after step 1;
-    (c) so the walks left are an order-keeping sublist of the walker's
-        output made of whole edge classes, and ``_first_per_class`` returns
-        for each the member it returned on the full list, in the same
-        canonical order;
-    (d) ``_refute_cyclic`` is asked about exactly the same words, in the
-        same order: the labels of the unspelled firsts that the memo does
-        not hold when they are reached, the memo growing by the same
-        answers on both sides.
-
-    A guard before that asked the fact base about every walk it did not find
-    in a set of survivor label classes.  Its reports could differ from
-    these in two cases only: a walk some refuted family spells but
-    ``refute_trivial`` cannot refute, which it reported and this guard
-    does not; and a walk no family spells whose label class is that of a
-    survivor's expansion, which it hid and this guard reports.  Neither
-    occurs on the corpus, the grid cells or the random graphs of the
-    tests."""
+    expanded."""
     g = build_star_graph(s.presentation)
     if fb is None:
         fb = FactBase(s.presentation, s.fact_decls)

@@ -104,6 +104,15 @@ def letter_token(name: str, exp: int) -> str:
     return name if exp == 1 else f"{name}^{exp}"
 
 
+def parse_int(text: str) -> int:
+    """An optional sign and ASCII digits 0-9; ``int`` alone would also read
+    "1_0" as 10, spaces around the digits and digits of other scripts."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text)
+
+
 def parse_letter(token: str) -> Letter | None:
     """Parse one token; '1' denotes the identity (returns None)."""
     if token == "1":
@@ -111,7 +120,7 @@ def parse_letter(token: str) -> Letter | None:
     if "^" in token:
         name, _, exp_s = token.partition("^")
         try:
-            exp = int(exp_s)
+            exp = parse_int(exp_s)
         except ValueError:
             raise ValueError(f"bad exponent in token {token!r}")
         if exp == 0:

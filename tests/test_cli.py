@@ -129,6 +129,25 @@ def test_cycles_zero_denominator_threshold_is_an_input_error(threshold, gamma8_f
     assert captured.err == f"error: bad threshold {threshold!r}\n"
 
 
+@pytest.mark.parametrize("threshold", ["2_0", "1/2_0", "٢"])
+def test_cycles_threshold_is_an_ascii_rational_without_underscores(threshold, gamma8_file, capsys):
+    # Fraction reads "2_0" as 20 from Python 3.11 on and rejects it on 3.10
+    assert main(["cycles", gamma8_file, "--threshold", threshold]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad threshold {threshold!r}\n"
+
+
+def test_relator_line_without_its_colon_exits_2(tmp_path, capsys):
+    # read without the colon it was the empty relator: parse exited 0
+    path = tmp_path / "nocolon.scn"
+    path.write_text(GAMMA8.replace("relator: b1 Y b3 Y^-1", "relator b1 Y b3 Y^-1"))
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 7: relator line needs 'relator:'\n"
+
+
 def test_trivial_cycles_cli(gamma8_file, capsys):
     assert main(["trivial-cycles", gamma8_file, "--length", "2"]) == 0
 

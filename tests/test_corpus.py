@@ -1,8 +1,16 @@
-"""Corpus regression: the paper's case analysis as machine-checked data."""
+"""Corpus regression: the paper's case analysis as machine-checked data.
+
+``src/starweight/corpus/golden/<name>.txt`` pins the stdout of
+``check-weights`` on each corpus scenario but ``px``.  After a deliberate
+output change, regenerate the files with
+
+    PYTHONPATH=src python tests/test_corpus.py
+"""
 
 import io
 import contextlib
 import random
+import sys
 import zlib
 from pathlib import Path
 
@@ -52,12 +60,21 @@ def test_corpus_run_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-@pytest.mark.parametrize("name", [n for n in scenario_names() if n != "px"])
-def test_golden_outputs(name, capsys):
-    main(["check-weights", str(CORPUS / f"{name}.scn")])
-    out = capsys.readouterr().out
+GOLDEN_NAMES = [n for n in scenario_names() if n != "px"]
+
+
+def check_weights_report(name):
+    """The stdout of ``check-weights`` on one corpus scenario."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["check-weights", str(CORPUS / f"{name}.scn")])
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
+def test_golden_outputs(name):
     golden = (CORPUS / "golden" / f"{name}.txt").read_text()
-    assert out == golden
+    assert check_weights_report(name) == golden
 
 
 # -- mutation checks: deleting the unless-clause fact surfaces the branch --
@@ -265,3 +282,10 @@ def test_path_canonical_forms_match_brute_force():
                 rot = p[i:] + p[:i]
                 assert canonical_atom_cycle(list(rot)) == want_atoms
                 assert canonical_atom_edge_cycle(rot) == want_edges
+
+
+if __name__ == "__main__":
+    for name in GOLDEN_NAMES:
+        path = CORPUS / "golden" / f"{name}.txt"
+        path.write_text(check_weights_report(name), encoding="utf-8")
+        sys.stdout.write(f"wrote {path}\n")

@@ -248,3 +248,10 @@ def test_parse_equation_inline():
     assert classify(w).verdict == "Cor1"
     with pytest.raises(EquationError):
         parse_equation("t a1".split())
+
+
+@pytest.mark.parametrize("power", ["t^1_0", "t^٢", "t^", "t^ 2"])
+def test_a_t_power_is_a_sign_and_ascii_digits(power):
+    # int() alone reads "1_0" as 10
+    with pytest.raises(EquationError, match="bad t power"):
+        parse_equation(["a1", power, "a2", "t^-1"])

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from starweight.scenario import ScenarioError, parse_scenario, print_scenario
+from starweight.scenario import ScenarioError, parse_rational, parse_scenario, print_scenario
 from starweight.words import word_from_tokens
 
 PX_FILE = """\
@@ -71,3 +73,64 @@ def test_fact_with_multiword_sides():
 def test_relator_stored_cyclically_reduced():
     s = parse_scenario("factor A\ngens A: a1\nindet: t\nrelator: t^-1 a1 t t\n")
     assert str(s.presentation.relators[0]) == "a1 t"
+
+
+HEAD = "factor A\ngens A: a1 a2\nindet: t\nrelator: a1 t a2 t\n"
+
+
+@pytest.mark.parametrize(
+    "line, directive",
+    [
+        ("indet t", "indet"),
+        ("relator a1 t a2 t", "relator"),
+        ("relator", "relator"),
+        ("fact neq a1 a2", "fact"),
+        ("weight 0.0 = 1/2", "weight"),
+        ("weight label:a1 = 1/2", "weight"),
+    ],
+)
+def test_directive_without_its_colon_is_an_error_at_its_line(line, directive):
+    # read without the colon, these used to declare nothing, relate 1 or
+    # report an empty fact
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(HEAD + line + "\n")
+    assert exc.value.line == 5
+    assert str(exc.value) == f"line 5: {directive} line needs '{directive}:'"
+
+
+@pytest.mark.parametrize("line", ["indets: t", "relators: a1 t", "facts: neq a1 a2", "weighting: 0.0 = 1"])
+def test_a_directive_is_its_whole_word(line):
+    with pytest.raises(ScenarioError, match="line 5: unknown directive"):
+        parse_scenario(HEAD + line + "\n")
+
+
+def test_directives_read_the_same_with_spaces_around_the_colon():
+    s = parse_scenario(
+        "factor A\ngens A: a1 a2\nindet :t\nrelator :a1 t a2 t\nfact : neq a1 a2\nweight :0.0 = 1/2\n"
+    )
+    assert s.presentation.indeterminates == ["t"] and len(s.fact_decls) == 1
+    assert str(s.presentation.relators[0]) == "a1 t a2 t" and s.weights == [("0.0", Fraction(1, 2))]
+
+
+@pytest.mark.parametrize("token", ["a1^1_0", "a1^ 2", "a1^٢", "a1^", "a1^+-2", "a1^0x2"])
+def test_an_exponent_is_a_sign_and_ascii_digits(token):
+    # int() alone reads "1_0" as 10 and "٢" (Arabic-Indic two) as 2
+    with pytest.raises(ValueError, match="bad exponent"):
+        word_from_tokens([token])
+
+
+def test_signed_exponents_read_as_before():
+    assert word_from_tokens(["a1^+2", "a2^-10", "a1^007"]).letters == (("a1", 2), ("a2", -10), ("a1", 7))
+
+
+@pytest.mark.parametrize("value", ["1/2_0", "1_0/3", "1_0", "٢/3", "1/0", "1/", "one"])
+def test_a_weight_is_an_ascii_rational_without_underscores(value):
+    # Fraction reads "1/2_0" as 1/20 from Python 3.11 on and rejects it on 3.10
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(HEAD + f"weight: 0.0 = {value}\n")
+    assert str(exc.value) == f"line 5: bad rational {value!r}"
+
+
+@pytest.mark.parametrize("value, want", [("1/2", Fraction(1, 2)), ("0.25", Fraction(1, 4)), ("-0", Fraction(0))])
+def test_ascii_rationals_read_as_before(value, want):
+    assert parse_rational(value) == want
