@@ -27,6 +27,7 @@ from .weights import (
     render_report,
     verify_weight_test,
 )
+from .words import parse_int
 
 RESOURCE_LIMIT, USAGE_ERROR, NEGATIVE, OK = 3, 2, 1, 0
 
@@ -131,7 +132,7 @@ def cmd_trivial_cycles(args) -> int:
 
 
 def cmd_curvature(args) -> int:
-    degrees = [int(x) for x in args.degrees.split(",") if x]
+    degrees = [parse_int(x) for x in args.degrees.split(",") if x]
     expr = region_curvature(degrees, boundary=bool(args.boundary))
     sys.stdout.write(str(expr) + "\n")
     return OK

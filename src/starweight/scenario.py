@@ -129,6 +129,7 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
     indets: list[str] = []
     relator_tokens: list[tuple[list[str], int]] = []
     fact_decls: list[FactDecl] = []
+    fact_lines: list[int] = []  # the line of each fact, for the symbol check after the loop
     weights: list[tuple[str, Fraction]] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -181,6 +182,7 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
             except ValueError as e:
                 raise ScenarioError(str(e), lineno)
             fact_decls.append(FactDecl(kind, lhs, rhs, comment))
+            fact_lines.append(lineno)
         else:  # weight
             key, sep, val = body.partition("=")
             if not sep:
@@ -200,12 +202,12 @@ def parse_scenario(text: str, name: str = "") -> Scenario:
         relators.append(w)
 
     pres = RelativePresentation(factors, generators, indets, relators)
-    for fd in fact_decls:
+    for fd, lineno in zip(fact_decls, fact_lines):
         for n in fd.lhs.names() | fd.rhs.names():
             if n not in pres.factor_of:
-                raise ScenarioError(f"undeclared symbol {n!r} in fact")
+                raise ScenarioError(f"undeclared symbol {n!r} in fact", lineno)
             if pres.factor_of[n] == INDETERMINATE:
-                raise ScenarioError(f"indeterminate {n!r} not allowed in facts")
+                raise ScenarioError(f"indeterminate {n!r} not allowed in facts", lineno)
     return Scenario(pres, fact_decls, weights, name=name)
 
 

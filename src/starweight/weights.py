@@ -6,7 +6,7 @@ sum(1 - w(ci)) >= 2 and every admissible closed path (nonempty, cyclically
 reduced, label trivial in a factor) has weight >= 2.
 
 One rooted depth-first walker, ``_closed_walks``, enumerates every closed
-path used here, each rotation/inversion class from its least edge only.  It
+path used here, each rotation/inversion class once.  It
 scales the weights and the threshold once by ``_weight_scale``, their least
 common denominator, adds and compares ints and hands each path's int back,
 from which a family's weight is built and by which families sort.  It
@@ -74,11 +74,11 @@ are vertex-simple, and the pump fits where it is spliced in.  Dropping the
 pumps from P leaves a base B whose zero runs are vertex-simple and which
 turns back only where R is a pump alone, r(v) c^m r(v)^-1: over the nonzero
 edge into v, a turn that pump mends.  B weighs what P weighs, so the
-walker, rooted at the forward traversal of B's least nonzero edge (of B
-inverted, if B crosses that edge only backwards), walks B; B's candidate
-with P's pump at each marked junction holds every pump that fits at its
-other gaps, so it has P as an instance, and the family kept under its key
-spells P.
+walker lists one copy of B, rotated or inverted: the first it finds of
+B's class.  Rotated or inverted alike, P is then an instance of that copy
+with P's pump, read the way the copy reads, at each marked junction; the
+candidate with those pumps holds every pump that fits at the other gaps,
+so the family kept under its key spells P.
 
 Uniqueness.  If P, rotated or inverted, is an instance of two candidates,
 both bases carry P's nonzero traversals in P's cyclic order, and at each
@@ -120,8 +120,8 @@ walker emits them, and drops each walk that some family spells: one whose
 ``canonical_atom_cycle`` is that of a family expansion of at most
 ``GUARD_LEN`` traversals.  A pump-free family spells only its base, whose
 key ``enumerate_light_cycles`` already holds; only power and pumped
-families are expanded.  (2) The walks left, the first per edge class in
-canonical order, go to ``refute_trivial`` and, unrefuted, are reported as
+families are expanded.  (2) The walks left, one per edge class, go in
+canonical order to ``refute_trivial`` and, unrefuted, are reported as
 "guard walk not covered".  Step 1 is sound for a refuted family because its
 template refutation covers every expansion, so the walk's label is refuted;
 a surviving family is reported anyway.  Each walk is canonicalised once,
@@ -526,13 +526,18 @@ def _weight_scale(g: StarGraph, wf: WeightFunction, threshold: Fraction) -> int:
 
 def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _ZeroSubgraph) -> tuple:
     """The tables ``_closed_walks`` reads, which depend only on its first
-    four arguments: edge ranks, the scaled threshold, the mend test, the
-    one-vertex runs, the steps out of each vertex and the root states.  The
-    mend test is asked only about steps off the zero subgraph, the only ones
-    a walk turns back over.  A caller that walks one graph several times
-    builds them once."""
+    four arguments: the scaled threshold, the mend test, the one-vertex
+    runs, the end of each step key, the steps out of each vertex and the
+    root states.  The mend test is asked only about steps off the zero
+    subgraph, the only ones a walk turns back over.  A step's key is 2 *
+    its edge's index in ``g.edges``, plus 1 if it runs backwards: keys grow
+    along ``g.incident``, which lists a vertex's steps by edge and a loop
+    forwards first, the reverse step's key is key ^ 1, and a walk rooted at
+    edge e0 steps onto a nonzero edge only if its key is at least 2 * the
+    index of e0.  A caller that walks one graph several times builds them
+    once."""
     zero = {e.edge_id for e in zsub.edges}
-    rank = {e.edge_id: i for i, e in enumerate(g.edges)}
+    key = {e.edge_id: 2 * i for i, e in enumerate(g.edges)}
     scale = _weight_scale(g, wf, threshold)
     weight = {e.edge_id: int(wf[e.edge_id] * scale) for e in g.edges if e.edge_id not in zero}
     limit = int(threshold * scale)
@@ -541,23 +546,24 @@ def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _Z
         return any(zsub.fits(t, prefix, cycle, t.reverse()) for prefix, cycle in zsub.pumps_at(t.end))
 
     alone = {v: frozenset([v]) for v in g.vertices}
-    # per vertex, each step out of it as (traversal, edge, direction, end,
-    # scaled weight or None on a zero edge, edge rank, whether a walk that
-    # arrived along the reverse step may turn back onto it)
+    ends = [v for e in g.edges for v in (e.dst, e.src)]
+    # per vertex, each step out of it as (traversal, end, scaled weight or
+    # None on a zero edge, key, whether a walk that arrived along the
+    # reverse step may turn back onto it)
     steps_at = {
         v: [
-            (t, t.edge, t.direction, t.end, weight.get(t.edge.edge_id), rank[t.edge.edge_id],
+            (t, t.end, weight.get(t.edge.edge_id), key[t.edge.edge_id] + (t.direction < 0),
              t.edge.edge_id in weight and mends(t.reverse()))
             for t in g.incident(v)
         ]
         for v in g.vertices
     }
-    roots = []
-    for e in g.edges:
-        t0 = Traversal(e, +1)
-        if e.edge_id not in zero and weight[e.edge_id] < limit:
-            roots.append(((t0,), weight[e.edge_id], alone[t0.end], frozenset()))
-    return rank, limit, mends, alone, steps_at, roots
+    roots = [
+        ((Traversal(e, +1),), weight[e.edge_id], alone[e.dst], frozenset(), (key[e.edge_id],), (), ())
+        for e in g.edges
+        if e.edge_id not in zero and weight[e.edge_id] < limit
+    ]
+    return limit, mends, alone, ends, steps_at, roots
 
 
 def _closed_walks(
@@ -606,56 +612,141 @@ def _closed_walks(
     compare.  A zero-subgraph edge weighs 0, whose denominator is 1, so the
     scale is that of the weights the walk adds.
 
-    Rooting: the DFS starts from the forward traversal of each edge outside
-    the zero subgraph, in ``g.edges`` order, and never steps onto such an
-    edge of lower index.  Inversion flips every direction, so each
+    Rooting: the DFS starts from the forward traversal t0 of each edge e0
+    outside the zero subgraph, in ``g.edges`` order, and never steps onto
+    such an edge of lower index.  Inversion flips every direction, so each
     rotation/inversion class reaches the forward traversal of its least
-    edge, and pruned subtrees keep the order of the rest: the first path per
-    class is the one an unrooted DFS from both directions of every edge
-    finds first.
+    edge.  Its copies here are the rotations that start at a forward
+    traversal of e0 and the inverse read back from each backward one, and
+    each is walked when one is: they have one length, weight and edge
+    multiset, their zero runs cover the same vertices (none spans the seam,
+    which lies after a traversal of e0), and they turn at the same
+    junctions, where the mend test reads the same arriving traversal either
+    way round.  Pruned subtrees keep the order of the rest, so the first
+    copy found is the one an unrooted DFS from both directions of every
+    edge finds first.
+
+    Each class once.  The DFS pops the steps out of a vertex in reverse
+    ``steps_at`` order, by decreasing key (``_walk_tables``), and walks a
+    path's subtree before its next sibling; so of two closed paths of one
+    length it finds first the one whose key tuple is greater.  A path's
+    state holds its keys; ``ties``, the starts j >= 1 of forward traversals
+    of e0 whose rotation agrees with the path so far (keys[j:] ==
+    keys[:n - j]); and ``mirrors``, the positions j of backward traversals
+    of e0 whose read-back keys[j] ^ 1, .., keys[0] ^ 1 equals
+    keys[:j + 1].  A step of key k at position n (``_necklace_step``) beats
+    the path at tie j when k > keys[n - j] and settles j when k is less; a
+    backward traversal of e0 compares its whole read-back at once, and a
+    forward one opens a tie.  A beaten prefix is not pushed.  What is still
+    tied when a path closes is settled by its wrap-round
+    (``_found_first``): a beaten closed path is not listed, but its subtree
+    is walked.
+
+    (1) No pruned prefix leads to a first copy: every closed path through
+    it has a copy, the rotation or read-back that beat it, whose keys are
+    greater at their first difference and which the walk without this
+    prune walks.  (2) The copy C found first has the greatest keys of its
+    class, so nothing beats a prefix of C or C itself: C is listed.  (3) A
+    copy P != C is C's rotation from a forward traversal j of e0 or its
+    read-back from a backward one j, and the key tuples first differ at an
+    index i, where C's is greater.  Nothing before i settles j.  If the
+    difference lies inside P (j + i < len(P) for a rotation, i <= j for a
+    read-back), the push of position j + i, or of j, beats P's prefix;
+    otherwise j is still a tie or mirror when P closes, and the close beats
+    P.  So the walk lists what the walk without this prune lists, in the
+    same order, with the same marked sets and weights, less each path
+    whose class it listed earlier; and it pops a subset of what that walk
+    pops, so a budget that walk fits in is enough.  ``prune`` may drop a
+    class's first copy and keep another; then no copy of that class is
+    listed.
     """
-    rank, limit, mends, alone, steps_at, roots = tables or _walk_tables(g, wf, threshold, zsub)
+    limit, mends, alone, ends, steps_at, roots = tables or _walk_tables(g, wf, threshold, zsub)
     if starts is None:
         starts = roots
     results: list[tuple[tuple[Traversal, ...], frozenset, int]] = []
     steps = 0
-    for e0, group in itertools.groupby(starts, key=lambda state: state[0][0].edge):
+    for ahead, group in itertools.groupby(starts, key=lambda state: state[4][0]):
+        # ahead and back are the keys of t0 and of its reverse
         stack = list(group)
-        t0, root = stack[0][0][0], rank[e0.edge_id]
-        home = t0.start
+        home, back = stack[0][0][0].start, ahead + 1
         stack.reverse()
         while stack:
-            path, used, run_seen, marked = stack.pop()
+            path, used, run_seen, marked, keys, ties, mirrors = stack.pop()
             if prune and prune(path):
                 continue
             steps += 1
             if steps > budget:
                 raise WalkBudgetError("closed-walk enumeration budget exceeded")
-            last = path[-1]
-            cur = last.end
-            if cur == home:
+            n, last = len(path), keys[-1]
+            cur = ends[last]
+            if cur == home and (not (ties or mirrors) or _found_first(keys, ties, mirrors)):
                 # internal junctions are reduced-or-marked by construction
-                if last.edge is not e0 or last.direction > 0:
+                if last != back:
                     results.append((path, marked, used))
-                elif len(marked) < MAX_MARKED and mends(last):
-                    results.append((path, marked | {len(path) - 1}, used))
-            if len(path) >= max_len:
+                elif len(marked) < MAX_MARKED and mends(path[-1]):
+                    results.append((path, marked | {n - 1}, used))
+            if n >= max_len:
                 if leaves is not None:
-                    leaves.append((path, used, run_seen, marked))
+                    leaves.append((path, used, run_seen, marked, keys, ties, mirrors))
                 continue
-            last_edge, turn = last.edge, -last.direction
-            for t, edge, direction, end, w, r, turnable in steps_at[cur]:
+            turn = last ^ 1
+            for t, end, w, k, turnable in steps_at[cur]:
                 if w is None:
                     # a zero run never turns back: it is vertex-simple, and
                     # revisits belong to pumps
-                    if end not in run_seen:
-                        stack.append((path + (t,), used, run_seen | {end}, marked))
-                elif r >= root and used + w < limit:
-                    if edge is not last_edge or direction != turn:
-                        stack.append((path + (t,), used + w, alone[end], marked))
-                    elif turnable and len(marked) < MAX_MARKED:
-                        stack.append((path + (t,), used + w, alone[end], marked | {len(path) - 1}))
+                    if end in run_seen:
+                        continue
+                    u, seen, m = used, run_seen | {end}, marked
+                elif k < ahead or used + w >= limit:
+                    continue
+                elif k != turn:
+                    u, seen, m = used + w, alone[end], marked
+                elif turnable and len(marked) < MAX_MARKED:
+                    u, seen, m = used + w, alone[end], marked | {n - 1}
+                else:
+                    continue
+                if not ties and k | 1 != back:
+                    stack.append((path + (t,), u, seen, m, keys + (k,), ties, mirrors))
+                elif (necklace := _necklace_step(keys, ties, mirrors, k)) is not None:
+                    stack.append((path + (t,), u, seen, m, keys + (k,), *necklace))
     return results
+
+
+def _necklace_step(keys: tuple, ties: tuple, mirrors: tuple, k: int) -> tuple | None:
+    """(ties, mirrors) after a step of key k onto a path of ``keys``, or
+    None when some copy of every closed path through the longer prefix
+    comes first (``_closed_walks`` proves it)."""
+    n = len(keys)
+    kept = []
+    for j in ties:
+        if k > keys[n - j]:
+            return None
+        if k == keys[n - j]:
+            kept.append(j)
+    if k == keys[0]:
+        kept.append(n)
+    elif k == keys[0] ^ 1:
+        # the read-back and the path share their first and last keys
+        read = _inverse(keys[1:])
+        if read > keys[1:]:
+            return None
+        if read == keys[1:]:
+            mirrors += (n,)
+    return tuple(kept), mirrors
+
+
+def _found_first(keys: tuple, ties: tuple, mirrors: tuple) -> bool:
+    """Whether the closed path of ``keys`` comes before the copy read from
+    each tie and mirror once the comparison wraps round its end."""
+    n = len(keys)
+    return all(keys[:j] <= keys[n - j :] for j in ties) and all(
+        _inverse(keys[j + 1 :]) <= keys[j + 1 :] for j in mirrors
+    )
+
+
+def _inverse(keys: tuple) -> tuple:
+    """The keys of the path read backwards."""
+    return tuple(k ^ 1 for k in reversed(keys))
 
 
 def enumerate_light_cycles(
@@ -720,12 +811,13 @@ def reduced_closed_walks(
     budget: int = 5_000_000,
 ) -> list[tuple[Traversal, ...]]:
     """All cyclically reduced closed walks up to max_len, one per canonical
-    (rotation/inversion) class; optionally only those of weight < threshold."""
+    (rotation/inversion) class, the one the walker lists, in canonical
+    order; optionally only those of weight < threshold."""
     if wf is None or threshold is None:
         wf, threshold = WeightFunction({e.edge_id: Fraction(0) for e in g.edges}), Fraction(1)
     # an empty zero subgraph allows no backtrack and imposes no simple runs
     walks = _closed_walks(g, wf, threshold, _ZeroSubgraph([]), max_len, budget)
-    return _first_per_class(path for path, _, _ in walks)
+    return sorted((path for path, _, _ in walks), key=canonical_atom_edge_cycle)
 
 
 def reduced_closed_walks_by_length(
@@ -738,8 +830,10 @@ def reduced_closed_walks_by_length(
 ) -> Iterator[list[tuple[Traversal, ...]]]:
     """For L = 1..max_len, the cyclically reduced closed walks of exactly L
     edges and weight < threshold, one per canonical class in canonical
-    order: the member that a walk to L from the roots, pruned by ``prune``
-    as it stands at level L, finds first.
+    order: the member that a walk to L from the roots finds first, where
+    ``prune`` as it stands at level L keeps it.  A class whose first member
+    ``prune`` drops is not listed, so ``prune`` may drop a member only of a
+    class whose every member its caller discards.
 
     Level L resumes from the paths of L - 1 edges that level L - 1 reached,
     so it walks each path of L edges once and re-walks no shorter one.  The
@@ -751,8 +845,8 @@ def reduced_closed_walks_by_length(
     asked at an earlier level.  So ``prune`` must drop a path at level L
     whenever it would drop one of the path's prefixes there, given that
     each prefix passed the last time it was popped.  The ``covers_kept`` of
-    the search's light-walk cuts does (the search module docstring gives
-    why).  Each level pops its frontier and its new paths, a subset of what
+    the search's light-walk cuts does both (the search module docstring
+    gives why).  Each level pops its frontier and its new paths, a subset of what
     a walk to L from the roots pops, within ``budget`` steps."""
     zsub = _ZeroSubgraph([])
     tables = _walk_tables(g, wf, threshold, zsub)
@@ -761,15 +855,7 @@ def reduced_closed_walks_by_length(
         leaves = [] if length < max_len else None
         walks = _closed_walks(g, wf, threshold, zsub, length, budget, prune, frontier, leaves, tables)
         frontier = leaves
-        yield _first_per_class(path for path, _, _ in walks if len(path) == length)
-
-
-def _first_per_class(paths) -> list[tuple[Traversal, ...]]:
-    """The first path of each canonical class, in canonical order."""
-    out: dict[tuple, tuple[Traversal, ...]] = {}
-    for path in paths:
-        out.setdefault(canonical_atom_edge_cycle(path), path)
-    return [out[k] for k in sorted(out)]
+        yield sorted((path for path, _, _ in walks if len(path) == length), key=canonical_atom_edge_cycle)
 
 
 def canonical_atom_edge_cycle(path: tuple[Traversal, ...]) -> tuple:
@@ -890,9 +976,10 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
     1. each walk the walker emits is keyed once by ``canonical_atom_cycle``
        and dropped when some family spells it, that is when an expansion of
        at most ``GUARD_LEN`` traversals has that key;
-    2. of the walks left, ``_first_per_class`` keeps the first per edge
-       class in canonical order; each whose label ``refute_trivial`` does not
-       refute is reported as "guard walk not covered".
+    2. the walks left, one per edge class as the walker lists them, are
+       sorted by ``canonical_atom_edge_cycle``; each whose label
+       ``refute_trivial`` does not refute is reported as "guard walk not
+       covered".
 
     Step 1 is sound: a walk of L traversals can only equal an expansion of
     L traversals, so the lookup misses no spelling family, and a refuted
@@ -931,7 +1018,7 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
             elif len(f.base) <= GUARD_LEN:
                 spelled.add(f.atom_cycle)
         unspelled = (path for path, _, _ in walks if canonical_atom_cycle(path) not in spelled)
-        for w in _first_per_class(unspelled):
+        for w in sorted(unspelled, key=canonical_atom_edge_cycle):
             if not fb.refute_trivial(path_label(w)):
                 fam = CycleFamily(w, (), wf.weight_of(w), "cycle")
                 verdicts.append(FamilyVerdict(fam, UNKNOWN, witness="guard walk not covered"))

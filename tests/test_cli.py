@@ -52,6 +52,20 @@ def test_curvature_bad_degrees(capsys):
     assert main(["curvature", "--degrees", "2,4"]) == 2
 
 
+def test_curvature_reads_ascii_digit_degrees(capsys):
+    assert main(["curvature", "--degrees", "4,10,6"]) == 0
+    assert capsys.readouterr().out == "pi/30\n"
+
+
+@pytest.mark.parametrize("degree", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-3"])
+def test_curvature_rejects_a_degree_int_alone_would_read(degree, capsys):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    assert main(["curvature", "--degrees", f"4,{degree},6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad integer {degree!r}\n"
+
+
 def test_parse_and_star(gamma8_file, capsys):
     assert main(["parse", gamma8_file]) == 0
     out = capsys.readouterr().out

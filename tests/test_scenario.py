@@ -41,6 +41,22 @@ def test_undeclared_generator_reports_line():
     assert "a9" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "fact, message",
+    [
+        ("neq a9 1", "undeclared symbol 'a9' in fact"),
+        ("neq a1 t", "indeterminate 't' not allowed in facts"),
+    ],
+    ids=["undeclared", "indeterminate"],
+)
+def test_fact_symbol_errors_report_the_fact_line(fact, message):
+    text = f"factor A\ngens A: a1\nindet: t\nrelator: a1 t\nfact: {fact}\n"
+    with pytest.raises(ScenarioError) as exc:
+        parse_scenario(text)
+    assert str(exc.value) == f"line 5: {message}"
+    assert exc.value.line == 5
+
+
 def test_duplicate_declaration_rejected():
     with pytest.raises(ScenarioError):
         parse_scenario("factor A\nfactor A\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import os
 import random
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle_rooted_walker
 import oracle_walker
 import starweight
 import starweight.weights as weights_module
@@ -43,6 +45,7 @@ from starweight.weights import (
     enumerate_light_cycles,
     enumerate_trivial_cycles,
     reduced_closed_walks,
+    render_report,
     verify_weight_test,
     zero_cycle_families,
 )
@@ -551,11 +554,16 @@ def _skeletons(g, wf, threshold, zsub):
     return [(path, marked) for path, marked, _ in walks]
 
 
-def _first_per_class(skeletons):
-    first = {}
-    for path, marked in skeletons:
-        first.setdefault(canonical_atom_edge_cycle(path), (path, marked))
-    return list(first.items())
+def _first_copies(walks):
+    """The walks, each a tuple that starts with its path, less every one
+    whose edge class an earlier one has, in order."""
+    seen, out = set(), []
+    for walk in walks:
+        key = canonical_atom_edge_cycle(walk[0])
+        if key not in seen:
+            seen.add(key)
+            out.append(walk)
+    return out
 
 
 def _unmendable(zsub, path, marked):
@@ -594,11 +602,11 @@ def test_closed_walks_first_skeleton_per_class_matches_reference():
             zsub, _ = zero_cycle_families(g, wf)
         except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
             continue
-        want = _first_per_class(
+        want = _first_copies(
             (p, m) for p, m in _reference_skeletons(g, wf, Fraction(2), zsub)
             if not _turns_back_over_zero(zsub, p)
         )
-        assert _first_per_class(_skeletons(g, wf, Fraction(2), zsub)) == want, name
+        assert _first_copies(_skeletons(g, wf, Fraction(2), zsub)) == want, name
         checked += 1
     assert checked >= 40
 
@@ -635,19 +643,21 @@ def _rooted(g, zsub, path):
 
 
 def _pruned_reference(g, wf, threshold, zsub):
-    return [
+    """The reference skeletons the walker lists: rooted, mendable, never
+    turning back over a zero edge, and the first of each edge class."""
+    return _first_copies(
         (path, marked)
         for path, marked in _reference_skeletons(g, wf, threshold, zsub)
         if _rooted(g, zsub, path)
         and not _unmendable(zsub, path, marked)
         and not _turns_back_over_zero(zsub, path)
-    ]
+    )
 
 
 def test_closed_walks_are_the_rooted_mendable_reference_skeletons():
-    # rooting keeps the reference's DFS order, and a refused backtrack drops
+    # rooting keeps the reference's DFS order, a refused backtrack drops
     # exactly the paths with an unmendable marked junction or a turn over a
-    # zero edge
+    # zero edge, and of each edge class only the first path is listed
     cases = [(s.name, s, g) for s, g in _corpus() if s.weights]
     for k, q in ((4, 3), (4, 4), (5, 3)):
         s = parse_scenario(_grid_text(k, q), name=f"grid k={k} q={q}")
@@ -663,9 +673,9 @@ def test_closed_walks_are_the_rooted_mendable_reference_skeletons():
         rooted = [
             (p, m) for p, m in _reference_skeletons(g, wf, Fraction(2), zsub) if _rooted(g, zsub, p)
         ]
-        want = [
+        want = _first_copies(
             (p, m) for p, m in rooted if not _unmendable(zsub, p, m) and not _turns_back_over_zero(zsub, p)
-        ]
+        )
         assert got == want, name
         pruned += len(rooted) - len(got)
         checked += 1
@@ -715,7 +725,7 @@ def test_closed_walks_hand_back_each_weight_in_units_of_the_scale():
     cases += [("sevenths", parse_scenario(SEVENTHS), t) for t in (Fraction(12, 7), Fraction(7, 4))]
     cases += [
         (f"grid k={k} q={q}", parse_scenario(_grid_text(k, q)), Fraction(2))
-        for k, q in ((4, 3), (4, 5), (5, 4))
+        for k, q in ((4, 3), (4, 5), (5, 4), (6, 4))
     ]
     paths = families = 0
     for name, s, threshold in cases:
@@ -1641,22 +1651,29 @@ def _spelled_per_family(report):
     ]
 
 
-def test_walker_drops_only_zero_backtracks_and_each_class_lies_in_one_family(monkeypatch):
-    # the walker before, kept in oracle_walker, also let a base run out over a
-    # zero tree edge and turn back with a mandatory pump at the turn; such a
-    # base spells only what the base without the excursion spells through an
-    # optional pump, so dropping it loses no class, and the duplicates go
+def _walker_cases():
+    """(name, scenarios) of the weighted corpus, grid cells (4,3)-(6,4) and
+    random graphs 0-299, each random graph with its own two neq facts and
+    again with ``EQ_FACTS``."""
     cases = [(s.name, [s]) for s, _ in _corpus() if s.weights]
     cases += [
         (f"grid k={k} q={q}", [parse_scenario(_grid_text(k, q))])
-        for k, q in ((4, 3), (4, 4), (4, 5), (5, 3), (5, 4))
+        for k, q in ((4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (6, 3), (6, 4))
     ]
     cases += [
         (f"random {i}", [_random_scenario(g, wf), _random_scenario(g, wf, EQ_FACTS)])
         for i, (g, wf) in enumerate(_random_graphs(300))
     ]
+    return cases
+
+
+def test_walker_drops_only_zero_backtracks_and_each_class_lies_in_one_family(monkeypatch):
+    # the walker before, kept in oracle_walker, also let a base run out over a
+    # zero tree edge and turn back with a mandatory pump at the turn; such a
+    # base spells only what the base without the excursion spells through an
+    # optional pump, so dropping it loses no class, and the duplicates go
     walked = dropped = shared = pumped = 0
-    for name, scenarios in cases:
+    for name, scenarios in _walker_cases():
         with monkeypatch.context() as m:
             m.setattr(weights_module, "_closed_walks", oracle_walker._closed_walks)
             wants = [verify_weight_test(s) for s in scenarios]
@@ -1669,12 +1686,12 @@ def test_walker_drops_only_zero_backtracks_and_each_class_lies_in_one_family(mon
             assert classes == set().union(*spelled_before), name
             assert sum(map(len, spelled)) == len(classes), name
             # (i) the skeletons are the oracle's less those that turn back over
-            # a zero edge, in the same order
+            # a zero edge, in the same order, and the first of each edge class
             g, wf = got.graph, got.weight_function
             zsub, _ = zero_cycle_families(g, wf)
             before = oracle_walker._closed_walks(g, wf, Fraction(2), zsub, 40, 2_000_000)
             after = _closed_walks(g, wf, Fraction(2), zsub, 40, 2_000_000)
-            assert after == [w for w in before if not _turns_back_over_zero(zsub, w[0])], name
+            assert after == _first_copies(w for w in before if not _turns_back_over_zero(zsub, w[0])), name
             walked += 1
             dropped += len(before) - len(after)
             shared += sum(map(len, spelled_before)) - len(classes)
@@ -1685,3 +1702,66 @@ def test_walker_drops_only_zero_backtracks_and_each_class_lies_in_one_family(mon
             assert not any(fv.witness == "guard walk not covered" for fv in want.families + got.families)
     assert walked >= 330 and pumped >= 30
     assert dropped > 0 and shared > 0, (dropped, shared)
+
+
+# -- the walker against the one that listed every copy of a class ----------------
+
+
+def test_walker_lists_the_first_copy_of_each_class_the_oracle_lists(monkeypatch):
+    # the walker before, kept in oracle_rooted_walker, listed every copy of a
+    # class that starts at a forward traversal of the class's least edge; the
+    # necklace prune keeps the first of them, in the oracle's order, for the
+    # family walk and the guard walk alike, and every report is unchanged
+    walked = dropped = 0
+    for name, scenarios in _walker_cases():
+        s = scenarios[0]
+        g = build_star_graph(s.presentation)
+        wf = WeightFunction.from_scenario(s, g)
+        try:
+            zsub, _ = zero_cycle_families(g, wf)
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            zsub = None
+        walks = [(_ZeroSubgraph([]), GUARD_LEN)] + ([(zsub, 40)] if zsub else [])
+        for walker, max_len in walks:
+            before = oracle_rooted_walker._closed_walks(g, wf, Fraction(2), walker, max_len, 2_000_000)
+            after = _closed_walks(g, wf, Fraction(2), walker, max_len, 2_000_000)
+            assert after == _first_copies(before), (name, max_len)
+            walked += 1
+            dropped += len(before) - len(after)
+        for s in scenarios:
+            with monkeypatch.context() as m:
+                m.setattr(weights_module, "_closed_walks", oracle_rooted_walker._closed_walks)
+                want = render_report(verify_weight_test(s))
+            assert render_report(verify_weight_test(s)) == want, name
+    assert walked >= 650 and dropped > 1_000, (walked, dropped)
+
+
+def test_walker_lists_one_skeleton_per_family_on_the_grid():
+    # the grid cells have no zero subgraph and no pumps, so each edge class
+    # is one family: the counts of bench/expected/grid.json, and k6_q4's
+    expected = Path(__file__).resolve().parent.parent / "bench" / "expected" / "grid.json"
+    cells = [(c["k"], c["q"], c["families"]) for c in json.loads(expected.read_text())["cells"]]
+    assert len(cells) >= 6
+    for k, q, families in cells + [(6, 4, 2795)]:
+        s = parse_scenario(_grid_text(k, q))
+        g = build_star_graph(s.presentation)
+        wf = WeightFunction.from_scenario(s, g)
+        zsub, _ = zero_cycle_families(g, wf)
+        skeletons = _closed_walks(g, wf, Fraction(2), zsub, 40, 2_000_000)
+        assert len(skeletons) == families == len(enumerate_light_cycles(g, wf)), (k, q)
+
+
+def test_no_two_skeletons_share_an_edge_class():
+    graphs = [(s.name, g, WeightFunction.from_scenario(s, g)) for s, g in _corpus() if s.weights]
+    graphs += [(f"random {i}", g, wf) for i, (g, wf) in enumerate(_random_graphs(300))]
+    checked = 0
+    for name, g, wf in graphs:
+        try:
+            zsub, _ = zero_cycle_families(g, wf)
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            continue
+        for walker, max_len in ((zsub, 40), (_ZeroSubgraph([]), GUARD_LEN)):
+            paths = [path for path, _, _ in _closed_walks(g, wf, Fraction(2), walker, max_len, 2_000_000)]
+            assert len({canonical_atom_edge_cycle(p) for p in paths}) == len(paths), name
+        checked += 1
+    assert checked >= 250
