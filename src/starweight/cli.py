@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("search-weights", help="search for an aspherical weight function")
     sp.add_argument("scenario")
-    sp.add_argument("--max-iter", type=int, default=64)
+    sp.add_argument("--max-iter", type=parse_int, default=64)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(func=cmd_search_weights)
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("trivial-cycles", help="enumerate unrefuted closed-path labels")
     sp.add_argument("scenario")
-    sp.add_argument("--length", type=int, required=True)
+    sp.add_argument("--length", type=parse_int, required=True)
     sp.set_defaults(func=cmd_trivial_cycles)
 
     sp = sub.add_parser("curvature", help="evaluate a region curvature")

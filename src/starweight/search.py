@@ -4,17 +4,21 @@ feasibility with lazy cycle-constraint generation.
 The LP over edge weights has 0 <= w(e) <= 1, the relator condition
 sum(w) <= corners - 2 per relator, and an accumulating set of cuts
 sum(w over walk edges) >= 2, one per unrefuted light walk of at most
-``weights.GUARD_LEN`` (6) edges under a candidate the verifier did not
-accept (``_light_walk_cuts``).  The simplex follows Bland's rule and pivots
+``CUT_WALK_LEN`` (6) edges under a candidate the verifier did not accept
+(``_light_walk_cuts``).  The simplex follows Bland's rule and pivots
 on integers over one common denominator, so its results are exact
 Fractions and runs are deterministic.
 
 These cuts are necessary: every weight function the verifier accepts gives
-each unrefuted closed walk of at most ``GUARD_LEN`` edges weight >= 2.  A
-walk that no family spells is reported by the guard when it is light and
-unrefuted.  A walk that some family spells lies in a family that must be
-refuted, and a refuted family's short expansions are then refuted on their
-own; that last step is checked, not proved, by
+each unrefuted closed walk of at most ``CUT_WALK_LEN`` edges weight >= 2.
+Such a walk is cyclically reduced.  Were it lighter than 2 under that
+function, it would lie in a family of the function's list: the
+``weights`` module docstring proves the list complete for every light
+reduced closed path that neither cap of its walker cuts, and shows that
+neither cuts one of at most 6 edges.  The verifier accepts only when every
+listed family is refuted, and a refuted family's short expansions are then
+refuted on their own, so the walk would be refuted; that last step is
+checked, not proved, by
 ``tests/test_weights.py::test_refuted_families_refute_each_short_expansion_on_its_own``
 on the corpus, grid cells and 300 random graphs.  A cut is the walk's
 edge-count vector c with c.w >= 2.  Weights are >= 0, so when c <= c' in
@@ -23,17 +27,17 @@ and dropping it leaves the feasible region unchanged.
 
 ``_light_walk_cuts`` walks by length: level L takes the walks of exactly L
 edges in canonical order, shortest level first, as one sort of every walk
-up to ``GUARD_LEN`` by length would.  It starts its kept set with the cuts
-the search already holds, skips a walk whose cut a kept cut implies before
-its label is refuted, and never extends a prefix whose counts cover a kept
-cut.  A prefix's counts are <= those of every walk through it, and counts
-do not change under rotation or inversion, so this drops whole classes of
-implied walks and never a member of a class that survives; the walk keeps
-its depth-first order, so each surviving class keeps the member, and so
-the label, that one walk to ``GUARD_LEN`` finds first.  A level's cuts are
-not known while it walks, but two walks of one length imply each other
-only when their counts are equal, and the implication test on each walk
-catches that.
+up to ``CUT_WALK_LEN`` by length would.  It starts its kept set with the
+cuts the search already holds, skips a walk whose cut a kept cut implies
+before its label is refuted, and never extends a prefix whose counts cover
+a kept cut.  A prefix's counts are <= those of every walk through it, and
+counts do not change under rotation or inversion, so this drops whole
+classes of implied walks and never a member of a class that survives; the
+walk keeps its depth-first order, so each surviving class keeps the
+member, and so the label, that one walk to ``CUT_WALK_LEN`` finds first.
+A level's cuts are not known while it walks, but two walks of one length
+imply each other only when their counts are equal, and the implication
+test on each walk catches that.
 
 Starting from the held cuts returns exactly the cuts that a walk started
 from nothing returns once those a held cut implies are filtered out.  A
@@ -58,11 +62,10 @@ P's counts, so it holds P's last edge.  The survivors are extended in the
 order the walk pops them, so the new paths keep depth-first order, and
 only the closed ones of exactly L edges are canonicalised.  Each level pops
 its frontier and its new paths, a subset of the nodes one unpruned walk to
-``GUARD_LEN`` pops and of what the same level popped without held cuts,
-within the guard's budget ``GUARD_BUDGET``: no search that such a walk
-would let finish gives up here.  Exhausting the walk budget or the eq
-rewrite cap ends the search as gave-up, and so does a round that finds no
-new cut.
+``CUT_WALK_LEN`` pops and of what the same level popped without held cuts,
+within ``CUT_WALK_BUDGET``: no search that such a walk would let finish
+gives up here.  Exhausting the walk budget or the eq rewrite cap ends the
+search as gave-up, and so does a round that finds no new cut.
 """
 
 from __future__ import annotations
@@ -75,13 +78,14 @@ from .facts import FactBase, RewriteCapError
 from .scenario import Scenario
 from .stargraph import StarGraph, build_star_graph, path_label
 from .weights import (
-    GUARD_BUDGET,
-    GUARD_LEN,
     WalkBudgetError,
     WeightFunction,
     reduced_closed_walks_by_length,
     verify_weight_test,
 )
+
+CUT_WALK_LEN = 6  # the cuts walk every light closed walk up to this length
+CUT_WALK_BUDGET = 400_000  # walker steps per level of that walk; exhausting it gives up
 
 
 @dataclass(frozen=True)
@@ -242,17 +246,18 @@ def _light_walk_cuts(
     values: dict[str, Fraction],
     held: list[dict[str, int]],
 ) -> list[tuple[dict[str, int], str]]:
-    """Cut the minimal unrefuted light walks up to the guard's length
-    ``GUARD_LEN`` that no count vector of ``held``, the cuts the search
-    already holds, implies.  For L = 1..``GUARD_LEN`` it extends the
-    previous level's frontier by one edge and takes the walks of exactly L
-    edges in canonical order; a walk whose cut a held or earlier cut implies
-    is skipped before its label is refuted, and the walk never extends a
+    """Cut the minimal unrefuted light walks up to ``CUT_WALK_LEN`` edges
+    that no count vector of ``held``, the cuts the search already holds,
+    implies.  For L = 1..``CUT_WALK_LEN`` it extends the previous level's
+    frontier by one edge and takes the walks of exactly L edges in
+    canonical order; a walk whose cut a held or earlier cut implies is
+    skipped before its label is refuted, and the walk never extends a
     prefix whose counts cover one, since every walk through that prefix
     would be skipped (the module docstring gives why the cuts and their
-    labels are those of one walk to ``GUARD_LEN`` sorted by length, less
-    the ones ``held`` implies).  Each level walks within ``GUARD_BUDGET``
-    steps.  Each cut is its edge-count vector and its label."""
+    labels are those of one walk to ``CUT_WALK_LEN`` sorted by length,
+    less the ones ``held`` implies).  Each level walks within
+    ``CUT_WALK_BUDGET`` steps.  Each cut is its edge-count vector and its
+    label."""
     wf = WeightFunction(values)
     kept: list[dict[str, int]] = []
     by_edge: dict[str, list[dict[str, int]]] = {}  # kept count vectors per edge they hold
@@ -271,7 +276,7 @@ def _light_walk_cuts(
     for counts in held:
         keep(counts)
     for walks in reduced_closed_walks_by_length(
-        g, GUARD_LEN, wf, Fraction(2), GUARD_BUDGET, covers_kept
+        g, CUT_WALK_LEN, wf, Fraction(2), CUT_WALK_BUDGET, covers_kept
     ):
         for walk in walks:
             counts = _edge_counts(walk)

@@ -52,15 +52,19 @@ a missed one.  A pump-free family spells one sequence, and its key is just
 ``canonical_atom_cycle`` of its base, built without any expansion.
 
 Every light reduced closed path P lies in exactly one family, within the
-walker's caps (``max_len`` traversals, ``MAX_MARKED`` marked junctions).  A
-P that runs only over zero edges is a power of a zero cycle, which that
-cycle's power family spells.  Otherwise P's nonzero traversals cut it into
-zero runs; a run R from a to b is reduced, stays in one zero component and
-meets its two nonzero neighbours on other edges.  In a component with a
-cycle C, let r(x) be the tree path from x to C, landing at x*; a walk from a
-to b is homotopic to r(a) W r(b)^-1 for a walk W on C, and each homotopy
-class holds one reduced walk.  So, with c the cycle C based where it is
-spliced in:
+walker's caps (``max_len`` traversals, ``MAX_MARKED`` marked junctions).
+Neither cap cuts a P of at most 6 traversals, the length of the search's
+cut walks.  P's base has at most 6 traversals, under ``max_len`` = 40.  A
+base with j marked junctions has n >= j traversals, and each mandatory pump
+adds at least one, so its instances have at least 2j traversals: j <= 3 <
+``MAX_MARKED`` (4).  A P that runs only over zero edges is a power of a zero
+cycle, which that cycle's power family spells.  Otherwise P's nonzero
+traversals cut it into zero runs; a run R from a to b is reduced, stays in
+one zero component and meets its two nonzero neighbours on other edges.
+In a component with a cycle C, let r(x) be the tree path from x to C,
+landing at x*; a walk from a to b is homotopic to r(a) W r(b)^-1 for a
+walk W on C, and each homotopy class holds one reduced walk.  So, with c
+the cycle C based where it is spliced in:
 
 (1) if a* = b*, R is the tree path from a to b, or that path with
     r(x) c^m r(x)^-1 (m >= 1, c either way round) spliced in at its vertex x
@@ -106,26 +110,16 @@ away from C, or along it, is ever mendable.
 
 ``reduced_closed_walks`` walks with an empty zero subgraph and so lists the
 cyclically reduced closed walks up to a length, one per edge class, for
-``enumerate_trivial_cycles``; the guard of the weight test makes the same
-walk and canonicalises only what it keeps.  ``reduced_closed_walks_by_length``
-lists them one length at a time, each level resumed from the paths the
-last one reached, for the light-walk cuts of the search.
+``enumerate_trivial_cycles``.  ``reduced_closed_walks_by_length`` lists them
+one length at a time, each level resumed from the paths the last one
+reached, for the light-walk cuts of the search.
 
 ``verify_weight_test`` refutes every family's full expansion set through
 the fact base and reports the survivors; the verdict is Aspherical exactly
-when the relator condition holds and nothing survives.  Its guard checks
-that the family list missed no short light walk, in two steps.  (1) It
-walks every light closed walk of at most ``GUARD_LEN`` traversals, as the
-walker emits them, and drops each walk that some family spells: one whose
-``canonical_atom_cycle`` is that of a family expansion of at most
-``GUARD_LEN`` traversals.  A pump-free family spells only its base, whose
-key ``enumerate_light_cycles`` already holds; only power and pumped
-families are expanded.  (2) The walks left, one per edge class, go in
-canonical order to ``refute_trivial`` and, unrefuted, are reported as
-"guard walk not covered".  Step 1 is sound for a refuted family because its
-template refutation covers every expansion, so the walk's label is refuted;
-a surviving family is reported anyway.  Each walk is canonicalised once,
-and only the walks no family spells reach the fact base.
+when the relator condition holds and nothing survives.  The family list is
+complete (proved above), so no light closed path is walked a second time;
+``tests/oracle_guard.py`` keeps the guard that did, as the tests' oracle of
+that completeness.
 """
 
 from __future__ import annotations
@@ -198,12 +192,6 @@ class WeightFunction:
             return self.values[edge_id]
         except KeyError:
             raise WeightError(f"missing weight for edge {edge_id}")
-
-    def weight_of(self, traversals) -> Fraction:
-        """Exact sum: numerators over the lcm of the denominators, one Fraction."""
-        ws = [self[t.edge.edge_id] for t in traversals]
-        d = math.lcm(*(w.denominator for w in ws))
-        return Fraction(sum(w.numerator * (d // w.denominator) for w in ws), d)
 
 
 @dataclass(frozen=True)
@@ -381,9 +369,6 @@ class CycleFamily:
     pumps: tuple[Pump, ...]
     weight: Fraction
     kind: str  # "cycle" (pump multiplicities m >= 0) | "power" (base^m, m >= 1)
-    # canonical_atom_cycle(base) of a pump-free family the guard may meet,
-    # as enumerate_light_cycles keyed it
-    atom_cycle: tuple = field(default=(), compare=False, repr=False)
 
     def base_label(self) -> Codes:
         return path_label(self.base)
@@ -402,16 +387,6 @@ class CycleFamily:
     def mandatory_points(self) -> set[int]:
         return {p.insert_after for p in self.pumps if p.mandatory}
 
-    def expansion(self, ms: dict[int, int]) -> tuple[Traversal, ...]:
-        """Base with pump i repeated ms[i] times (default 0)."""
-        out: list[Traversal] = []
-        for i, t in enumerate(self.base):
-            out.append(t)
-            for pi, p in enumerate(self.pumps):
-                if p.insert_after == i and ms.get(pi, 0) > 0:
-                    out.extend(p.instance(ms[pi]))
-        return tuple(out)
-
     def _shapes(self):
         """(insertion points, pump indices) per pump shape: every set of
         points that holds all mandatory points, fewest points first, with
@@ -426,34 +401,6 @@ class CycleFamily:
                 if mandatory <= set(qs):
                     for pis in itertools.product(*(by_point[q] for q in qs)):
                         yield qs, pis
-
-    def expansions_to_length(self, max_len: int) -> list[tuple[Traversal, ...]]:
-        """Every expansion with at most max_len traversals, in no particular
-        order: at each insertion point no pump (unless the point is
-        mandatory) or one pump repeated while the expansion stays that
-        short, so nothing longer is ever built."""
-        if self.kind == "power":
-            return [self.base * m for m in range(1, max_len // len(self.base) + 1)]
-        points = sorted({p.insert_after for p in self.pumps})
-        mandatory = self.mandatory_points()
-        out: list[tuple[Traversal, ...]] = []
-
-        def extend(i: int, ms: dict[int, int], length: int):
-            if i == len(points):
-                out.append(self.expansion(ms))
-                return
-            if points[i] not in mandatory:
-                extend(i + 1, ms, length)
-            for pi, p in enumerate(self.pumps):
-                if p.insert_after == points[i]:
-                    m, grown = 1, length + 2 * len(p.prefix) + len(p.cycle)
-                    while grown <= max_len:
-                        extend(i + 1, {**ms, pi: m}, grown)
-                        m, grown = m + 1, grown + len(p.cycle)
-
-        if len(self.base) <= max_len:
-            extend(0, {}, len(self.base))
-        return out
 
     def templates(self) -> list[tuple[list[Codes], list[Codes]]]:
         """(segments, pumps) pairs whose refutation covers every expansion;
@@ -757,12 +704,10 @@ def enumerate_light_cycles(
     Each candidate (a walked base with its optional pumps and one choice of
     pump per mandatory point) is keyed by ``_dedup_key``, and only the first
     candidate per key becomes a family, which shows the edges and weight of
-    the first of them the walker found; a pump-free one of at most
-    ``GUARD_LEN`` traversals keeps its key's one entry as ``atom_cycle``,
-    for the guard.  Its weight is the walker's scaled int over
-    ``_weight_scale``, one Fraction per value; families sort on that int,
-    which orders as the weights do, as every family shares the scale (a
-    zero-cycle power family weighs 0).  Equal keys give equal label
+    the first of them the walker found.  Its weight is the walker's scaled
+    int over ``_weight_scale``, one Fraction per value; families sort on
+    that int, which orders as the weights do, as every family shares the
+    scale (a zero-cycle power family weighs 0).  Equal keys give equal label
     sequences for every multiplicity vector (see the module docstring), so
     the merged candidates spell nothing the kept one does not.  Raises
     DegenerateZeroCycleError for an empty-label zero cycle and
@@ -780,7 +725,8 @@ def enumerate_light_cycles(
         n = len(base)
         optional: list[Pump] = []
         mandatory_opts: dict[int, list[Pump]] = {q: [] for q in marked}
-        for i, t in enumerate(base):
+        # without a zero cycle there is no pump, and no vertex to ask
+        for i, t in enumerate(base if zsub.cycles else ()):
             for prefix, cycle in zsub.pumps_at(t.end):
                 if not zsub.fits(t, prefix, cycle, base[(i + 1) % n]):
                     continue
@@ -794,9 +740,7 @@ def enumerate_light_cycles(
             pumps = tuple(sorted(optional + list(chosen), key=lambda p: p.insert_after))
             key = _dedup_key(base, pumps)
             if key not in seen:
-                atom_cycle = key[0] if not pumps and n <= GUARD_LEN else ()
-                fam = CycleFamily(base, pumps, weight_at(used), "cycle", atom_cycle)
-                seen[key] = (used, fam)
+                seen[key] = (used, CycleFamily(base, pumps, weight_at(used), "cycle"))
     return [fam for _, fam in sorted(seen.values(), key=lambda item: (item[0], item[1].display()))]
 
 
@@ -958,43 +902,18 @@ def _refute_family_all(fb: FactBase, fam: CycleFamily) -> tuple[Verdict, str]:
     return (last if last is not None else UNKNOWN), ""
 
 
-GUARD_LEN = 6  # the guard walks every light closed walk up to this length
-GUARD_BUDGET = 400_000  # walker steps for the guard; exhausting it forbids Aspherical
-
-
 def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestReport:
     """Run the full weight test for a scenario carrying weights.  ``fb``, when
     given, is the fact base of the scenario's presentation and facts; its
     queries are pure, so a warm one gives the same report.  An entangled
     zero subgraph or a degenerate zero cycle (a closed path of weight 0 with
     a trivial label) leaves no family list; the report carries it as a
-    note, which rules out Aspherical.
-
-    The guard decides each light closed walk of at most ``GUARD_LEN``
-    traversals in two steps:
-
-    1. each walk the walker emits is keyed once by ``canonical_atom_cycle``
-       and dropped when some family spells it, that is when an expansion of
-       at most ``GUARD_LEN`` traversals has that key;
-    2. the walks left, one per edge class as the walker lists them, are
-       sorted by ``canonical_atom_edge_cycle``; each whose label
-       ``refute_trivial`` does not refute is reported as "guard walk not
-       covered".
-
-    Step 1 is sound: a walk of L traversals can only equal an expansion of
-    L traversals, so the lookup misses no spelling family, and a refuted
-    family's template refutation covers each of its expansions, so the
-    walk's label is refuted; a surviving family is already reported.  A
-    pump-free family's only expansion is its base, whose
-    ``canonical_atom_cycle`` the family holds as ``atom_cycle`` (its
-    ``_dedup_key``'s one entry), so only power and pumped families are
-    expanded."""
+    note, which rules out Aspherical."""
     g = build_star_graph(s.presentation)
     if fb is None:
         fb = FactBase(s.presentation, s.fact_decls)
     wf = WeightFunction.from_scenario(s, g)
     relator_checks = check_relator_condition(g, wf)
-    notes: list[str] = []
     try:
         families = enumerate_light_cycles(g, wf)
     except (EntangledZeroSubgraphError, DegenerateZeroCycleError) as e:
@@ -1003,26 +922,7 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
     for fam in families:
         v, witness = _refute_family_all(fb, fam)
         verdicts.append(FamilyVerdict(fam, v, witness))
-
-    # belt-and-suspenders guard: short walks must be refuted or reported
-    try:
-        walks = _closed_walks(g, wf, Fraction(2), _ZeroSubgraph([]), GUARD_LEN, GUARD_BUDGET)
-    except WalkBudgetError:
-        walks = []
-        notes.append(f"guard enumeration over length <= {GUARD_LEN} skipped (budget)")
-    if walks:
-        spelled: set[tuple] = set()
-        for f in families:
-            if f.kind == "power" or f.pumps:
-                spelled.update(canonical_atom_cycle(x) for x in f.expansions_to_length(GUARD_LEN))
-            elif len(f.base) <= GUARD_LEN:
-                spelled.add(f.atom_cycle)
-        unspelled = (path for path, _, _ in walks if canonical_atom_cycle(path) not in spelled)
-        for w in sorted(unspelled, key=canonical_atom_edge_cycle):
-            if not fb.refute_trivial(path_label(w)):
-                fam = CycleFamily(w, (), wf.weight_of(w), "cycle")
-                verdicts.append(FamilyVerdict(fam, UNKNOWN, witness="guard walk not covered"))
-    return WeightTestReport(s.name, g, wf, relator_checks, verdicts, notes)
+    return WeightTestReport(s.name, g, wf, relator_checks, verdicts)
 
 
 def render_report(report: WeightTestReport) -> str:

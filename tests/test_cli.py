@@ -66,6 +66,23 @@ def test_curvature_rejects_a_degree_int_alone_would_read(degree, capsys):
     assert captured.err == f"error: bad integer {degree!r}\n"
 
 
+@pytest.mark.parametrize(
+    "option, value, ok",
+    [("--length", "1_0", "10"), ("--max-iter", "٣", "3")],
+    ids=["length-underscore", "max-iter-arabic-indic-3"],
+)
+def test_integer_options_reject_what_int_alone_would_read(option, value, ok, capsys):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit three as 3
+    scenario = str(Path(starweight.__file__).parent / "corpus" / "px1_w0.scn")
+    command = "trivial-cycles" if option == "--length" else "search-weights"
+    assert main([command, scenario, option, ok]) == 0
+    capsys.readouterr()
+    assert main([command, scenario, option, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {option}: invalid parse_int value: {value!r}" in captured.err
+
+
 def test_parse_and_star(gamma8_file, capsys):
     assert main(["parse", gamma8_file]) == 0
     out = capsys.readouterr().out

@@ -444,9 +444,9 @@ def _reference_refute_power(fb, w, classes):
 
 
 def test_neq_lookup_matches_canonical_class_lookup_on_corpus_queries(monkeypatch):
-    # the guard asks the fact base only about walks no family spells, so a
-    # corpus run alone puts too few questions; trivial-cycles adds every
-    # short closed path of each corpus graph
+    # a corpus run asks the fact base only about families, so it alone puts
+    # too few questions; trivial-cycles adds every short closed path of each
+    # corpus graph
     queries = _record_corpus_queries(monkeypatch, "_refute_power", trivial_lengths=(1, 2, 3, 4))
     classes = {}
     oracles = {}

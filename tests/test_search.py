@@ -13,6 +13,8 @@ from starweight.cli import main
 from starweight.facts import FactBase, FactError, RewriteCapError
 from starweight.scenario import Scenario, parse_scenario
 from starweight.search import (
+    CUT_WALK_BUDGET,
+    CUT_WALK_LEN,
     Constraint,
     SearchConfig,
     SearchOutcome,
@@ -32,8 +34,6 @@ from starweight.search import (
 )
 from starweight.stargraph import StarGraph, Traversal, build_star_graph, path_label
 from starweight.weights import (
-    GUARD_BUDGET,
-    GUARD_LEN,
     WalkBudgetError,
     WeightError,
     WeightFunction,
@@ -463,7 +463,7 @@ def test_search_infeasible_corpus_certificate_is_infeasible(stem):
 
 def test_walk_budget_is_gave_up_not_an_input_error(monkeypatch, tmp_path, capsys):
     # exhausted through the light-walk cuts' own walk: one step per level
-    monkeypatch.setattr(search_module, "GUARD_BUDGET", 1)
+    monkeypatch.setattr(search_module, "CUT_WALK_BUDGET", 1)
     s = _bare("px4_w0")
     g, fb, zero, _ = _at_zero(s)
     with pytest.raises(WalkBudgetError, match="^closed-walk enumeration budget exceeded$"):
@@ -497,12 +497,13 @@ def test_rewrite_cap_is_gave_up_not_an_input_error(stem, iterations, monkeypatch
 
 
 def _reference_fallback_cuts(g, fb, values):
-    """The single-walk fallback, kept verbatim as the oracle: one walk to
-    GUARD_LEN, sorted by length, implied walks skipped before refutation."""
+    """The single-walk fallback, kept verbatim as the oracle but for the
+    names of the cut walk's length and budget: one walk to CUT_WALK_LEN,
+    sorted by length, implied walks skipped before refutation."""
     wf = WeightFunction(values)
     kept: list[dict[str, int]] = []
     cuts = []
-    walks = reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=GUARD_BUDGET)
+    walks = reduced_closed_walks(g, CUT_WALK_LEN, wf, Fraction(2), budget=CUT_WALK_BUDGET)
     for walk in sorted(walks, key=len):
         counts = _edge_counts(walk)
         if _implied(counts, kept) or fb.refute_trivial(path_label(walk)):
@@ -569,7 +570,7 @@ def test_fallback_never_extends_a_prefix_that_covers_a_cut(monkeypatch):
 
 
 def _least_budget(g, values):
-    """Fewest walker steps one unpruned walk to GUARD_LEN needs: a predicate
+    """Fewest walker steps one unpruned walk to CUT_WALK_LEN needs: a predicate
     that prunes nothing is asked about every pop, and each pop it passes
     is one step.  Checked on both sides of the count."""
     wf = WeightFunction(values)
@@ -579,11 +580,11 @@ def _least_budget(g, values):
         popped[0] += 1
         return False
 
-    _closed_walks(g, wf, Fraction(2), _ZeroSubgraph([]), GUARD_LEN, 5_000_000, count)
+    _closed_walks(g, wf, Fraction(2), _ZeroSubgraph([]), CUT_WALK_LEN, 5_000_000, count)
     least = popped[0]
-    reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=least)
+    reduced_closed_walks(g, CUT_WALK_LEN, wf, Fraction(2), budget=least)
     with pytest.raises(WalkBudgetError):
-        reduced_closed_walks(g, GUARD_LEN, wf, Fraction(2), budget=least - 1)
+        reduced_closed_walks(g, CUT_WALK_LEN, wf, Fraction(2), budget=least - 1)
     return least
 
 
@@ -596,7 +597,7 @@ def test_fallback_by_length_finishes_on_the_single_walks_least_budget(stem, monk
     zero = {e.edge_id: Fraction(0) for e in g.edges}
     fb = FactBase(s.presentation, s.fact_decls)
     want = _reference_fallback_cuts(g, fb, zero)
-    monkeypatch.setattr(search_module, "GUARD_BUDGET", _least_budget(g, zero))
+    monkeypatch.setattr(search_module, "CUT_WALK_BUDGET", _least_budget(g, zero))
     assert _light_walk_cuts(g, fb, zero, []) == want
 
 
@@ -655,10 +656,11 @@ def test_search_verifies_each_distinct_candidate_once_on_one_fact_base(stem, mon
 
 # -- one cut source ------------------------------------------------------------
 #
-# The search before it lost its family cuts, kept verbatim as the oracle:
-# the light-walk cuts were walked from no held cut, and their caller filtered
-# them against the held cuts; a report without notes was cut by the base of
-# each surviving family instead (``admissible-candidate`` labels).
+# The search before it lost its family cuts, kept verbatim as the oracle but
+# for the names of the cut walk's length and budget: the light-walk cuts
+# were walked from no held cut, and their caller filtered them against the
+# held cuts; a report without notes was cut by the base of each surviving
+# family instead (``admissible-candidate`` labels).
 
 
 def _reference_unseeded_cuts(
@@ -667,15 +669,15 @@ def _reference_unseeded_cuts(
     values: dict[str, Fraction],
 ) -> list[tuple[dict[str, int], str]]:
     """When the family decomposition is unavailable (entangled or degenerate
-    zero subgraph), cut the minimal unrefuted light walks up to the guard's
-    length ``GUARD_LEN``.  For L = 1..``GUARD_LEN`` it extends the previous
+    zero subgraph), cut the minimal unrefuted light walks up to
+    ``CUT_WALK_LEN``.  For L = 1..``CUT_WALK_LEN`` it extends the previous
     level's frontier by one edge and takes the walks of exactly L edges in
     canonical order; a walk whose cut an earlier cut implies is skipped
     before its label is refuted, and the walk never extends a prefix whose
     counts cover a kept cut, since every walk through that prefix would be
     skipped (the module docstring gives why the cuts and their labels are
-    those of one walk to ``GUARD_LEN`` sorted by length).  Each level walks
-    within ``GUARD_BUDGET`` steps.  Each cut is its edge-count vector and its
+    those of one walk to ``CUT_WALK_LEN`` sorted by length).  Each level walks
+    within ``CUT_WALK_BUDGET`` steps.  Each cut is its edge-count vector and its
     label."""
     wf = WeightFunction(values)
     kept: list[dict[str, int]] = []
@@ -688,7 +690,7 @@ def _reference_unseeded_cuts(
         return bool(held) and _implied(_edge_counts(path), held)
 
     for walks in reduced_closed_walks_by_length(
-        g, GUARD_LEN, wf, Fraction(2), GUARD_BUDGET, covers_kept
+        g, CUT_WALK_LEN, wf, Fraction(2), CUT_WALK_BUDGET, covers_kept
     ):
         for walk in walks:
             counts = _edge_counts(walk)
@@ -868,7 +870,8 @@ def test_every_search_cut_is_an_unrefuted_light_walk(monkeypatch):
             assert c.label.startswith("light walk "), c.label
             walk = _walk(g, c.label[len("light walk ") :])
             assert not fb.refute_trivial(path_label(walk)), c.label
-            assert WeightFunction(cut_at[c.label]).weight_of(walk) < 2, c.label
+            values = cut_at[c.label]
+            assert sum((values[t.edge.edge_id] for t in walk), Fraction(0)) < 2, c.label
             assert c.coeffs == _cut(_edge_counts(walk), c.label).coeffs
             checked += 1
     assert checked >= 500

@@ -6,8 +6,7 @@ prints:
 
 - pops: paths the walker pops for the family list;
 - skeletons: closed paths it lists for the family list;
-- families: families of the report, guard walks left out;
-- guard: closed walks the guard's walk lists.
+- families: families of the report.
 
 skeletons - families is what the family list merges after the walk.  The
 pops are counted by a ``prune`` that prunes nothing, which the walker asks
@@ -40,19 +39,17 @@ def grid(k: int, q: int):
 
 
 def walk_counts(scenario) -> Counter:
-    """pops, skeletons, families and guard of one weight test."""
+    """pops, skeletons and families of one weight test."""
     counts: Counter = Counter()
     walk = weights._closed_walks
 
     def counted(g, wf, threshold, zsub, max_len, budget):
-        guard = max_len == weights.GUARD_LEN
-
         def count(path):
             counts["pops"] += 1
             return False
 
-        out = walk(g, wf, threshold, zsub, max_len, budget, None if guard else count)
-        counts["guard" if guard else "skeletons"] += len(out)
+        out = walk(g, wf, threshold, zsub, max_len, budget, count)
+        counts["skeletons"] += len(out)
         return out
 
     weights._closed_walks = counted
@@ -60,7 +57,7 @@ def walk_counts(scenario) -> Counter:
         report = weights.verify_weight_test(scenario)
     finally:
         weights._closed_walks = walk
-    counts["families"] = sum(fv.witness != "guard walk not covered" for fv in report.families)
+    counts["families"] = len(report.families)
     return counts
 
 
@@ -80,7 +77,7 @@ def rows() -> list[tuple[str, Counter]]:
     return out
 
 
-COLUMNS = ("pops", "skeletons", "families", "guard")
+COLUMNS = ("pops", "skeletons", "families")
 
 
 def main() -> int:
