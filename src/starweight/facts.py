@@ -10,9 +10,10 @@ A FactBase holds declared hypotheses about the coefficient factors:
 Every factor is torsion-free, which gives the root rule u^m = 1 => u = 1.
 
 ``refute_trivial(w)`` answers "is w = 1 impossible under the facts?" with
-Refuted (plus a replayable rule chain) or Unknown.  The rule set is frozen:
+Refuted (naming the rule that refuted it) or Unknown.  The rule set is
+frozen:
 
-  R1  rewrite to normal form (Eq facts oriented longer->shorter, lex ties)
+  R1  rewrite to normal form (each Eq rule oriented longer->shorter, lex ties)
   R2  normal form is u^m with u != 1 derivable from a Neq fact
   R3  triviality would force v into <g> against a NotInCyclic fact
   R4  special case of R2: normal form g^m for a generator with neq g 1
@@ -24,7 +25,19 @@ instead of claiming asphericity.
 
 Words are tuples of letter codes (see ``words``): the queries take them,
 and the rules, ``neq1``, the notincyclic cores and both caches hold them.
-Only the traces name letters, decoded where the string is made.
+
+Rewriting terminates.  An eq fact u = v gives two rules, one from u = v and
+one from u^-1 = v^-1, and each is oriented on its own: its pattern is the
+side greater in (length, codes) order, which compares lengths first and
+then the code tuples.  That order is a well-order, as a finite alphabet has
+finitely many words of each length.  It is preserved under concatenation:
+x p y and x r y have the same length when p and r do, and then first differ
+inside p and r, so x r y is smaller whenever r is smaller than p.  So each
+rewrite step makes the word smaller, and free reduction only shortens it.
+A rewrite chain therefore descends in a well-order and is finite, and
+``_cyclic_normalize``, whose every pass shortens its word, stops as well.
+(The inverse of an oriented rule need not be oriented: for
+``eq a2^-1 a1 = a1^-1 a2`` it is the rule's exact reverse.)
 """
 
 from __future__ import annotations
@@ -37,9 +50,7 @@ from typing import Iterable, Sequence
 from .scenario import INDETERMINATE, FactDecl, RelativePresentation
 from .words import (
     Codes,
-    Word,
     cyclically_reduce,
-    decode,
     encode,
     free_reduce,
     inverse,
@@ -48,6 +59,8 @@ from .words import (
     strip_conjugation,
 )
 
+# rewriting terminates (module docstring), but a chain can be long: the cap
+# bounds time only, and exceeding it is a resource limit, not an input error
 _REWRITE_CAP = 10_000
 _POWER_LIMIT = 8  # as_power_of tries exponents -_POWER_LIMIT.._POWER_LIMIT
 
@@ -65,14 +78,9 @@ class RewriteCapError(FactError):
 class Verdict:
     refuted: bool
     rule: str = ""
-    trace: tuple[str, ...] = ()
 
     def __bool__(self) -> bool:
         return self.refuted
-
-
-def _refuted(rule: str, *trace: str) -> Verdict:
-    return Verdict(True, rule, trace)
 
 
 UNKNOWN = Verdict(False)
@@ -145,11 +153,10 @@ class FactBase:
             u, v = encode(fd.lhs, self.presentation.code), encode(fd.rhs, self.presentation.code)
             if u == v:
                 continue
-            # the longer side, or the later one in tuple order (the words docstring: letter order)
-            big, small = (u, v) if (len(u), u) > (len(v), v) else (v, u)
-            self.rules.append((big, small))
-            self.rules.append((inverse(big), inverse(small)))
-            sums = _exponent_sums(big + inverse(small))
+            for x, y in ((u, v), (inverse(u), inverse(v))):
+                # the longer side, or the later one in tuple order (the words docstring: letter order)
+                self.rules.append((x, y) if (len(x), x) > (len(y), y) else (y, x))
+            sums = _exponent_sums(u + inverse(v))
             self.unbalanced.update(n for n, e in sums.items() if e)
 
     def _build_queries(self):
@@ -296,10 +303,6 @@ class FactBase:
         of a reduced word is reduced."""
         return [(f, tuple(run)) for f, run in groupby(w, self._factor_at.__getitem__)]
 
-    def _show(self, w: Codes) -> Word:
-        """The word with its letter names, for a trace."""
-        return decode(w, self.order)
-
     # -- refutation -----------------------------------------------------
 
     def _neq1_match(self, u: Codes) -> bool:
@@ -326,11 +329,7 @@ class FactBase:
         for e in _divisors(d):
             u = root * e
             if self._neq1_match(u) if occurs else u in self.neq1:
-                rule = "R4" if len(u) == 1 else "R2"
-                power = d // e
-                shown = self._show(u)
-                note = f"{self._show(w)} = ({shown})^{power}" if power > 1 else f"{shown} != 1 declared"
-                return _refuted(rule, f"{note}; torsion-free root rule")
+                return Verdict(True, "R4" if len(u) == 1 else "R2")
         return UNKNOWN
 
     def _refute_notincyclic(self, w: Codes) -> Verdict:
@@ -341,7 +340,6 @@ class FactBase:
         w is cyclically reduced, so every rotation of its letters is freely
         reduced and x compares with the core letter by letter."""
         for core, g in self.notincyclic:
-            gname = self.order[g]
             variants = [w]
             sub = self._g_substitute(w, g)
             if sub is not None:
@@ -350,22 +348,14 @@ class FactBase:
                 if sub and all(c >> 1 == g for c in sub):
                     # w = g^k with k != 0: torsion-free power of g
                     if self._neq1_match((2 * g,)):
-                        return _refuted(
-                            "R2",
-                            f"{self._show(w)} = {self._show(sub)} is a nonzero power of {gname}"
-                            f" and {gname} != 1",
-                        )
+                        return Verdict(True, "R2")
             forbidden = {core, inverse(core)}
             for base in variants:
                 for cand in (base, inverse(base)):
                     for i in range(max(len(cand), 1)):
                         x = _g_trimmed(cand[i:] + cand[:i], g)
                         if x and x in forbidden:
-                            return _refuted(
-                                "R3",
-                                f"{self._show(w)} = 1 forces {self._show(core)} into <{gname}>,"
-                                " contradicting notincyclic",
-                            )
+                            return Verdict(True, "R3")
         return UNKNOWN
 
     def refute_trivial(self, w: Codes) -> Verdict:
@@ -412,15 +402,8 @@ class FactBase:
             sylls[-1] = (f0, self.normalize_any(join(sylls[-1][1], w0)))
         if len(sylls) > 1:
             sub = [self.refute_trivial(s) for _, s in sylls]
-            if all(sub):
-                return _refuted(
-                    "FP", f"{self._show(n)} alternates over both factors with nontrivial syllables"
-                )
-            return UNKNOWN
-        v = self._refute_power(n, occurs)
-        if v:
-            return v
-        return self._refute_notincyclic(n)
+            return Verdict(True, "FP") if all(sub) else UNKNOWN
+        return self._refute_power(n, occurs) or self._refute_notincyclic(n)
 
     def refute_template(self, segments: Sequence[Codes], pumps: Sequence[Codes]) -> Verdict:
         """Refute the cyclic template w0 p0^m0 w1 p1^m1 ... for all mi >= 1.
@@ -473,13 +456,7 @@ class FactBase:
             # pure pump power c^m: by torsion-freeness it suffices that the
             # root of the pump label is nontrivial
             v = self._refute_power(*self._cyclic_normalize(cores[0]))
-            if v:
-                return _refuted(
-                    "R2",
-                    f"({self._show(cores[0])})^m = 1 forces a torsion-free root to vanish",
-                    *v.trace,
-                )
-            return UNKNOWN
+            return Verdict(True, "R2") if v else UNKNOWN
         candidates: list[tuple[int, list[int]]] = []  # (letter index g, pump g-exponents)
         roots = [max_root(c) for c in cores]
         if all(len(r) == 1 for r, _ in roots):
@@ -495,18 +472,13 @@ class FactBase:
                 candidates.append((g, exps))  # every pump lies in <g>
 
         for g, exps in candidates:
-            gname = self.order[g]
             seg_pows = [self.as_power_of(s, g) if s else 0 for s in segs]
             nonpow = [i for i, p in enumerate(seg_pows) if p is None]
             if not nonpow:
                 # the whole label is g^(const + sum exps[i]*mi)
                 const = sum(p for p in seg_pows if p is not None)
                 if not _affine_solvable(const, exps) and self._neq1_match((2 * g,)):
-                    return _refuted(
-                        "R2",
-                        f"{gname}-exponent {const} + sum(m_i * {exps}) never vanishes"
-                        f" and {gname} != 1",
-                    )
+                    return Verdict(True, "R2")
                 continue
             if len(nonpow) == 1:
                 seg = self.normalize_any(segs[nonpow[0]])
@@ -517,11 +489,7 @@ class FactBase:
                 for core, gf in self.notincyclic:
                     for x in options:
                         if gf == g and x and (x == core or x == inverse(core)):
-                            return _refuted(
-                                "R3",
-                                f"triviality forces {self._show(x)} into <{gname}> for every"
-                                " pump power, contradicting notincyclic",
-                            )
+                            return Verdict(True, "R3")
         return UNKNOWN
 
     def _refute_template_alternating(self, segs: list[Codes], cores: list[Codes]) -> Verdict:
@@ -565,9 +533,7 @@ class FactBase:
         for f, wrd in merged:
             if wrd is not None and not self.refute_trivial(wrd):
                 return UNKNOWN
-        return _refuted(
-            "FP", "every instance alternates over both factors with nontrivial syllables"
-        )
+        return Verdict(True, "FP")
 
 
 def _exponent_sums(w: Codes) -> dict[int, int]:

@@ -52,19 +52,20 @@ a missed one.  A pump-free family spells one sequence, and its key is just
 ``canonical_atom_cycle`` of its base, built without any expansion.
 
 Every light reduced closed path P lies in exactly one family, within the
-walker's caps (``max_len`` traversals, ``MAX_MARKED`` marked junctions).
-Neither cap cuts a P of at most 6 traversals, the length of the search's
-cut walks.  P's base has at most 6 traversals, under ``max_len`` = 40.  A
-base with j marked junctions has n >= j traversals, and each mandatory pump
-adds at least one, so its instances have at least 2j traversals: j <= 3 <
-``MAX_MARKED`` (4).  A P that runs only over zero edges is a power of a zero
-cycle, which that cycle's power family spells.  Otherwise P's nonzero
-traversals cut it into zero runs; a run R from a to b is reduced, stays in
-one zero component and meets its two nonzero neighbours on other edges.
-In a component with a cycle C, let r(x) be the tree path from x to C,
-landing at x*; a walk from a to b is homotopic to r(a) W r(b)^-1 for a
-walk W on C, and each homotopy class holds one reduced walk.  So, with c
-the cycle C based where it is spliced in:
+walker's caps (``FAMILY_WALK_LEN`` traversals, ``MAX_MARKED`` marked
+junctions).  Neither cap cuts a P of at most 6 traversals, the length of
+the search's cut walks.  P's base has at most 6 traversals, under
+``FAMILY_WALK_LEN`` (40).  A base with j marked junctions has n >= j
+traversals, and each mandatory pump adds at least one, so its instances
+have at least 2j traversals: j <= 3 < ``MAX_MARKED`` (4).  A P that runs
+only over zero edges is a power of a zero cycle, which that cycle's power
+family spells.  Otherwise P's nonzero traversals cut it into zero runs; a
+run R from a to b is reduced, stays in one zero component and meets its
+two nonzero neighbours on other edges.  In a component with a cycle C, let
+r(x) be the tree path from x to C, landing at x*; a walk from a to b is
+homotopic to r(a) W r(b)^-1 for a walk W on C, and each homotopy class
+holds one reduced walk.  So, with c the cycle C based where it is spliced
+in:
 
 (1) if a* = b*, R is the tree path from a to b, or that path with
     r(x) c^m r(x)^-1 (m >= 1, c either way round) spliced in at its vertex x
@@ -463,6 +464,9 @@ def zero_cycle_families(g: StarGraph, wf: WeightFunction) -> tuple[_ZeroSubgraph
 
 
 MAX_MARKED = 4  # backtrack junctions per skeleton, each mended by a mandatory pump
+FAMILY_WALK_LEN = 40  # traversals per skeleton of enumerate_light_cycles
+FAMILY_WALK_BUDGET = 2_000_000  # walker pops of enumerate_light_cycles
+REDUCED_WALK_BUDGET = 5_000_000  # walker pops of reduced_closed_walks, by default
 
 
 def _weight_scale(g: StarGraph, wf: WeightFunction, threshold: Fraction) -> int:
@@ -482,7 +486,8 @@ def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _Z
     forwards first, the reverse step's key is key ^ 1, and a walk rooted at
     edge e0 steps onto a nonzero edge only if its key is at least 2 * the
     index of e0.  A caller that walks one graph several times builds them
-    once."""
+    once.  Without a zero cycle there is no pump, so the mend test mends no
+    turn and asks no vertex for pumps."""
     zero = {e.edge_id for e in zsub.edges}
     key = {e.edge_id: 2 * i for i, e in enumerate(g.edges)}
     scale = _weight_scale(g, wf, threshold)
@@ -490,7 +495,9 @@ def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _Z
     limit = int(threshold * scale)
 
     def mends(t: Traversal) -> bool:
-        return any(zsub.fits(t, prefix, cycle, t.reverse()) for prefix, cycle in zsub.pumps_at(t.end))
+        return bool(zsub.cycles) and any(
+            zsub.fits(t, prefix, cycle, t.reverse()) for prefix, cycle in zsub.pumps_at(t.end)
+        )
 
     alone = {v: frozenset([v]) for v in g.vertices}
     ends = [v for e in g.edges for v in (e.dst, e.src)]
@@ -721,7 +728,7 @@ def enumerate_light_cycles(
     scale = _weight_scale(g, wf, threshold)
     weight_at = cache(lambda used: Fraction(used, scale))  # one Fraction per weight value
     seen = {_dedup_key(fam.base, fam.pumps, fam.kind): (0, fam) for fam in families}
-    for base, marked, used in _closed_walks(g, wf, threshold, zsub, max_len=40, budget=2_000_000):
+    for base, marked, used in _closed_walks(g, wf, threshold, zsub, FAMILY_WALK_LEN, FAMILY_WALK_BUDGET):
         n = len(base)
         optional: list[Pump] = []
         mandatory_opts: dict[int, list[Pump]] = {q: [] for q in marked}
@@ -752,7 +759,7 @@ def reduced_closed_walks(
     max_len: int,
     wf: WeightFunction | None = None,
     threshold: Fraction | None = None,
-    budget: int = 5_000_000,
+    budget: int = REDUCED_WALK_BUDGET,
 ) -> list[tuple[Traversal, ...]]:
     """All cyclically reduced closed walks up to max_len, one per canonical
     (rotation/inversion) class, the one the walker lists, in canonical

@@ -11,6 +11,7 @@ import starweight.facts as facts_module
 import starweight.words as words
 from confluence import check_confluence
 from oracle_facts import oracle_fact_base
+from oracle_oriented_facts import oriented_oracle_fact_base
 from oracle_words import (
     Word,
     canonical_cyclic_class,
@@ -255,11 +256,13 @@ def _reference_as_power_of(self, w: Word, g: str, limit: int = 8) -> int | None:
 
 
 def test_cyclic_normalize_matches_reference_on_random_words():
+    # random words tell the two orientations of an inverse rule apart (the
+    # oracle_oriented_facts docstring), so the reference is the twin's
     checked = 0
     for name, fb in _corpus_factbases():
         if not fb.rules:
             continue
-        oracle = oracle_fact_base(fb.presentation, fb.decls)
+        oracle = oriented_oracle_fact_base(fb.presentation, fb.decls)
         rng = random.Random(zlib.crc32(name.encode()))
         gens = [n for n in fb.order if fb.factor_of[n] != INDETERMINATE]
         for _ in range(200):
@@ -343,7 +346,7 @@ def test_power_filter_matches_full_exponent_scan_on_random_fact_bases(monkeypatc
         for limit in (1, 8):
             monkeypatch.setattr(facts_module, "_POWER_LIMIT", limit)
             fb = fb_from(facts)  # a fresh power cache, filled under this limit only
-            oracle = oracle_fact_base(fb.presentation, fb.decls)
+            oracle = oriented_oracle_fact_base(fb.presentation, fb.decls)
             for w, g in queries:
                 want = _reference_as_power_of(oracle, w, g, limit)
                 assert fb.as_power_of(C(fb, w), fb.order.index(g)) == want, (fb.decls, w, g, limit)
@@ -351,6 +354,59 @@ def test_power_filter_matches_full_exponent_scan_on_random_fact_bases(monkeypatc
                 hits += want is not None
                 far += want is not None and abs(want) > 1
     assert 0 < far < hits < asked
+
+
+# -- rewriting terminates (the facts.py docstring) -------------------------
+
+
+def test_every_rewrite_step_descends_in_length_then_codes():
+    # eq facts from _random_eq_facts and between random sides of 1-3
+    # letters, some not freely reduced (a1 a1^-1 a2) and some mutually
+    # inverse (a2^-1 a1 = a1^-1 a2, where the inverse of the oriented rule
+    # is its exact reverse); a descending chain repeats no word
+    rng = random.Random(zlib.crc32(b"rewrite chains descend"))
+    gens = ["a1", "a2", "a3"]
+
+    def side():
+        return " ".join(rng.choice(gens) + rng.choice(("", "^-1")) for _ in range(rng.randint(1, 3)))
+
+    steps = level = 0
+    for _ in range(300):
+        facts = _random_eq_facts(rng, gens) if rng.random() < 0.5 else []
+        facts += [f"eq {side()} = {side()}" for _ in range(rng.randint(1, 2))]
+        fb = fb_from(facts, gens=" ".join(gens))
+        sides = [C(fb, str(side)) for fd in fb.decls for side in (fd.lhs, fd.rhs)]
+        for _ in range(30):
+            w = ()
+            for _ in range(rng.randint(1, 4)):
+                p = rng.choice(sides + [C(fb, g) for g in gens])
+                w += p if rng.random() < 0.5 else words.inverse(p)
+            cur = w
+            while (nxt := fb._rewrite_once(cur)) is not None:
+                assert (len(nxt), nxt) < (len(cur), cur), (facts, w, cur, nxt)
+                level += len(nxt) == len(cur)
+                reduced = words.free_reduce(nxt)
+                assert reduced == nxt or len(reduced) < len(nxt), (facts, w, nxt)
+                cur = reduced
+                steps += 1
+            assert cur == fb.normalize_any(w), (facts, w)
+    assert steps > 1000 and level > 100  # many steps keep the length, and descend in codes
+
+
+def test_mutually_inverse_fact_sides_do_not_exhaust_the_rewrite_cap(tmp_path, capsys):
+    # the fact says (a2^-1 a1)^2 = 1; the inverse of its oriented rule is
+    # that rule's exact reverse, and unless each is oriented on its own the
+    # rewriting loops until the cap, and the command exits 3
+    f = tmp_path / "inverse_sides.scn"
+    f.write_text(
+        "factor A noncyclic nontrivial\ngens A: a1 a2\nindet: t\nrelator: a1 t a2 t\n"
+        "fact: eq a2^-1 a1 = a1^-1 a2\nfact: neq a1 1\n"
+        "weight: 0.0 = 1/2\nweight: 0.1 = 1/2\n"
+    )
+    assert main(["check-weights", str(f)]) == 1
+    assert "light cycle families: 1\n" in capsys.readouterr().out
+    assert main(["trivial-cycles", str(f), "--length", "2"]) == 0
+    assert capsys.readouterr().out == "a1 a2^-1\n"
 
 
 # -- the short cuts of a fact base that has nothing to rewrite -------------
@@ -437,10 +493,8 @@ def _reference_refute_power(fb, w, classes):
     for e in (e for e in range(1, d + 1) if d % e == 0):
         u = Word(root.expand() * e)
         if canonical_cyclic_class(fb._cyclic_normalize(u)[0], fb.order) in classes:
-            rule = "R4" if len(u.letters) == 1 and abs(u.letters[0][1]) == 1 else "R2"
-            note = f"{w} = ({u})^{d // e}" if d > e else f"{u} != 1 declared"
-            return True, rule, (f"{note}; torsion-free root rule",)
-    return False, "", ()
+            return True, "R4" if len(u.letters) == 1 and abs(u.letters[0][1]) == 1 else "R2"
+    return False, ""
 
 
 def test_neq_lookup_matches_canonical_class_lookup_on_corpus_queries(monkeypatch):
@@ -456,7 +510,7 @@ def test_neq_lookup_matches_canonical_class_lookup_on_corpus_queries(monkeypatch
             oracles[fb] = oracle_fact_base(fb.presentation, fb.decls)
             classes[fb] = _reference_neq_classes(oracles[fb])
         want = _reference_refute_power(oracles[fb], O(fb, w), classes[fb])
-        assert (v.refuted, v.rule, v.trace) == want, w
+        assert (v.refuted, v.rule) == want, w
         # every caller passes the flag its cyclic normal form came with
         assert occurs == fb._occurs_cyclically(w), w
         # the inverse class is matched as well
@@ -476,7 +530,7 @@ def test_remembered_refutations_match_a_fresh_fact_base(monkeypatch):
         asked.setdefault((fb, w), v)
     for (fb, w), v in asked.items():
         fresh = FactBase(fb.presentation, fb.decls).refute_trivial(w)
-        assert (v.refuted, v.rule, v.trace) == (fresh.refuted, fresh.rule, fresh.trace), w
+        assert v == fresh, w
         again = fb.refute_trivial(w)
         assert again is v if v.refuted else again == v  # a refutation is served from the memo
     assert repeats > 0  # some answers came from the memo
@@ -487,11 +541,12 @@ def test_remembered_refutations_match_a_fresh_fact_base(monkeypatch):
 # -- the fact base against the name-based one it replaced (oracle_facts) ----
 
 
-def _same_answers(fb, queries):
+def _same_answers(fb, queries, build_oracle=oracle_fact_base):
     """Puts each query, (method name, arguments as codes), to fb and to the
-    oracle fact base of the same facts, which reads the arguments decoded;
-    both give the same (refuted, rule, trace).  Returns the rules given."""
-    oracle = oracle_fact_base(fb.presentation, fb.decls)
+    oracle fact base of the same facts (``build_oracle``, the verbatim
+    oracle by default), which reads the arguments decoded; both give the
+    same (refuted, rule).  Returns the rules given."""
+    oracle = build_oracle(fb.presentation, fb.decls)
     rules = Counter()
     for name, args in queries:
         got = getattr(fb, name)(*args)
@@ -499,7 +554,7 @@ def _same_answers(fb, queries):
             want = oracle.refute_trivial(O(fb, args[0]))
         else:
             want = oracle.refute_template([O(fb, s) for s in args[0]], [O(fb, p) for p in args[1]])
-        assert (got.refuted, got.rule, got.trace) == (want.refuted, want.rule, want.trace), (name, args)
+        assert (got.refuted, got.rule) == (want.refuted, want.rule), (name, args)
         rules[got.rule or "unknown"] += 1
     return rules
 
@@ -570,5 +625,5 @@ def test_fact_base_answers_as_the_oracle_on_random_eq_fact_bases():
         for _ in range(10):
             k = rng.randint(1, 2)
             queries.append(("refute_template", ([word() for _ in range(k)], [word() for _ in range(k)])))
-        rules += _same_answers(fb, queries)
+        rules += _same_answers(fb, queries, oriented_oracle_fact_base)
     assert all(rules[r] for r in ("R2", "R3", "R4", "FP", "unknown")), rules

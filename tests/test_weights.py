@@ -1729,6 +1729,22 @@ def test_walker_lists_one_skeleton_per_family_on_the_grid():
         assert len(skeletons) == families == len(enumerate_light_cycles(g, wf)), (k, q)
 
 
+def test_no_vertex_is_asked_for_pumps_without_a_zero_cycle(monkeypatch):
+    # a grid cell's zero subgraph has no cycle, so neither the walker's mend
+    # test nor the family builder has a pump to ask about; px25_w has one
+    asked = []
+    pumps_at = _ZeroSubgraph.pumps_at
+    monkeypatch.setattr(_ZeroSubgraph, "pumps_at", lambda self, v: asked.append(v) or pumps_at(self, v))
+    s = parse_scenario(_grid_text(5, 4))
+    g = build_star_graph(s.presentation)
+    assert len(enumerate_light_cycles(g, WeightFunction.from_scenario(s, g))) == 770
+    assert asked == []
+    s = parse_scenario((CORPUS / "px25_w.scn").read_text())
+    g = build_star_graph(s.presentation)
+    enumerate_light_cycles(g, WeightFunction.from_scenario(s, g))
+    assert asked
+
+
 def test_no_two_skeletons_share_an_edge_class():
     graphs = [(s.name, g, WeightFunction.from_scenario(s, g)) for s, g in _corpus() if s.weights]
     graphs += [(f"random {i}", g, wf) for i, (g, wf) in enumerate(_random_graphs(300))]
