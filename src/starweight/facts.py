@@ -38,6 +38,13 @@ A rewrite chain therefore descends in a well-order and is finite, and
 ``_cyclic_normalize``, whose every pass shortens its word, stops as well.
 (The inverse of an oriented rule need not be oriented: for
 ``eq a2^-1 a1 = a1^-1 a2`` it is the rule's exact reverse.)
+
+So the rules are not closed under inversion, and the inverse of a normal
+form need not be one.  Under ``eq b3 b2 = b2 b3``, with b2 before b3 in the
+symbol order, the rules are b3 b2 -> b2 b3 and b3^-1 b2^-1 -> b2^-1 b3^-1;
+b2^-1 b3^-1 b4 is a normal form, and its inverse b4^-1 b3 b2 is not.  A
+query compares normal forms with ``neq1`` and the notincyclic cores, so they
+hold the inverse of each fact's word normalised as well as it is.
 """
 
 from __future__ import annotations
@@ -76,14 +83,17 @@ class RewriteCapError(FactError):
 
 @dataclass(frozen=True)
 class Verdict:
-    refuted: bool
-    rule: str = ""
+    rule: str = ""  # the rule that refuted, "" for Unknown
+
+    @property
+    def refuted(self) -> bool:
+        return self.rule != ""
 
     def __bool__(self) -> bool:
-        return self.refuted
+        return self.rule != ""
 
 
-UNKNOWN = Verdict(False)
+UNKNOWN = Verdict()
 
 
 def _divisors(n: int) -> list[int]:
@@ -101,7 +111,7 @@ class FactBase:
 
     Rather than remember more, the queries skip normalisations whose answer
     is already known.  ``unbalanced`` holds the letters whose exponent sum
-    some rule changes (a rule and its inverse change the same letters); the
+    some rule changes (a fact's two rules change the same letters); the
     exponent sum of every other letter is invariant under rewriting and free
     reduction, which rules out most exponents ``as_power_of`` would try.
     ``_refute_power`` looks a power of a cyclic normal form up directly when
@@ -117,11 +127,11 @@ class FactBase:
         self.order = presentation.symbol_order
         self._factor_at = [self.factor_of[n] for n in self.order for _ in (0, 1)]  # by code
         self.decls = list(decls)
-        self.rules: list[tuple[Codes, Codes]] = []  # inverse-closed (pattern, replacement)
+        self.rules: list[tuple[Codes, Codes]] = []  # (pattern, replacement), two per eq fact
         self.unbalanced: set[int] = set()  # indices of letters whose exponent sum some rule changes
         self._build_rules()
-        self.neq1: set[Codes] = set()  # cyclic normal forms of each neq word and its inverse
-        self.notincyclic: list[tuple[Codes, int]] = []  # (g-stripped core, index of g)
+        self.neq1: set[Codes] = set()  # cyclic forms of each neq word and its inverse
+        self.notincyclic: list[tuple[set[Codes], int]] = []  # (g-trimmed core forms, index of g)
         self._power_cache: dict[tuple[Codes, int], int | None] = {}
         self._refuted: dict[Codes, Verdict] = {}
         self._build_queries()
@@ -164,16 +174,25 @@ class FactBase:
             lhs, rhs = encode(fd.lhs, self.presentation.code), encode(fd.rhs, self.presentation.code)
             if fd.kind == "neq":
                 n, _ = self._cyclic_normalize(join(lhs, inverse(rhs)))
-                if not n:
+                forms = {n}
+                if self.rules:
+                    # the inverted word normalised, as a query of it is (module
+                    # docstring); without rules that is n^-1, added below
+                    forms.add(self._cyclic_normalize(join(rhs, inverse(lhs)))[0])
+                if () in forms:
                     raise FactError(f"inconsistent facts: {fd.lhs} = {fd.rhs} follows from eq facts")
-                self.neq1 |= {n, cyclically_reduce(inverse(n))}
+                self.neq1 |= forms | {cyclically_reduce(inverse(x)) for x in forms}
             elif fd.kind == "notincyclic":
-                g = fd.rhs
-                if len(g.letters) != 1 or g.letters[0][1] != 1:
-                    raise FactError(f"notincyclic needs a single generator, got {g}")
-                if self.as_power_of(lhs, rhs[0] >> 1) is not None:
-                    raise FactError(f"inconsistent fact: {fd.lhs} lies in <{g}>")
-                self.notincyclic.append((_g_trimmed(self.normalize_any(lhs), rhs[0] >> 1), rhs[0] >> 1))
+                if len(fd.rhs.letters) != 1 or fd.rhs.letters[0][1] != 1:
+                    raise FactError(f"notincyclic needs a single generator, got {fd.rhs}")
+                g = rhs[0] >> 1
+                if self.as_power_of(lhs, g) is not None:
+                    raise FactError(f"inconsistent fact: {fd.lhs} lies in <{fd.rhs}>")
+                core = _g_trimmed(self.normalize_any(lhs), g)
+                # the core and its inverse normalised (module docstring), and
+                # the inverse of each, so that the forms are closed under inversion
+                forms = {core, _g_trimmed(self.normalize_any(inverse(core)), g)}
+                self.notincyclic.append((forms | {inverse(x) for x in forms}, g))
 
     # -- normalization (R1) -------------------------------------------
 
@@ -329,17 +348,19 @@ class FactBase:
         for e in _divisors(d):
             u = root * e
             if self._neq1_match(u) if occurs else u in self.neq1:
-                return Verdict(True, "R4" if len(u) == 1 else "R2")
+                return Verdict("R4" if len(u) == 1 else "R2")
         return UNKNOWN
 
     def _refute_notincyclic(self, w: Codes) -> Verdict:
-        """R3: some rotation/inversion of w, with letters provably in <g>
-        rewritten as g-powers, reads g^s x g^t with x the forbidden core of
-        a NotInCyclic fact (or collapses to a nonzero g-power).
+        """R3: some rotation of w, with letters provably in <g> rewritten as
+        g-powers, reads g^s x g^t with x a form of the forbidden core of a
+        NotInCyclic fact (or collapses to a nonzero g-power).
 
         w is cyclically reduced, so every rotation of its letters is freely
-        reduced and x compares with the core letter by letter."""
-        for core, g in self.notincyclic:
+        reduced and x compares with the forms letter by letter.  The forms
+        are closed under inversion, and trimming commutes with it, so a
+        rotation of w^-1 reads a form exactly when a rotation of w does."""
+        for forms, g in self.notincyclic:
             variants = [w]
             sub = self._g_substitute(w, g)
             if sub is not None:
@@ -348,14 +369,12 @@ class FactBase:
                 if sub and all(c >> 1 == g for c in sub):
                     # w = g^k with k != 0: torsion-free power of g
                     if self._neq1_match((2 * g,)):
-                        return Verdict(True, "R2")
-            forbidden = {core, inverse(core)}
+                        return Verdict("R2")
             for base in variants:
-                for cand in (base, inverse(base)):
-                    for i in range(max(len(cand), 1)):
-                        x = _g_trimmed(cand[i:] + cand[:i], g)
-                        if x and x in forbidden:
-                            return Verdict(True, "R3")
+                for i in range(len(base)):
+                    x = _g_trimmed(base[i:] + base[:i], g)
+                    if x and x in forms:
+                        return Verdict("R3")
         return UNKNOWN
 
     def refute_trivial(self, w: Codes) -> Verdict:
@@ -402,7 +421,7 @@ class FactBase:
             sylls[-1] = (f0, self.normalize_any(join(sylls[-1][1], w0)))
         if len(sylls) > 1:
             sub = [self.refute_trivial(s) for _, s in sylls]
-            return Verdict(True, "FP") if all(sub) else UNKNOWN
+            return Verdict("FP") if all(sub) else UNKNOWN
         return self._refute_power(n, occurs) or self._refute_notincyclic(n)
 
     def refute_template(self, segments: Sequence[Codes], pumps: Sequence[Codes]) -> Verdict:
@@ -456,7 +475,7 @@ class FactBase:
             # pure pump power c^m: by torsion-freeness it suffices that the
             # root of the pump label is nontrivial
             v = self._refute_power(*self._cyclic_normalize(cores[0]))
-            return Verdict(True, "R2") if v else UNKNOWN
+            return Verdict("R2") if v else UNKNOWN
         candidates: list[tuple[int, list[int]]] = []  # (letter index g, pump g-exponents)
         roots = [max_root(c) for c in cores]
         if all(len(r) == 1 for r, _ in roots):
@@ -478,7 +497,7 @@ class FactBase:
                 # the whole label is g^(const + sum exps[i]*mi)
                 const = sum(p for p in seg_pows if p is not None)
                 if not _affine_solvable(const, exps) and self._neq1_match((2 * g,)):
-                    return Verdict(True, "R2")
+                    return Verdict("R2")
                 continue
             if len(nonpow) == 1:
                 seg = self.normalize_any(segs[nonpow[0]])
@@ -486,10 +505,10 @@ class FactBase:
                 sub = self._g_substitute(seg, g)
                 if sub is not None:
                     options.append(_g_trimmed(sub, g))
-                for core, gf in self.notincyclic:
+                for forms, gf in self.notincyclic:
                     for x in options:
-                        if gf == g and x and (x == core or x == inverse(core)):
-                            return Verdict(True, "R3")
+                        if gf == g and x and x in forms:
+                            return Verdict("R3")
         return UNKNOWN
 
     def _refute_template_alternating(self, segs: list[Codes], cores: list[Codes]) -> Verdict:
@@ -533,7 +552,7 @@ class FactBase:
         for f, wrd in merged:
             if wrd is not None and not self.refute_trivial(wrd):
                 return UNKNOWN
-        return Verdict(True, "FP")
+        return Verdict("FP")
 
 
 def _exponent_sums(w: Codes) -> dict[int, int]:

@@ -11,7 +11,7 @@ from starweight.words import free_reduce
 
 
 def check_confluence(fb: FactBase) -> bool:
-    """Join all critical pairs of the (inverse-closed) rule set."""
+    """Join all critical pairs of the rule set."""
     for l1, r1 in fb.rules:
         n1 = len(l1)
         for l2, r2 in fb.rules:

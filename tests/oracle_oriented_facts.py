@@ -7,11 +7,17 @@ letters) and appends that rule's inverse as it is.  When the two sides have
 equal length the inverse can rewrite a word to a greater one, and
 ``eq a2^-1 a1 = a1^-1 a2`` gives a rule together with its exact reverse, so
 rewriting loops.  This twin orients the rule of u^-1 = v^-1 by the same
-size as the rule of u = v, each on its own; everything else is the verbatim
-oracle's.  Both orientations are sound (every rule is an equality), but on
-random words and random eq facts they prove different things.  So the tests
-that draw those compare with this twin, and the tests that replay corpus
-and grid queries keep the verbatim oracle, whose answers there are the same.
+size as the rule of u = v, each on its own.  Its rules are then not closed
+under inversion, and the inverse of a normal form need not be one; so the
+twin, as ``starweight.facts`` does, also keeps the inverse of each neq word
+and each notincyclic core normalised (its ``_build_queries``).  A core's
+inverse normal form is kept as a further core of the same generator, which
+the verbatim query code compares with in both orientations.  Everything else
+is the verbatim oracle's.  Both orientations are sound (every rule is an
+equality), but on random words and random eq facts they prove different
+things.  So the tests that draw those compare with this twin, and the tests
+that replay corpus and grid queries keep the verbatim oracle, whose answers
+there are the same.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ import dataclasses
 from typing import Iterable
 
 import oracle_facts
-from oracle_facts import FactError, _exponent_sums
-from oracle_words import Word, letter_key
+from oracle_facts import FactError, _exponent_sums, _strip_g
+from oracle_words import Word, cyclically_reduce, letter_key
 from starweight.scenario import FactDecl, RelativePresentation
 
 
@@ -49,6 +55,29 @@ class OrientedFactBase(oracle_facts.FactBase):
             for n, e in v.letters:
                 sums[n] = sums.get(n, 0) - e
             self.unbalanced.update(n for n, e in sums.items() if e)
+
+    def _build_queries(self):
+        for fd in self.decls:
+            if fd.kind == "neq":
+                n, _ = self._cyclic_normalize(fd.lhs * fd.rhs.inverse())
+                forms = {n}
+                if self.rules:
+                    forms.add(self._cyclic_normalize(fd.rhs * fd.lhs.inverse())[0])
+                if Word() in forms:
+                    raise FactError(f"inconsistent facts: {fd.lhs} = {fd.rhs} follows from eq facts")
+                self.neq1 |= forms | {cyclically_reduce(x.inverse(), self.order) for x in forms}
+            elif fd.kind == "notincyclic":
+                g = fd.rhs
+                if len(g.letters) != 1 or g.letters[0][1] != 1:
+                    raise FactError(f"notincyclic needs a single generator, got {g}")
+                gname = g.letters[0][0]
+                if self.as_power_of(fd.lhs, gname) is not None:
+                    raise FactError(f"inconsistent fact: {fd.lhs} lies in <{gname}>")
+                core = _strip_g(self.normalize_any(fd.lhs), gname)
+                self.notincyclic.append((core, gname))
+                inv = _strip_g(self.normalize_any(core.inverse()), gname)
+                if inv != core.inverse():
+                    self.notincyclic.append((inv.inverse(), gname))
 
 
 def oriented_oracle_fact_base(

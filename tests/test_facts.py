@@ -157,6 +157,9 @@ def test_inconsistent_facts_rejected():
         fb_from(["eq a1 a2", "neq a1 a2"])
     with pytest.raises(FactError):
         fb_from(["eq a1 = a3 a3", "notincyclic a1 a3"])
+    with pytest.raises(FactError):
+        # the word's normal form is not empty, only its inverse's is
+        fb_from(["eq a1 a4 = a4 a1", "eq a1 a4 = a2", "neq a2 a4^-1 a1^-1 = 1"])
 
 
 def test_confluence_of_small_systems():
@@ -407,6 +410,63 @@ def test_mutually_inverse_fact_sides_do_not_exhaust_the_rewrite_cap(tmp_path, ca
     assert "light cycle families: 1\n" in capsys.readouterr().out
     assert main(["trivial-cycles", str(f), "--length", "2"]) == 0
     assert capsys.readouterr().out == "a1 a2^-1\n"
+
+
+# -- the inverse of a normal form need not be one (the facts.py docstring) --
+
+
+def test_a_fact_meets_the_normal_form_of_its_inverse():
+    # under eq b3 b2 = b2 b3 the word b2^-1 b3^-1 b4 is a normal form and its
+    # inverse b4^-1 b3 b2 is not: a query of the inverse reaches b4^-1 b2 b3,
+    # which the fact base must hold besides the inverse as it is
+    gens = "b2 b3 b4 b1"
+    fb = fb_from(["eq b3 b2 = b2 b3", "neq b2^-1 b3^-1 b4 = 1"], gens=gens)
+    assert fb.refute_trivial(C(fb, "b4^-1 b3 b2")).rule == "R2"
+    fb = fb_from(["eq b3 b2 = b2 b3", "notincyclic b2^-1 b3^-1 b4 = b1"], gens=gens)
+    assert fb.refute_trivial(C(fb, "b1^2 b4^-1 b3 b2")).rule == "R3"
+    assert fb.refute_template([C(fb, "b4^-1 b3 b2")], [C(fb, "b1")]).rule == "R3"
+
+
+def test_fact_words_and_their_inverses_on_random_fact_bases():
+    # neq and notincyclic words that start with an eq fact's side, so that
+    # many have an inverse which is not a normal form.  A neq word and its
+    # inverse are refuted whenever no rule pattern occurs cyclically in their
+    # cyclic normal form (the lookup in neq1 alone decides them then), and
+    # every answer on these words is the oriented oracle's
+    rng = random.Random(zlib.crc32(b"fact words and their inverses"))
+    gens = ["a1", "a2", "a3", "a4"]
+
+    def word():
+        return " ".join(rng.choice(gens) + rng.choice(("", "^-1")) for _ in range(rng.randint(1, 3)))
+
+    checked = bases = 0
+    rules = Counter()
+    while bases < 150:
+        facts = _random_eq_facts(rng, gens)
+        sides = [side for f in facts for side in f[3:].split(" = ")] + gens
+        facts += [f"neq {rng.choice(sides)} {word()} = 1" for _ in range(rng.randint(1, 2))]
+        facts.append(f"notincyclic {rng.choice(sides)} {word()} = {rng.choice(gens)}")
+        try:
+            fb = fb_from(facts)
+        except FactError:
+            continue  # inconsistent facts
+        bases += 1
+        queries = []
+        for fd in fb.decls:
+            v = C(fb, fd.lhs)
+            if fd.kind == "neq":
+                for w in (v, words.inverse(v)):
+                    queries.append(("refute_trivial", (w,)))
+                    if not fb._cyclic_normalize(w)[1]:
+                        assert fb.refute_trivial(w), (facts, fd, w)
+                        checked += 1
+            elif fd.kind == "notincyclic":
+                g = C(fb, fd.rhs)
+                for w in (v, words.inverse(v)):
+                    queries.append(("refute_trivial", (words.free_reduce(g * rng.randint(0, 2) + w + g),)))
+                    queries.append(("refute_template", ([w], [g])))
+        rules += _same_answers(fb, queries, oriented_oracle_fact_base)
+    assert checked > 300 and rules["R3"] > 300, (checked, rules)
 
 
 # -- the short cuts of a fact base that has nothing to rewrite -------------
