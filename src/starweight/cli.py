@@ -14,13 +14,12 @@ from pathlib import Path
 
 from .curvature import region_curvature
 from .equations import EquationError, classify, parse_equation
-from .facts import FactBase, FactError, RewriteCapError
+from .facts import FactBase, RewriteCapError
 from .scenario import Scenario, ScenarioError, parse_rational, parse_scenario, print_scenario
 from .search import SearchConfig, search_weights, weight_lines
-from .stargraph import GraphError, build_star_graph, export_dot, vertex_name
+from .stargraph import build_star_graph, export_dot, vertex_name
 from .weights import (
     WalkBudgetError,
-    WeightError,
     WeightFunction,
     enumerate_light_cycles,
     enumerate_trivial_cycles,
@@ -300,15 +299,7 @@ def main(argv: list[str] | None = None) -> int:
     except (WalkBudgetError, RewriteCapError) as e:
         sys.stderr.write(f"error: {e}\n")
         return RESOURCE_LIMIT
-    except (
-        ScenarioError,
-        GraphError,
-        WeightError,
-        FactError,
-        EquationError,
-        ValueError,
-        OSError,
-    ) as e:
+    except (ValueError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return USAGE_ERROR
 

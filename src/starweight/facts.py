@@ -342,12 +342,16 @@ class FactBase:
         pattern occurs in u cyclically and no seam rotation is tried; and a
         rotation of root^e by i letters is (root rotated by i)^e, which
         compares with root^e as the same rotation of root^d compares with
-        w, so u is least among its rotations because w is.
+        w, so u is least among its rotations because w is.  Where a pattern
+        occurs, u is looked up as it stands before it is normalised again:
+        neq1 holds only words proved != 1, and cyclic normalisation is not
+        idempotent, so a fact's own word w may lie in neq1 while its second
+        normal form does not.
         """
         root, d = max_root(w)
         for e in _divisors(d):
             u = root * e
-            if self._neq1_match(u) if occurs else u in self.neq1:
+            if u in self.neq1 or occurs and self._neq1_match(u):
                 return Verdict("R4" if len(u) == 1 else "R2")
         return UNKNOWN
 

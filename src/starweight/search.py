@@ -14,11 +14,11 @@ each unrefuted closed walk of at most ``CUT_WALK_LEN`` edges weight >= 2.
 Such a walk is cyclically reduced.  Were it lighter than 2 under that
 function, it would lie in a family of the function's list: the
 ``weights`` module docstring proves the list complete for every light
-reduced closed path that neither cap of its walker cuts, and shows that
-neither cuts one of at most 6 edges.  The verifier accepts only when every
-listed family is refuted, and a refuted family's short expansions are then
-refuted on their own, so the walk would be refuted; that last step is
-checked, not proved, by
+reduced closed path that the ``MAX_MARKED`` cap of its walker does not
+cut, and shows that it cuts none of at most 6 edges.  The verifier accepts
+only when every listed family is refuted, and a refuted family's short
+expansions are then refuted on their own, so the walk would be refuted;
+that last step is checked, not proved, by
 ``tests/test_weights.py::test_refuted_families_refute_each_short_expansion_on_its_own``
 on the corpus, grid cells and 300 random graphs.  A cut is the walk's
 edge-count vector c with c.w >= 2.  Weights are >= 0, so when c <= c' in

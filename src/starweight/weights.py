@@ -16,6 +16,15 @@ family builder applies to every marked junction; so it drops the skeletons
 that yield no family before walking their subtrees.  A turn over a zero
 edge would yield only paths another base yields (proved below).
 
+The family walk has no length cap: the weight bounds it.  Every step off
+the zero subgraph adds at least 1 to the scaled weight, an int that stays
+below ``limit``, the scaled threshold, so a path has fewer than ``limit``
+such steps.  Every zero run is vertex-simple, so it has fewer than |V|
+traversals, and it follows a step off the zero subgraph, as every path
+starts with one.  So a path has fewer than ``limit`` * |V| traversals:
+the walk is finite and cuts no light path.  ``FAMILY_WALK_BUDGET`` still
+ends a walk too large to finish.
+
 ``enumerate_light_cycles`` walks around the zero-weight subgraph and lists
 all closed paths of weight below the threshold as finitely many *cycle
 families*: a base path plus pumpable zero-weight cycles, each pump with an
@@ -52,20 +61,18 @@ a missed one.  A pump-free family spells one sequence, and its key is just
 ``canonical_atom_cycle`` of its base, built without any expansion.
 
 Every light reduced closed path P lies in exactly one family, within the
-walker's caps (``FAMILY_WALK_LEN`` traversals, ``MAX_MARKED`` marked
-junctions).  Neither cap cuts a P of at most 6 traversals, the length of
-the search's cut walks.  P's base has at most 6 traversals, under
-``FAMILY_WALK_LEN`` (40).  A base with j marked junctions has n >= j
-traversals, and each mandatory pump adds at least one, so its instances
-have at least 2j traversals: j <= 3 < ``MAX_MARKED`` (4).  A P that runs
-only over zero edges is a power of a zero cycle, which that cycle's power
-family spells.  Otherwise P's nonzero traversals cut it into zero runs; a
-run R from a to b is reduced, stays in one zero component and meets its
-two nonzero neighbours on other edges.  In a component with a cycle C, let
-r(x) be the tree path from x to C, landing at x*; a walk from a to b is
-homotopic to r(a) W r(b)^-1 for a walk W on C, and each homotopy class
-holds one reduced walk.  So, with c the cycle C based where it is spliced
-in:
+walker's one cap, ``MAX_MARKED`` marked junctions.  That cap cuts no P of
+at most 6 traversals, the length of the search's cut walks: a base with j
+marked junctions has n >= j traversals, and each mandatory pump adds at
+least one, so its instances have at least 2j traversals: j <= 3 <
+``MAX_MARKED`` (4).  A P that runs only over zero edges is a power of a
+zero cycle, which that cycle's power family spells.  Otherwise P's nonzero
+traversals cut it into zero runs; a run R from a to b is reduced, stays in
+one zero component and meets its two nonzero neighbours on other edges.  In
+a component with a cycle C, let r(x) be the tree path from x to C, landing
+at x*; a walk from a to b is homotopic to r(a) W r(b)^-1 for a walk W on C,
+and each homotopy class holds one reduced walk.  So, with c the cycle C
+based where it is spliced in:
 
 (1) if a* = b*, R is the tree path from a to b, or that path with
     r(x) c^m r(x)^-1 (m >= 1, c either way round) spliced in at its vertex x
@@ -268,6 +275,18 @@ class _ZeroSubgraph:
             adj.setdefault(e.dst, []).append(Traversal(e, -1))
         self.cycles: list[tuple[Traversal, ...]] = []
         self._pumps: dict[Vertex, list] = {}  # vertex -> [(prefix, cycle)]
+        # one leaf peel of the whole subgraph, a loop counting 2: in a
+        # component of rank 1 the vertices that keep a degree are its cycle
+        degree = {v: len(ts) for v, ts in adj.items()}
+        leaves = [v for v, d in degree.items() if d == 1]
+        while leaves:
+            v = leaves.pop()
+            degree[v] = 0
+            for t in adj[v]:
+                if degree[t.end]:
+                    degree[t.end] -= 1
+                    if degree[t.end] == 1:
+                        leaves.append(t.end)
         seen: set[Vertex] = set()
         for v in sorted(adj, key=lambda v: (v[0], -v[1])):
             if v in seen:
@@ -290,7 +309,21 @@ class _ZeroSubgraph:
                 )
             if rank == 0:
                 continue
-            cycle = self._find_cycle(ces)
+            # round the cycle from its least vertex, each step the first in
+            # adj order onto the cycle over an edge not yet on it, a loop
+            # forwards only
+            walk: list[Traversal] = []
+            on_cycle: set[str] = set()
+            cur = min((u for u in comp if degree[u]), key=lambda u: (u[0], -u[1]))
+            while t := next(
+                (t for t in adj[cur]
+                 if degree[t.end] and t.edge.edge_id not in on_cycle and not (t.edge.is_loop and t.direction < 0)),
+                None,
+            ):
+                walk.append(t)
+                on_cycle.add(t.edge.edge_id)
+                cur = t.end
+            cycle = tuple(walk)
             self.cycles.append(cycle)
             # at a cycle vertex: the cycle based there, in both directions
             for i, t in enumerate(cycle):
@@ -305,42 +338,6 @@ class _ZeroSubgraph:
                     if t.end not in self._pumps:
                         self._pumps[t.end] = [((t.reverse(),) + p, c) for p, c in self._pumps[u]]
                         stack.append(t.end)
-
-    @staticmethod
-    def _find_cycle(edges: list[Edge]) -> tuple[Traversal, ...]:
-        # strip leaves until only the cycle remains
-        remaining = list(edges)
-        while True:
-            degree: dict[Vertex, int] = {}
-            for e in remaining:
-                degree[e.src] = degree.get(e.src, 0) + 1
-                degree[e.dst] = degree.get(e.dst, 0) + 1
-            leaves = {v for v, d in degree.items() if d == 1}
-            if not leaves:
-                break
-            remaining = [e for e in remaining if e.src not in leaves and e.dst not in leaves]
-        start = min({e.src for e in remaining} | {e.dst for e in remaining},
-                    key=lambda v: (v[0], -v[1]))
-        walk: list[Traversal] = []
-        used: set[str] = set()
-        cur = start
-        while True:
-            options = []
-            for e in remaining:
-                if e.edge_id in used:
-                    continue
-                if e.src == cur:
-                    options.append(Traversal(e, +1))
-                if e.dst == cur and not e.is_loop:
-                    options.append(Traversal(e, -1))
-            if not options:
-                break
-            t = options[0]
-            walk.append(t)
-            used.add(t.edge.edge_id)
-            cur = t.end
-        assert cur == start and len(walk) == len(remaining)
-        return tuple(walk)
 
     def pumps_at(self, v: Vertex) -> list[tuple[tuple[Traversal, ...], tuple[Traversal, ...]]]:
         """(prefix, cycle) pairs anchorable at v, both cycle directions."""
@@ -464,7 +461,6 @@ def zero_cycle_families(g: StarGraph, wf: WeightFunction) -> tuple[_ZeroSubgraph
 
 
 MAX_MARKED = 4  # backtrack junctions per skeleton, each mended by a mandatory pump
-FAMILY_WALK_LEN = 40  # traversals per skeleton of enumerate_light_cycles
 FAMILY_WALK_BUDGET = 2_000_000  # walker pops of enumerate_light_cycles
 REDUCED_WALK_BUDGET = 5_000_000  # walker pops of reduced_closed_walks, by default
 
@@ -525,7 +521,7 @@ def _closed_walks(
     wf: WeightFunction,
     threshold: Fraction,
     zsub: _ZeroSubgraph,
-    max_len: int,
+    max_len: float,
     budget: int,
     prune: Callable[[tuple[Traversal, ...]], bool] | None = None,
     starts: list[tuple] | None = None,
@@ -533,17 +529,19 @@ def _closed_walks(
     tables: tuple | None = None,
 ) -> list[tuple[tuple[Traversal, ...], frozenset, int]]:
     """(path, marked, weight) per closed walk of at most max_len traversals
-    that uses an edge outside the zero subgraph, weighs less than threshold
-    on those edges and runs vertex-simply over zero-subgraph edges, in DFS
-    order; weight is the path's weight times ``_weight_scale(g, wf,
-    threshold)``, an int.  A walk may turn back (at the seam too) only over
-    an edge outside the zero subgraph, and only where the turn can be
-    mended: some pump p at the turning vertex makes ``t p t^-1`` reduced
-    for the arriving traversal t.  marked holds those junctions, where a
-    pump insertion is mandatory.  A walk with an unmendable turn has no
-    reduced instance, so it yields no family, and neither does any walk
-    through it: its subtree is skipped.  A zero run never turns back, as it
-    is vertex-simple; the module docstring proves that no family is lost.
+    (``math.inf`` for no cap, which the weight makes finite: see the module
+    docstring) that uses an edge outside the zero subgraph, weighs less
+    than threshold on those edges and runs vertex-simply over zero-subgraph
+    edges, in DFS order; weight is the path's weight times
+    ``_weight_scale(g, wf, threshold)``, an int.  A walk may turn back (at
+    the seam too) only over an edge outside the zero subgraph, and only
+    where the turn can be mended: some pump p at the turning vertex makes
+    ``t p t^-1`` reduced for the arriving traversal t.  marked holds those
+    junctions, where a pump insertion is mandatory.  A walk with an
+    unmendable turn has no reduced instance, so it yields no family, and
+    neither does any walk through it: its subtree is skipped.  A zero run
+    never turns back, as it is vertex-simple; the module docstring proves
+    that no family is lost.
 
     ``prune``, when given, is asked about each path as it is popped, before
     its step is counted; a path it answers true for is dropped with its
@@ -728,7 +726,7 @@ def enumerate_light_cycles(
     scale = _weight_scale(g, wf, threshold)
     weight_at = cache(lambda used: Fraction(used, scale))  # one Fraction per weight value
     seen = {_dedup_key(fam.base, fam.pumps, fam.kind): (0, fam) for fam in families}
-    for base, marked, used in _closed_walks(g, wf, threshold, zsub, FAMILY_WALK_LEN, FAMILY_WALK_BUDGET):
+    for base, marked, used in _closed_walks(g, wf, threshold, zsub, math.inf, FAMILY_WALK_BUDGET):
         n = len(base)
         optional: list[Pump] = []
         mandatory_opts: dict[int, list[Pump]] = {q: [] for q in marked}

@@ -12,8 +12,11 @@ under inversion, and the inverse of a normal form need not be one; so the
 twin, as ``starweight.facts`` does, also keeps the inverse of each neq word
 and each notincyclic core normalised (its ``_build_queries``).  A core's
 inverse normal form is kept as a further core of the same generator, which
-the verbatim query code compares with in both orientations.  Everything else
-is the verbatim oracle's.  Both orientations are sound (every rule is an
+the verbatim query code compares with in both orientations.  Its
+``_refute_power``, as ``starweight.facts``'s, looks each root power up as
+it stands before it normalises it again, as cyclic normalisation is not
+idempotent; it gives the rule alone, without a trace.  Everything else is
+the verbatim oracle's.  Both orientations are sound (every rule is an
 equality), but on random words and random eq facts they prove different
 things.  So the tests that draw those compare with this twin, and the tests
 that replay corpus and grid queries keep the verbatim oracle, whose answers
@@ -26,8 +29,8 @@ import dataclasses
 from typing import Iterable
 
 import oracle_facts
-from oracle_facts import FactError, _exponent_sums, _strip_g
-from oracle_words import Word, cyclically_reduce, letter_key
+from oracle_facts import UNKNOWN, FactError, Verdict, _divisors, _exponent_sums, _refuted, _strip_g
+from oracle_words import Word, cyclically_reduce, letter_key, max_root
 from starweight.scenario import FactDecl, RelativePresentation
 
 
@@ -78,6 +81,14 @@ class OrientedFactBase(oracle_facts.FactBase):
                 inv = _strip_g(self.normalize_any(core.inverse()), gname)
                 if inv != core.inverse():
                     self.notincyclic.append((inv.inverse(), gname))
+
+    def _refute_power(self, w: Word, occurs: bool) -> Verdict:
+        root, d = max_root(w)
+        for e in _divisors(d):
+            u = Word(root.expand() * e)
+            if u in self.neq1 or occurs and self._neq1_match(u):
+                return _refuted("R4" if len(u.letters) == 1 and abs(u.letters[0][1]) == 1 else "R2")
+        return UNKNOWN
 
 
 def oriented_oracle_fact_base(

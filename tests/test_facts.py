@@ -427,6 +427,17 @@ def test_a_fact_meets_the_normal_form_of_its_inverse():
     assert fb.refute_template([C(fb, "b4^-1 b3 b2")], [C(fb, "b1")]).rule == "R3"
 
 
+def test_a_neq_fact_refutes_its_own_cyclic_normal_form():
+    # the cyclic normal form of a3 a1^-1 a4 is a1^-1 a4 a3, in which a rule
+    # pattern still occurs cyclically; normalising it again gives
+    # a1^-1 a3 a4, which the fact base does not hold, so the word itself is
+    # looked up first
+    fb = fb_from(["eq a3 a4 = a4 a3", "eq a3 a1 = a2", "eq a2 a4 = a3", "neq a3 a1^-1 a4 = 1"])
+    w = C(fb, "a3 a1^-1 a4")
+    assert fb._cyclic_normalize(w) == (C(fb, "a1^-1 a4 a3"), True)
+    assert fb.refute_trivial(w).rule == "R2"
+
+
 def test_fact_words_and_their_inverses_on_random_fact_bases():
     # neq and notincyclic words that start with an eq fact's side, so that
     # many have an inverse which is not a normal form.  A neq word and its

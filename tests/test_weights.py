@@ -22,8 +22,10 @@ from starweight.cli import main
 from starweight.facts import UNKNOWN, FactBase
 from starweight.scenario import parse_scenario
 from starweight.stargraph import (
+    Edge,
     StarGraph,
     Traversal,
+    Vertex,
     build_star_graph,
     canonical_atom_cycle,
     path_label,
@@ -856,10 +858,45 @@ def test_families_cover_every_light_walk_on_random_small_star_graphs():
 
 class _ReferenceZeroSubgraph:
     """Component map, simple-path search and pump search of the zero subgraph
-    as they stood before the pumps were built in one tree walk, kept
-    verbatim as an oracle (the cycle finder is unchanged and shared)."""
+    as they stood before the pumps were built in one tree walk, and its
+    leaf-stripping cycle finder as it stood before the one peel, kept
+    verbatim as an oracle."""
 
-    _find_cycle = staticmethod(_ZeroSubgraph._find_cycle)
+    @staticmethod
+    def _find_cycle(edges: list[Edge]) -> tuple[Traversal, ...]:
+        # strip leaves until only the cycle remains
+        remaining = list(edges)
+        while True:
+            degree: dict[Vertex, int] = {}
+            for e in remaining:
+                degree[e.src] = degree.get(e.src, 0) + 1
+                degree[e.dst] = degree.get(e.dst, 0) + 1
+            leaves = {v for v, d in degree.items() if d == 1}
+            if not leaves:
+                break
+            remaining = [e for e in remaining if e.src not in leaves and e.dst not in leaves]
+        start = min({e.src for e in remaining} | {e.dst for e in remaining},
+                    key=lambda v: (v[0], -v[1]))
+        walk: list[Traversal] = []
+        used: set[str] = set()
+        cur = start
+        while True:
+            options = []
+            for e in remaining:
+                if e.edge_id in used:
+                    continue
+                if e.src == cur:
+                    options.append(Traversal(e, +1))
+                if e.dst == cur and not e.is_loop:
+                    options.append(Traversal(e, -1))
+            if not options:
+                break
+            t = options[0]
+            walk.append(t)
+            used.add(t.edge.edge_id)
+            cur = t.end
+        assert cur == start and len(walk) == len(remaining)
+        return tuple(walk)
 
     def __init__(self, g, zero_edges):
         self.g = g
@@ -1727,6 +1764,22 @@ def test_walker_lists_one_skeleton_per_family_on_the_grid():
         zsub, _ = zero_cycle_families(g, wf)
         skeletons = _closed_walks(g, wf, Fraction(2), zsub, 40, 2_000_000)
         assert len(skeletons) == families == len(enumerate_light_cycles(g, wf)), (k, q)
+
+
+def test_family_walk_has_no_length_cap():
+    # the relator's two corners are two edges t -> t^-1 of weight 1/45, so
+    # the reduced closed paths are the powers of the path out along one edge
+    # and back along the other, the k-th of 2k traversals and weight 2k/45:
+    # the 44 with k <= 44 are light, the longest of 88 traversals, and a cap
+    # on the walk's length would drop the longest
+    s = parse_scenario(
+        "factor A noncyclic nontrivial\ngens A: a1 a2\nindet: t\nrelator: a1 t a2 t\n"
+        "weight: 0.0 = 1/45\nweight: 0.1 = 1/45\n"
+    )
+    g = build_star_graph(s.presentation)
+    families = enumerate_light_cycles(g, WeightFunction.from_scenario(s, g))
+    assert [len(f.base) for f in families] == list(range(2, 89, 2))
+    assert families[-1].weight == Fraction(88, 45)
 
 
 def test_no_vertex_is_asked_for_pumps_without_a_zero_cycle(monkeypatch):

@@ -1,26 +1,33 @@
 """Count what the closed-path walker does on the benchmark grid and the corpus.
 
-For each cell of ``bench/expected/grid.json``, for the k=6, q=4 cell and
-for the weighted corpus scenarios in total, it runs the weight test and
-prints:
+For each cell of ``bench/expected/grid.json``, for the k=6, q=4 cell, for
+the weighted corpus scenarios in total and for the searches of every corpus
+scenario with its weights removed, in total, it prints what the family
+lists' walks did:
 
-- pops: paths the walker pops for the family list;
-- skeletons: closed paths it lists for the family list;
-- families: families of the report.
+- pops: paths the walker pops for the family lists;
+- skeletons: closed paths it lists for the family lists;
+- families: families of the family lists;
+- longest: traversals of the longest skeleton;
+- marked: the most marked junctions of one skeleton, which ``MAX_MARKED``
+  caps.
 
-skeletons - families is what the family list merges after the walk.  The
+skeletons - families is what the family lists merge after the walk.  The
 pops are counted by a ``prune`` that prunes nothing, which the walker asks
-about every path it pops.  Standard library, the package and the
-benchmark's ``workloads.grid_text`` only::
+about every path it pops.  A search lists the families of each candidate it
+verifies; the walks of its light-walk cuts are not counted.  Standard
+library, the package and the benchmark's ``workloads.grid_text`` only::
 
     python tests/walk_counts.py
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,9 +35,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import starweight.weights as weights  # noqa: E402
 from starweight.scenario import parse_scenario  # noqa: E402
+from starweight.search import search_weights  # noqa: E402
 from workloads import grid_text  # noqa: E402
 
 EXTRA_CELLS = [(6, 4)]  # outside the benchmark grid; 2 795 families
+SUMMED = ("pops", "skeletons", "families")
+GREATEST = ("longest", "marked")
 
 
 def grid(k: int, q: int):
@@ -38,46 +48,76 @@ def grid(k: int, q: int):
     return parse_scenario(grid_text(k, q, [f"a{i}" for i in range(1, k + 1)]))
 
 
-def walk_counts(scenario) -> Counter:
-    """pops, skeletons and families of one weight test."""
-    counts: Counter = Counter()
-    walk = weights._closed_walks
+@contextmanager
+def counted(counts: Counter):
+    """Within it, every family list adds its walk's counts to ``counts``."""
+    walk, family_list = weights._closed_walks, weights.enumerate_light_cycles
 
-    def counted(g, wf, threshold, zsub, max_len, budget):
+    def counted_walk(g, wf, threshold, zsub, max_len, budget):
         def count(path):
             counts["pops"] += 1
             return False
 
         out = walk(g, wf, threshold, zsub, max_len, budget, count)
         counts["skeletons"] += len(out)
+        counts["longest"] = max([counts["longest"], *(len(path) for path, _, _ in out)])
+        counts["marked"] = max([counts["marked"], *(len(marked) for _, marked, _ in out)])
         return out
 
-    weights._closed_walks = counted
+    def counted_families(*args):
+        weights._closed_walks = counted_walk
+        try:
+            out = family_list(*args)
+        finally:
+            weights._closed_walks = walk
+        counts["families"] += len(out)
+        return out
+
+    weights.enumerate_light_cycles = counted_families
     try:
-        report = weights.verify_weight_test(scenario)
+        yield
     finally:
-        weights._closed_walks = walk
-    counts["families"] = len(report.families)
+        weights.enumerate_light_cycles = family_list
+
+
+def walk_counts(scenario) -> Counter:
+    """The counts of one weight test."""
+    counts: Counter = Counter()
+    with counted(counts):
+        weights.verify_weight_test(scenario)
     return counts
 
 
+def combined(rows: list[Counter]) -> Counter:
+    """The counts of several inputs: sums, and the greatest of each maximum."""
+    return Counter({c: (sum if c in SUMMED else max)(row[c] for row in rows) for c in SUMMED + GREATEST})
+
+
+def corpus() -> list:
+    return [
+        parse_scenario(path.read_text(encoding="utf-8"), name=path.stem)
+        for path in sorted((ROOT / "src" / "starweight" / "corpus").glob("*.scn"))
+    ]
+
+
 def rows() -> list[tuple[str, Counter]]:
-    """One row per benchmark grid cell, their total, the extra cells and the
-    weighted corpus in total."""
+    """One row per benchmark grid cell, their total, the extra cells, the
+    weighted corpus in total and the weight-stripped corpus searches in
+    total."""
     cells = json.loads((ROOT / "bench" / "expected" / "grid.json").read_text(encoding="utf-8"))["cells"]
     out = [(f"grid_k{k}_q{q}", walk_counts(grid(k, q))) for k, q in [(c["k"], c["q"]) for c in cells]]
-    out.append(("grid total", sum((counts for _, counts in out), Counter())))
+    out.append(("grid total", combined([counts for _, counts in out])))
     out += [(f"grid_k{k}_q{q}", walk_counts(grid(k, q))) for k, q in EXTRA_CELLS]
-    corpus: Counter = Counter()
-    for path in sorted((ROOT / "src" / "starweight" / "corpus").glob("*.scn")):
-        s = parse_scenario(path.read_text(encoding="utf-8"), name=path.stem)
-        if s.weights:
-            corpus.update(walk_counts(s))
-    out.append(("corpus (weighted)", corpus))
+    out.append(("corpus (weighted)", combined([walk_counts(s) for s in corpus() if s.weights])))
+    searches: Counter = Counter()
+    with counted(searches):
+        for s in corpus():
+            search_weights(dataclasses.replace(s, weights=[]))
+    out.append(("corpus searches", searches))
     return out
 
 
-COLUMNS = ("pops", "skeletons", "families")
+COLUMNS = SUMMED + GREATEST
 
 
 def main() -> int:
