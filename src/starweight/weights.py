@@ -60,6 +60,19 @@ structure spell the same sequences, which costs a duplicate family, never
 a missed one.  A pump-free family spells one sequence, and its key is just
 ``canonical_atom_cycle`` of its base, built without any expansion.
 
+A pump-free candidate whose base runs only over edges whose ``label_key``
+no other edge carries is a family of its own, without a key.  Its key,
+``canonical_atom_cycle`` of its base untagged, is one only a pump-free
+candidate can have, and another with that key reads the same atoms in the
+same cyclic order, up to rotation and inversion.  With unique labels,
+equal atom sequences mean the same edges in the same cyclic order, as an
+atom is (label key, direction) and each of these label keys names one
+edge.  That is one edge class, which the walker lists once, and a
+pump-free walk yields one candidate; so no other candidate has the key.
+Every other candidate is keyed: a pumped one (a symmetric base can give
+two pump choices one key), a power family (two zero cycles can share a
+key) and a walk touching a shared label.
+
 Every light reduced closed path P lies in exactly one family, within the
 walker's one cap, ``MAX_MARKED`` marked junctions.  That cap cuts no P of
 at most 6 traversals, the length of the search's cut walks: a base with j
@@ -134,6 +147,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -419,7 +433,8 @@ class CycleFamily:
 def _dedup_key(base: tuple[Traversal, ...], pumps: tuple[Pump, ...], kind: str = "cycle") -> tuple:
     """Key under which families merge; the module docstring defines it and
     proves that equal keys give equal label sequences for every
-    multiplicity vector.  A pump-free family's key is
+    multiplicity vector, and that a pump-free candidate over uniquely
+    labelled edges needs none.  A pump-free family's key is
     ``(canonical_atom_cycle(base),)``, a power family's is tagged "power"
     (its base repeats) and a pumped family's "pumped", so keys of different
     kinds never meet."""
@@ -706,18 +721,22 @@ def enumerate_light_cycles(
 ) -> list[CycleFamily]:
     """Complete family list of reduced closed paths of weight < threshold.
 
-    Each candidate (a walked base with its optional pumps and one choice of
-    pump per mandatory point) is keyed by ``_dedup_key``, and only the first
+    A candidate is a walked base with its optional pumps and one choice of
+    pump per mandatory point.  One with no pumps whose base uses only edges
+    whose ``label_key`` no other edge carries becomes a family directly, as
+    no other candidate can share its key (see the module docstring).  Every
+    other candidate is keyed by ``_dedup_key``, and only the first
     candidate per key becomes a family, which shows the edges and weight of
-    the first of them the walker found.  Its weight is the walker's scaled
-    int over ``_weight_scale``, one Fraction per value; families sort on
-    that int, which orders as the weights do, as every family shares the
-    scale (a zero-cycle power family weighs 0).  Equal keys give equal label
-    sequences for every multiplicity vector (see the module docstring), so
-    the merged candidates spell nothing the kept one does not.  Raises
-    DegenerateZeroCycleError for an empty-label zero cycle and
-    EntangledZeroSubgraphError when a zero component has cycle rank >= 2
-    (the family decomposition would not be exhaustive there).
+    the first of them the walker found.  A family's weight is the walker's
+    scaled int over ``_weight_scale``, one Fraction per value.  Families
+    wait in walker order, power families first, for one stable sort on
+    that int and their display; the int orders as the weights do, as every
+    family shares the scale (a zero-cycle power family weighs 0).  Equal
+    keys give equal label sequences for every multiplicity vector (see the
+    module docstring), so the merged candidates spell nothing the kept one
+    does not.  Raises DegenerateZeroCycleError for an empty-label zero
+    cycle and EntangledZeroSubgraphError when a zero component has cycle
+    rank >= 2 (the family decomposition would not be exhaustive there).
     """
     if threshold <= 0:
         raise WeightError("threshold must be positive")
@@ -725,7 +744,11 @@ def enumerate_light_cycles(
     zsub, families = zero_cycle_families(g, wf)
     scale = _weight_scale(g, wf, threshold)
     weight_at = cache(lambda used: Fraction(used, scale))  # one Fraction per weight value
-    seen = {_dedup_key(fam.base, fam.pumps, fam.kind): (0, fam) for fam in families}
+    labels = Counter(e.label_key for e in g.edges)
+    shared = {e.edge_id for e in g.edges if labels[e.label_key] > 1}
+    # a later power family of one key takes the first's place
+    powers = {_dedup_key(fam.base, fam.pumps, fam.kind): fam for fam in families}
+    keys, found = set(powers), [(0, fam) for fam in powers.values()]
     for base, marked, used in _closed_walks(g, wf, threshold, zsub, math.inf, FAMILY_WALK_BUDGET):
         n = len(base)
         optional: list[Pump] = []
@@ -740,13 +763,17 @@ def enumerate_light_cycles(
                     mandatory_opts[i].append(p)
                 else:
                     optional.append(p)
+        if not (marked or optional or any(t.edge.edge_id in shared for t in base)):
+            found.append((used, CycleFamily(base, (), weight_at(used), "cycle")))
+            continue
         mand_points = sorted(mandatory_opts)
         for chosen in itertools.product(*(mandatory_opts[q] for q in mand_points)):
             pumps = tuple(sorted(optional + list(chosen), key=lambda p: p.insert_after))
             key = _dedup_key(base, pumps)
-            if key not in seen:
-                seen[key] = (used, CycleFamily(base, pumps, weight_at(used), "cycle"))
-    return [fam for _, fam in sorted(seen.values(), key=lambda item: (item[0], item[1].display()))]
+            if key not in keys:
+                keys.add(key)
+                found.append((used, CycleFamily(base, pumps, weight_at(used), "cycle")))
+    return [fam for _, fam in sorted(found, key=lambda item: (item[0], item[1].display()))]
 
 
 # -- cyclically reduced closed walks -------------------------------------

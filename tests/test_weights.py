@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle_keyed_families
 import oracle_rooted_walker
 import oracle_walker
 import starweight
@@ -1726,7 +1727,9 @@ def test_walker_lists_the_first_copy_of_each_class_the_oracle_lists(monkeypatch)
     # the walker before, kept in oracle_rooted_walker, listed every copy of a
     # class that starts at a forward traversal of the class's least edge; the
     # necklace prune keeps the first of them, in the oracle's order, for the
-    # family walk and the guard walk alike, and every report is unchanged
+    # family walk and the guard walk alike, and every report is unchanged.
+    # Only a builder that keys every candidate merges the oracle walker's
+    # copies, so the reports under it come from the keyed oracle builder
     walked = dropped = 0
     for name, scenarios in _walker_cases():
         s = scenarios[0]
@@ -1745,10 +1748,114 @@ def test_walker_lists_the_first_copy_of_each_class_the_oracle_lists(monkeypatch)
             dropped += len(before) - len(after)
         for s in scenarios:
             with monkeypatch.context() as m:
-                m.setattr(weights_module, "_closed_walks", oracle_rooted_walker._closed_walks)
+                m.setattr(oracle_keyed_families, "_closed_walks", oracle_rooted_walker._closed_walks)
+                m.setattr(weights_module, "enumerate_light_cycles", oracle_keyed_families.enumerate_light_cycles)
                 want = render_report(verify_weight_test(s))
             assert render_report(verify_weight_test(s)) == want, name
     assert walked >= 650 and dropped > 1_000, (walked, dropped)
+
+
+# -- the family builder against the one that keyed every candidate ---------------
+
+
+def _random_repeated_coefficient(rng):
+    """A one-relator graph over the letters of ``_random_one_relator`` whose
+    relator carries one coefficient at two or more of its 3-5 corners, so
+    that edges share a label, and a weight from RANDOM_WEIGHTS per edge."""
+    coefficients = ["a1", "a2", "a1^-1", "a2^2", "b1", "b1^-1", "b2", "a1 b1", "b2 a2^-1"]
+    while True:
+        corners = rng.randint(3, 5)
+        words = [rng.choice(coefficients)] * rng.randint(2, corners)
+        words += [rng.choice(coefficients + [""]) for _ in range(corners - len(words))]
+        rng.shuffle(words)
+        tokens = []
+        for word in words:
+            tokens += word.split() + [rng.choice(["t", "t^-1", "u", "u^-1"])]
+        text = (
+            "factor A noncyclic nontrivial\nfactor B noncyclic nontrivial\n"
+            "gens A: a1 a2\ngens B: b1 b2\nindet: t u\nrelator: " + " ".join(tokens) + "\n"
+        )
+        g = build_star_graph(parse_scenario(text, name="random").presentation)
+        labels = [e.label_key for e in g.edges]
+        # free cancellation can drop corners, and with them the repeat
+        if 3 <= len(labels) <= 5 and len(set(labels)) < len(labels):
+            return g, WeightFunction({e.edge_id: rng.choice(RANDOM_WEIGHTS) for e in g.edges})
+
+
+def _family_rows(families):
+    return [(f.base, f.pumps, f.weight, f.kind, f.display()) for f in families]
+
+
+def test_families_are_the_keyed_oracles(monkeypatch):
+    # the builder before, kept in oracle_keyed_families, keyed every
+    # candidate; the builder lists the same families in the same order,
+    # though it keys no pump-free walk over uniquely labelled edges.  The
+    # random graphs repeat a coefficient, so some pump-free walks over a
+    # shared label spell one sequence and must still merge
+    graphs = []
+    for name, scenarios in _walker_cases():
+        g = build_star_graph(scenarios[0].presentation)
+        graphs.append((name, g, WeightFunction.from_scenario(scenarios[0], g), None))
+    rng = random.Random(zlib.crc32(b"repeated coefficients"))
+    for i in range(200):
+        g, wf = _random_repeated_coefficient(rng)
+        eq = "".join(f"fact: {fact}\n" for fact in _random_eq_facts(rng, ["a1", "a2", "a3"]))
+        graphs.append((f"repeated {i}", g, wf, _random_scenario(g, wf, eq, gens_a="a1 a2 a3")))
+    key = weights_module._dedup_key
+    compared = merged = 0
+    for name, g, wf, s in graphs:
+        plain = []
+
+        def spy(base, pumps, kind="cycle"):
+            out = key(base, pumps, kind)
+            if not pumps and kind == "cycle":
+                plain.append(out)
+            return out
+
+        try:
+            want = oracle_keyed_families.enumerate_light_cycles(g, wf)
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            continue
+        with monkeypatch.context() as m:
+            m.setattr(weights_module, "_dedup_key", spy)
+            got = enumerate_light_cycles(g, wf)
+        assert _family_rows(got) == _family_rows(want), name
+        if s is not None:
+            with monkeypatch.context() as m:
+                m.setattr(weights_module, "enumerate_light_cycles", oracle_keyed_families.enumerate_light_cycles)
+                report = render_report(verify_weight_test(s))
+            assert render_report(verify_weight_test(s)) == report, name
+        compared += 1
+        merged += len(plain) - len(set(plain))
+    assert compared >= 540 and merged >= 150, (compared, merged)
+
+
+def _key_counts(monkeypatch, g, wf):
+    """(canonical_atom_cycle calls, keys, distinct keys) of one family list."""
+    calls, keys = [], []
+    atom_cycle, key = weights_module.canonical_atom_cycle, weights_module._dedup_key
+    with monkeypatch.context() as m:
+        m.setattr(weights_module, "canonical_atom_cycle", lambda ts: calls.append(1) or atom_cycle(ts))
+        m.setattr(weights_module, "_dedup_key", lambda *a: keys.append(key(*a)) or keys[-1])
+        enumerate_light_cycles(g, wf)
+    return len(calls), len(keys), len(set(keys))
+
+
+def test_no_walk_over_uniquely_labelled_edges_is_keyed(monkeypatch):
+    # a grid cell's corners carry distinct labels and its zero subgraph has
+    # no cycle, so no candidate is keyed; px20_w's loops 1.0 and 1.2 share
+    # the label b2, and the walks over them still merge under their keys
+    expected = Path(__file__).resolve().parent.parent / "bench" / "expected" / "grid.json"
+    cells = [(c["k"], c["q"]) for c in json.loads(expected.read_text())["cells"]]
+    assert len(cells) >= 6
+    for k, q in cells + [(6, 4)]:
+        s = parse_scenario(_grid_text(k, q))
+        g = build_star_graph(s.presentation)
+        assert _key_counts(monkeypatch, g, WeightFunction.from_scenario(s, g)) == (0, 0, 0), (k, q)
+    s = parse_scenario((CORPUS / "px20_w.scn").read_text())
+    g = build_star_graph(s.presentation)
+    calls, keys, distinct = _key_counts(monkeypatch, g, WeightFunction.from_scenario(s, g))
+    assert calls == keys > distinct, (calls, keys, distinct)
 
 
 def test_walker_lists_one_skeleton_per_family_on_the_grid():

@@ -8,13 +8,20 @@ lists' walks did:
 - pops: paths the walker pops for the family lists;
 - skeletons: closed paths it lists for the family lists;
 - families: families of the family lists;
+- keyed: candidates the family lists key by ``_dedup_key``, power
+  families included; a pump-free walk over uniquely labelled edges is a
+  family without a key;
+- merged: keyed candidates whose key an earlier one of the same list
+  holds, which become no family;
 - longest: traversals of the longest skeleton;
 - marked: the most marked junctions of one skeleton, which ``MAX_MARKED``
   caps.
 
-skeletons - families is what the family lists merge after the walk.  The
-pops are counted by a ``prune`` that prunes nothing, which the walker asks
-about every path it pops.  A search lists the families of each candidate it
+A skeleton with mandatory pumps yields one candidate per choice of them,
+and the power families of the zero cycles come on top, so families can
+outnumber skeletons; merged is what the family lists merge.  The pops are
+counted by a ``prune`` that prunes nothing, which the walker asks about
+every path it pops.  A search lists the families of each candidate it
 verifies; the walks of its light-walk cuts are not counted.  Standard
 library, the package and the benchmark's ``workloads.grid_text`` only::
 
@@ -39,7 +46,7 @@ from starweight.search import search_weights  # noqa: E402
 from workloads import grid_text  # noqa: E402
 
 EXTRA_CELLS = [(6, 4)]  # outside the benchmark grid; 2 795 families
-SUMMED = ("pops", "skeletons", "families")
+SUMMED = ("pops", "skeletons", "families", "keyed", "merged")
 GREATEST = ("longest", "marked")
 
 
@@ -51,7 +58,7 @@ def grid(k: int, q: int):
 @contextmanager
 def counted(counts: Counter):
     """Within it, every family list adds its walk's counts to ``counts``."""
-    walk, family_list = weights._closed_walks, weights.enumerate_light_cycles
+    walk, family_list, key = weights._closed_walks, weights.enumerate_light_cycles, weights._dedup_key
 
     def counted_walk(g, wf, threshold, zsub, max_len, budget):
         def count(path):
@@ -65,12 +72,20 @@ def counted(counts: Counter):
         return out
 
     def counted_families(*args):
-        weights._closed_walks = counted_walk
+        keys = []
+
+        def counted_key(*key_args):
+            keys.append(key(*key_args))
+            return keys[-1]
+
+        weights._closed_walks, weights._dedup_key = counted_walk, counted_key
         try:
             out = family_list(*args)
         finally:
-            weights._closed_walks = walk
+            weights._closed_walks, weights._dedup_key = walk, key
         counts["families"] += len(out)
+        counts["keyed"] += len(keys)
+        counts["merged"] += len(keys) - len(set(keys))
         return out
 
     weights.enumerate_light_cycles = counted_families
