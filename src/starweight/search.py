@@ -370,7 +370,7 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
         ]
         candidates.append(values)
         try:
-            report, chosen = _verify_candidates(s, candidates, fb)
+            report, chosen = _verify_candidates(s, candidates, fb, g)
             if report.verdict == "Aspherical":
                 return SearchOutcome("found", chosen, iteration, constraints)
             new_cuts = _light_walk_cuts(g, fb, chosen, held)
@@ -392,18 +392,20 @@ def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcom
     )
 
 
-def _verify_candidates(s: Scenario, candidates: list[dict[str, Fraction]], fb: FactBase):
+def _verify_candidates(
+    s: Scenario, candidates: list[dict[str, Fraction]], fb: FactBase, g: StarGraph
+):
     """(report, candidate) of the first Aspherical candidate, else of the
     first one.  A candidate equal to an earlier one would get the same
-    report, so it is skipped.  ``fb`` is the scenario's fact base, shared by
-    every verification."""
+    report, so it is skipped.  ``fb`` and ``g`` are the scenario's fact base
+    and star graph, shared by every verification."""
     first = None
     seen: list[dict[str, Fraction]] = []
     for cand in candidates:
         if cand in seen:
             continue
         seen.append(cand)
-        rep = verify_weight_test(scenario_with_weights(s, cand), fb)
+        rep = verify_weight_test(scenario_with_weights(s, cand), fb, g)
         if rep.verdict == "Aspherical":
             return rep, cand
         first = first or (rep, cand)

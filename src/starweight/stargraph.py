@@ -55,6 +55,12 @@ class Edge:
         return f"({self.label})" if self.ambiguous else self.label_key[0]
 
     @cached_property
+    def printed(self) -> tuple[str, str]:
+        """How a forward and a backward traversal of the edge print, built
+        once per edge: ``shown`` and ``shown^-1``."""
+        return self.shown, f"{self.shown}^-1"
+
+    @cached_property
     def label_key(self) -> tuple[str, tuple]:
         """The compact label string, so that keys order as those strings
         do, then the label's letters: the string alone is not injective

@@ -25,6 +25,19 @@ starts with one.  So a path has fewer than ``limit`` * |V| traversals:
 the walk is finite and cuts no light path.  ``FAMILY_WALK_BUDGET`` still
 ends a walk too large to finish.
 
+Each prefix is bounded by its way back, the admissible lower bound of A*
+(Hart, Nilsson and Raphael, IEEE Trans. SSC 4(2), 1968).  ``_walk_tables``
+computes once per graph ``dist[u][v]``, the least scaled weight of any walk
+from u to v, a zero edge weighing 0.  A path rooted at ``home`` takes a
+step to v only if the weight spent with that step plus ``dist[v][home]``
+stays below ``limit``.  Every closed extension of the longer path runs from
+v back to ``home`` along a walk of the graph, which weighs at least
+``dist[v][home]``; so a prefix that fails the test has no closed extension
+lighter than the threshold, and its subtree lists nothing.  The walk lists
+what it would list without the bound, in the same order, with the same
+marked sets and weights, and pops a subset of what it would pop
+(``_closed_walks`` proves it).
+
 ``enumerate_light_cycles`` walks around the zero-weight subgraph and lists
 all closed paths of weight below the threshold as finitely many *cycle
 families*: a base path plus pumpable zero-weight cycles, each pump with an
@@ -270,8 +283,7 @@ class Pump:
 
 
 def _atom_str(t: Traversal) -> str:
-    s = t.edge.shown
-    return s if t.direction > 0 else f"{s}^-1"
+    return t.edge.printed[t.direction < 0]
 
 
 class _ZeroSubgraph:
@@ -386,7 +398,7 @@ class CycleFamily:
         return path_label(self.base)
 
     def display(self) -> str:
-        base = " ".join(_atom_str(t) for t in self.base)
+        base = " ".join(map(_atom_str, self.base))
         if self.kind == "power":
             return f"({base})^m, m >= 1"
         if not self.pumps:
@@ -489,16 +501,26 @@ def _weight_scale(g: StarGraph, wf: WeightFunction, threshold: Fraction) -> int:
 def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _ZeroSubgraph) -> tuple:
     """The tables ``_closed_walks`` reads, which depend only on its first
     four arguments: the scaled threshold, the mend test, the one-vertex
-    runs, the end of each step key, the steps out of each vertex and the
-    root states.  The mend test is asked only about steps off the zero
-    subgraph, the only ones a walk turns back over.  A step's key is 2 *
-    its edge's index in ``g.edges``, plus 1 if it runs backwards: keys grow
-    along ``g.incident``, which lists a vertex's steps by edge and a loop
-    forwards first, the reverse step's key is key ^ 1, and a walk rooted at
-    edge e0 steps onto a nonzero edge only if its key is at least 2 * the
-    index of e0.  A caller that walks one graph several times builds them
-    once.  Without a zero cycle there is no pump, so the mend test mends no
-    turn and asks no vertex for pumps."""
+    runs, the end of each step key, the steps out of each vertex, the root
+    states and the distances.  The mend test is asked only about steps off
+    the zero subgraph, the only ones a walk turns back over.  A step's key
+    is 2 * its edge's index in ``g.edges``, plus 1 if it runs backwards:
+    keys grow along ``g.incident``, which lists a vertex's steps by edge and
+    a loop forwards first, the reverse step's key is key ^ 1, and a walk
+    rooted at edge e0 steps onto a nonzero edge only if its key is at least
+    2 * the index of e0.  A caller that walks one graph several times
+    builds them once.  Without a zero cycle there is no pump, so the mend
+    test mends no turn and asks no vertex for pumps.
+
+    ``dist[u][v]`` is the least scaled weight of any walk from u to v, a
+    zero-subgraph edge weighing 0, or ``limit`` where every such walk
+    weighs ``limit`` or more, or none exists.  Floyd-Warshall finds it (the
+    graph has few vertices), extending only ways lighter than ``limit``, as
+    every part of a walk lighter than ``limit`` is lighter too.  A walk may
+    run either way along an edge, so ``dist`` is symmetric.  It bounds from
+    below the weight of every walk the walker can still take from u back to
+    v, as those walks are walks of the graph; a root whose edge and way
+    back weigh ``limit`` or more closes no light path and is left out."""
     zero = {e.edge_id for e in zsub.edges}
     key = {e.edge_id: 2 * i for i, e in enumerate(g.edges)}
     scale = _weight_scale(g, wf, threshold)
@@ -523,12 +545,24 @@ def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _Z
         ]
         for v in g.vertices
     }
+    dist = {u: {v: 0 if u == v else limit for v in g.vertices} for u in g.vertices}
+    for e in g.edges:
+        w = weight.get(e.edge_id, 0)
+        if w < dist[e.src][e.dst]:
+            dist[e.src][e.dst] = dist[e.dst][e.src] = w
+    for via, through in dist.items():
+        for row in dist.values():
+            d = row[via]
+            if d < limit:  # else every way through via weighs limit or more
+                for v, w in through.items():
+                    if d + w < row[v]:
+                        row[v] = d + w
     roots = [
         ((Traversal(e, +1),), weight[e.edge_id], alone[e.dst], frozenset(), (key[e.edge_id],), (), ())
         for e in g.edges
-        if e.edge_id not in zero and weight[e.edge_id] < limit
+        if e.edge_id not in zero and weight[e.edge_id] + dist[e.dst][e.src] < limit
     ]
-    return limit, mends, alone, ends, steps_at, roots
+    return limit, mends, alone, ends, steps_at, roots, dist
 
 
 def _closed_walks(
@@ -573,6 +607,26 @@ def _closed_walks(
 
     ``tables``, when given, is ``_walk_tables`` of the first four
     arguments, built once by a caller that walks them again.
+
+    Bound.  A step to v is pushed only if the weight spent with it plus
+    ``dist[v][home]`` (``_walk_tables``), the least weight of any walk from
+    v back to the root's start, stays below ``limit``; a root only if its
+    edge and the way back from its end do.  A prefix that fails has no
+    closed extension lighter than the threshold, as the rest of one is a
+    walk from v to ``home``, so nothing below it is listed.  Three things
+    follow.  (a) Every prefix of a light closed path passes, its own rest
+    being a way back lighter than ``limit`` less its weight; so every copy
+    of a light class, and every prefix of one, is pushed and popped as
+    without the bound, and steps (1)-(3) below, which reason only about
+    those pushes and closes, still hold.  (b) The paths a walk to max_len
+    hands to ``leaves`` are those the walk without the bound hands, less
+    the ones with a prefix that failed, in the same order: an order-keeping
+    subset whose dropped paths list nothing below them, so a walk resumed
+    from them as ``starts`` lists what one resumed from all of them lists.
+    (c) The walk pushes a subset of the states it would push without the
+    bound, in the same order, so it pops a subset of what that walk pops:
+    a budget that walk fits in is enough, and ``prune`` is asked about a
+    subset of the paths and drops the same subtrees among them.
 
     Weights and threshold are scaled once by ``_weight_scale``, so the walk
     adds and compares ints, exactly as the Fractions they stand for would
@@ -627,15 +681,17 @@ def _closed_walks(
     class's first copy and keep another; then no copy of that class is
     listed.
     """
-    limit, mends, alone, ends, steps_at, roots = tables or _walk_tables(g, wf, threshold, zsub)
+    limit, mends, alone, ends, steps_at, roots, dist = tables or _walk_tables(g, wf, threshold, zsub)
     if starts is None:
         starts = roots
     results: list[tuple[tuple[Traversal, ...], frozenset, int]] = []
     steps = 0
     for ahead, group in itertools.groupby(starts, key=lambda state: state[4][0]):
-        # ahead and back are the keys of t0 and of its reverse
+        # ahead and back are the keys of t0 and of its reverse; to_home is
+        # the least weight of the way back from each vertex
         stack = list(group)
         home, back = stack[0][0][0].start, ahead + 1
+        to_home = dist[home]
         stack.reverse()
         while stack:
             path, used, run_seen, marked, keys, ties, mirrors = stack.pop()
@@ -661,10 +717,10 @@ def _closed_walks(
                 if w is None:
                     # a zero run never turns back: it is vertex-simple, and
                     # revisits belong to pumps
-                    if end in run_seen:
+                    if end in run_seen or used + to_home[end] >= limit:
                         continue
                     u, seen, m = used, run_seen | {end}, marked
-                elif k < ahead or used + w >= limit:
+                elif k < ahead or used + w + to_home[end] >= limit:
                     continue
                 elif k != turn:
                     u, seen, m = used + w, alone[end], marked
@@ -763,7 +819,7 @@ def enumerate_light_cycles(
                     mandatory_opts[i].append(p)
                 else:
                     optional.append(p)
-        if not (marked or optional or any(t.edge.edge_id in shared for t in base)):
+        if not (marked or optional or (shared and any(t.edge.edge_id in shared for t in base))):
             found.append((used, CycleFamily(base, (), weight_at(used), "cycle")))
             continue
         mand_points = sorted(mandatory_opts)
@@ -881,15 +937,36 @@ def enumerate_trivial_cycles(g: StarGraph, length: int, fb: FactBase) -> list[Tr
 # -- the weight test -----------------------------------------------------
 
 
-@dataclass
 class FamilyVerdict:
-    family: CycleFamily
-    verdict: Verdict
-    witness: str = ""  # unrefuted template description
+    """A family's verdict.  ``witness`` describes the first template the
+    fact base did not refute, "" for a refuted family.  The verdict keeps
+    that template as codes, (segments, pumps, symbol order), and decodes
+    it when ``witness`` is first read: only a printed report reads it."""
+
+    __slots__ = ("family", "verdict", "_witness", "_template")
+
+    def __init__(
+        self, family: CycleFamily, verdict: Verdict, witness: str = "", template: tuple | None = None
+    ):
+        self.family, self.verdict = family, verdict
+        self._witness, self._template = witness, template
 
     @property
     def refuted(self) -> bool:
         return self.verdict.refuted
+
+    @property
+    def witness(self) -> str:
+        if self._template is not None:
+            segments, pumps, order = self._template
+            if pumps:
+                self._witness = " ".join(
+                    f"{decode(s, order)} ({decode(p, order)})^m" for s, p in zip(segments, pumps)
+                )
+            else:
+                self._witness = str(decode(segments[0], order))
+            self._template = None
+        return self._witness
 
 
 @dataclass
@@ -918,30 +995,31 @@ class WeightTestReport:
         return "Aspherical" if self.aspherical else "PotentialViolations"
 
 
-def _refute_family_all(fb: FactBase, fam: CycleFamily) -> tuple[Verdict, str]:
-    last = None
+def _refute_family(fb: FactBase, fam: CycleFamily) -> FamilyVerdict:
+    """The family's verdict: the last template's refutation when the fact
+    base refutes every template, else Unknown with the first template it
+    does not refute, kept as codes."""
+    last = UNKNOWN
     for segments, pumps in fam.templates():
-        v = fb.refute_template(segments, pumps)
-        if not v.refuted:
-            if pumps:
-                desc = " ".join(
-                    f"{decode(s, fb.order)} ({decode(p, fb.order)})^m" for s, p in zip(segments, pumps)
-                )
-            else:
-                desc = str(decode(segments[0], fb.order))
-            return UNKNOWN, desc
-        last = v
-    return (last if last is not None else UNKNOWN), ""
+        last = fb.refute_template(segments, pumps)
+        if not last.refuted:
+            return FamilyVerdict(fam, UNKNOWN, template=(segments, pumps, fb.order))
+    return FamilyVerdict(fam, last)
 
 
-def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestReport:
+def verify_weight_test(
+    s: Scenario, fb: FactBase | None = None, g: StarGraph | None = None
+) -> WeightTestReport:
     """Run the full weight test for a scenario carrying weights.  ``fb``, when
     given, is the fact base of the scenario's presentation and facts; its
-    queries are pure, so a warm one gives the same report.  An entangled
-    zero subgraph or a degenerate zero cycle (a closed path of weight 0 with
-    a trivial label) leaves no family list; the report carries it as a
-    note, which rules out Aspherical."""
-    g = build_star_graph(s.presentation)
+    queries are pure, so a warm one gives the same report.  ``g``, when
+    given, is the star graph of that presentation, which a caller that
+    verifies several weight functions builds once.  An entangled zero
+    subgraph or a degenerate zero cycle (a closed path of weight 0 with a
+    trivial label) leaves no family list; the report carries it as a note,
+    which rules out Aspherical."""
+    if g is None:
+        g = build_star_graph(s.presentation)
     if fb is None:
         fb = FactBase(s.presentation, s.fact_decls)
     wf = WeightFunction.from_scenario(s, g)
@@ -950,10 +1028,7 @@ def verify_weight_test(s: Scenario, fb: FactBase | None = None) -> WeightTestRep
         families = enumerate_light_cycles(g, wf)
     except (EntangledZeroSubgraphError, DegenerateZeroCycleError) as e:
         return WeightTestReport(s.name, g, wf, relator_checks, [], notes=[str(e)])
-    verdicts = []
-    for fam in families:
-        v, witness = _refute_family_all(fb, fam)
-        verdicts.append(FamilyVerdict(fam, v, witness))
+    verdicts = [_refute_family(fb, fam) for fam in families]
     return WeightTestReport(s.name, g, wf, relator_checks, verdicts)
 
 

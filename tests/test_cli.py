@@ -241,10 +241,12 @@ def test_corpus_run_deterministic(tmp_path, capsys):
     ],
 )
 def test_walk_budget_is_a_resource_limit_not_an_input_error(argv, monkeypatch, tmp_path, capsys):
+    # GAMMA8's family walk pops one path, its loop a3, so no budget of one
+    # step or more runs out there; a budget of 0 runs out at the first pop
     walk = weights_module._closed_walks
 
     def tiny_budget(g, wf, threshold, zsub, max_len, budget, prune=None):
-        return walk(g, wf, threshold, zsub, max_len, 1, prune)
+        return walk(g, wf, threshold, zsub, max_len, 0, prune)
 
     monkeypatch.setattr(weights_module, "_closed_walks", tiny_budget)
     (tmp_path / "g8.scn").write_text(GAMMA8)

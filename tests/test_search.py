@@ -9,6 +9,7 @@ import pytest
 import starweight
 import starweight.facts as facts_module
 import starweight.search as search_module
+import starweight.weights as weights_module
 from starweight.cli import main
 from starweight.facts import FactBase, FactError, RewriteCapError
 from starweight.scenario import Scenario, parse_scenario
@@ -615,19 +616,20 @@ def test_verify_with_a_warm_fact_base_renders_the_same_report(stem):
 
 def _capture_searches(monkeypatch):
     """One record per _verify_candidates call of the searches run after it:
-    its fact base, the weights and report of each verification, and the
-    report it returned, the one the search cuts from."""
+    its fact base and star graph, the weights and report of each
+    verification, and the report it returned, the one the search cuts
+    from."""
     calls = []
     verify, verify_candidates = search_module.verify_weight_test, search_module._verify_candidates
 
-    def verify_spy(s, fb=None):
-        report = verify(s, fb)
+    def verify_spy(s, fb=None, g=None):
+        report = verify(s, fb, g)
         calls[-1]["verified"].append((dict(s.weights), report))
         return report
 
-    def verify_candidates_spy(s, candidates, fb):
-        calls.append({"fb": fb, "verified": []})
-        report, chosen = verify_candidates(s, candidates, fb)
+    def verify_candidates_spy(s, candidates, fb, g):
+        calls.append({"fb": fb, "g": g, "verified": []})
+        report, chosen = verify_candidates(s, candidates, fb, g)
         calls[-1]["report"] = report
         return report, chosen
 
@@ -654,10 +656,35 @@ def test_search_verifies_each_distinct_candidate_once_on_one_fact_base(stem, mon
         assert all(a != b for a, b in itertools.combinations(weights, 2)), weights
 
 
+@pytest.mark.parametrize("stem", ["px4_w0", "px1_w1", "px8_w"])
+def test_search_verifies_every_candidate_on_its_one_star_graph(stem, monkeypatch):
+    # the search builds its star graph once and hands it to every
+    # verification, which builds none; each report renders as the report
+    # of the same weights verified on a graph of its own
+    calls = _capture_searches(monkeypatch)
+    built, rebuilt = [], []
+    build = build_star_graph
+    monkeypatch.setattr(search_module, "build_star_graph", lambda p: built.append(build(p)) or built[-1])
+    monkeypatch.setattr(weights_module, "build_star_graph", lambda p: rebuilt.append(p) or build(p))
+    s = _bare(stem)
+    search_weights(s)
+    assert len(built) == 1 and not rebuilt and calls and all(c["g"] is built[0] for c in calls)
+    monkeypatch.undo()
+    verified = 0
+    for c in calls:
+        for values, report in c["verified"]:
+            assert report.graph is built[0]
+            fresh = verify_weight_test(scenario_with_weights(s, values))
+            assert render_report(report) == render_report(fresh), (stem, values)
+            verified += 1
+    assert verified >= 2
+
+
 # -- one cut source ------------------------------------------------------------
 #
 # The search before it lost its family cuts, kept verbatim as the oracle but
-# for the names of the cut walk's length and budget: the light-walk cuts
+# for the names of the cut walk's length and budget and the star graph it
+# hands to ``_verify_candidates``, which takes it since: the light-walk cuts
 # were walked from no held cut, and their caller filtered them against the
 # held cuts; a report without notes was cut by the base of each surviving
 # family instead (``admissible-candidate`` labels).
@@ -735,7 +762,7 @@ def _reference_search_weights(s: Scenario, cfg: SearchConfig | None = None) -> S
         ]
         candidates.append(values)
         try:
-            report, chosen = _verify_candidates(s, candidates, fb)
+            report, chosen = _verify_candidates(s, candidates, fb, g)
             if report.verdict == "Aspherical":
                 return SearchOutcome("found", chosen, iteration, constraints)
             if report.notes:

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -12,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
+import oracle_eager_witness
 import oracle_keyed_families
 import oracle_rooted_walker
+import oracle_unbounded_walker
 import oracle_walker
 import starweight
 import starweight.weights as weights_module
@@ -22,6 +25,7 @@ from oracle_guard import GUARD_BUDGET, GUARD_LEN, NOT_COVERED, guarded_report
 from starweight.cli import main
 from starweight.facts import UNKNOWN, FactBase
 from starweight.scenario import parse_scenario
+from starweight.search import _edge_counts, _implied
 from starweight.stargraph import (
     Edge,
     StarGraph,
@@ -40,13 +44,13 @@ from starweight.weights import (
     WeightFunction,
     _ZeroSubgraph,
     _closed_walks,
-    _refute_family_all,
     _weight_scale,
     canonical_atom_edge_cycle,
     check_relator_condition,
     enumerate_light_cycles,
     enumerate_trivial_cycles,
     reduced_closed_walks,
+    reduced_closed_walks_by_length,
     render_report,
     verify_weight_test,
     zero_cycle_families,
@@ -1479,7 +1483,7 @@ def _memo_first_report(s):
         return [], [str(e)]
     verdicts = []
     for fam in families:
-        v, witness = _refute_family_all(fb, fam)
+        v, witness = oracle_eager_witness._refute_family_all(fb, fam)
         verdicts.append(weights_module.FamilyVerdict(fam, v, witness))
 
     # belt-and-suspenders guard: short walks must be refuted or reported
@@ -1755,6 +1759,124 @@ def test_walker_lists_the_first_copy_of_each_class_the_oracle_lists(monkeypatch)
     assert walked >= 650 and dropped > 1_000, (walked, dropped)
 
 
+# -- the walker against the one that did not bound the way back ----------------
+
+BOUNDED_THRESHOLDS = [Fraction(2), Fraction(3), Fraction(5, 2)]
+# the grid cells walked at thresholds 3 and 5/2 as well: at threshold 3 a
+# cell of weight 1/q lists closed paths of up to 3q - 1 edges
+LOW_GRID = {"grid k=4 q=3", "grid k=4 q=4", "grid k=5 q=3", "grid k=6 q=3"}
+
+
+def _counted_walk(walk, *args):
+    """(walk's list, paths it popped), counted by a prune that drops none."""
+    pops = []
+    walks = walk(*args, lambda path: pops.append(1))
+    return walks, len(pops)
+
+
+def _walk_graphs():
+    """(name, graph, weight function) of ``_walker_cases()``: the weighted
+    corpus, the bench grid cells with k6_q4 and random graphs 0-299."""
+    out = []
+    for name, scenarios in _walker_cases():
+        g = build_star_graph(scenarios[0].presentation)
+        out.append((name, g, WeightFunction.from_scenario(scenarios[0], g)))
+    return out
+
+
+def test_bounded_walker_lists_what_the_unbounded_oracle_lists():
+    # the walker before, kept in oracle_unbounded_walker, stopped a path only
+    # once its weight reached the threshold; the walker also stops one whose
+    # weight and least way back to its start reach it.  Both walks, the
+    # family walk and the walk without a zero subgraph, list the same paths
+    # with the same marked sets and weights in the same order, and pop no
+    # more, at thresholds 2, 3 and 5/2
+    walked = fewer = 0
+    pops = {"bounded": 0, "oracle": 0}
+    for name, g, wf in _walk_graphs():
+        try:
+            zsub, _ = zero_cycle_families(g, wf)
+        except (EntangledZeroSubgraphError, DegenerateZeroCycleError):
+            zsub = None
+        walks = [(_ZeroSubgraph([]), GUARD_LEN)] + ([(zsub, math.inf)] if zsub else [])
+        for threshold in BOUNDED_THRESHOLDS:
+            if name.startswith("grid") and threshold != 2 and name not in LOW_GRID:
+                continue
+            for walker, max_len in walks:
+                args = (g, wf, threshold, walker, max_len, 2_000_000)
+                got, popped = _counted_walk(_closed_walks, *args)
+                want, oracle_popped = _counted_walk(oracle_unbounded_walker._closed_walks, *args)
+                assert got == want, (name, threshold, max_len)
+                assert popped <= oracle_popped, (name, threshold, max_len)
+                walked += 1
+                fewer += popped < oracle_popped
+                pops["bounded"] += popped
+                pops["oracle"] += oracle_popped
+    assert walked >= 1900 and fewer >= 500, (walked, fewer)
+    assert pops["bounded"] < pops["oracle"] * 3 // 4, pops
+
+
+def _cut_levels(g, wf, threshold, popped):
+    """The levels of ``reduced_closed_walks_by_length`` to GUARD_LEN under a
+    live prune, as the search's light-walk cuts ask it: a path whose edge
+    counts cover those of a kept walk is dropped, and every other walk
+    each level lists is kept, so the prune grows stricter between levels.
+    ``popped`` counts the paths the prune is asked about."""
+    kept: list[dict[str, int]] = []
+
+    def covers_kept(path):
+        popped.append(1)
+        return _implied(_edge_counts(path), kept)
+
+    levels = []
+    for walks in reduced_closed_walks_by_length(g, GUARD_LEN, wf, threshold, 2_000_000, covers_kept):
+        levels.append(walks)
+        kept += [_edge_counts(w) for w in walks[::2]]
+    return levels
+
+
+def test_bounded_walker_resumes_as_the_unbounded_oracle_by_length(monkeypatch):
+    # each level of the walk by length resumes from the paths the last one
+    # reached; the bounded walker keeps fewer of them, only those that can
+    # still close light, and every level lists what the oracle's lists
+    compared = fewer = resumed = 0
+    for name, g, wf in _walk_graphs():
+        for threshold in BOUNDED_THRESHOLDS:
+            if name.startswith("grid") and threshold != 2 and name not in LOW_GRID:
+                continue
+            popped, oracle_popped = [], []
+            got = _cut_levels(g, wf, threshold, popped)
+            resumed += sum(map(len, got[1:]))
+            with monkeypatch.context() as m:
+                m.setattr(weights_module, "_walk_tables", oracle_unbounded_walker._walk_tables)
+                m.setattr(weights_module, "_closed_walks", oracle_unbounded_walker._closed_walks)
+                want = _cut_levels(g, wf, threshold, oracle_popped)
+            assert got == want, (name, threshold)
+            assert len(popped) <= len(oracle_popped), (name, threshold)
+            compared += 1
+            fewer += len(popped) < len(oracle_popped)
+    assert compared >= 1000 and fewer >= 250 and resumed >= 2000, (compared, fewer, resumed)
+
+
+def test_bounded_walker_pops_under_4000_paths_on_the_grid():
+    # the grid cells' star graph has two vertices t and t^-1 and every edge
+    # runs between them, so a path that ends away from its start still owes
+    # one edge's weight; the oracle pops 11 083 paths over the six cells
+    expected = Path(__file__).resolve().parent.parent / "bench" / "expected" / "grid.json"
+    cells = [(c["k"], c["q"]) for c in json.loads(expected.read_text())["cells"]]
+    assert len(cells) >= 6
+    pops = {"bounded": 0, "oracle": 0}
+    for k, q in cells:
+        s = parse_scenario(_grid_text(k, q))
+        g = build_star_graph(s.presentation)
+        wf = WeightFunction.from_scenario(s, g)
+        zsub, _ = zero_cycle_families(g, wf)
+        args = (g, wf, Fraction(2), zsub, math.inf, 2_000_000)
+        pops["bounded"] += _counted_walk(_closed_walks, *args)[1]
+        pops["oracle"] += _counted_walk(oracle_unbounded_walker._closed_walks, *args)[1]
+    assert pops["bounded"] <= 4000 and pops["oracle"] == 11_083, pops
+
+
 # -- the family builder against the one that keyed every candidate ---------------
 
 
@@ -1961,3 +2083,29 @@ def test_the_oracle_guard_finds_every_short_light_walk_in_a_family(monkeypatch, 
         reported += len(uncovered)
     assert len(cases) == 1256 and guarded >= 1100, guarded
     assert reported > 1000 if families == "none" else reported == 0
+
+
+# -- the witness against the eager rendering it replaced ----------------------------
+
+
+def test_witness_reads_as_the_eager_rendering(monkeypatch):
+    # a verdict keeps its first unrefuted template as codes and decodes it
+    # only when its witness is read, so verify_weight_test decodes nothing;
+    # every verdict and witness then reads as oracle_eager_witness, which
+    # decoded at once, gives them on a fresh fact base, eq facts included
+    decoded = []
+    compared = survivors = pumped = 0
+    for name, s in _oracle_cases():
+        with monkeypatch.context() as m:
+            m.setattr(weights_module, "decode", lambda codes, order: decoded.append(codes))
+            report = verify_weight_test(s)
+        assert not decoded, name
+        fb = FactBase(s.presentation, s.fact_decls)
+        for fv in report.families:
+            verdict, witness = oracle_eager_witness._refute_family_all(fb, fv.family)
+            assert (fv.verdict, fv.witness, fv.refuted) == (verdict, witness, verdict.refuted), name
+            assert fv.witness == witness  # a second read gives the decoded string again
+            survivors += not fv.refuted
+            pumped += not fv.refuted and "^m" in witness
+        compared += 1
+    assert compared == 1256 and survivors > 5000 and pumped > 100, (compared, survivors, pumped)

@@ -6,7 +6,10 @@ scenario with its weights removed, in total, it prints what the family
 lists' walks did:
 
 - pops: paths the walker pops for the family lists;
-- skeletons: closed paths it lists for the family lists;
+- unbounded: paths ``tests/oracle_unbounded_walker.py``, the walker before
+  it bounded each prefix by its least way back to its start, pops for the
+  same walks; it lists the same paths, so pops never exceeds it;
+- skeletons: closed paths the walker lists for the family lists;
 - families: families of the family lists;
 - keyed: candidates the family lists key by ``_dedup_key``, power
   families included; a pump-free walk over uniquely labelled edges is a
@@ -19,8 +22,8 @@ lists' walks did:
 
 A skeleton with mandatory pumps yields one candidate per choice of them,
 and the power families of the zero cycles come on top, so families can
-outnumber skeletons; merged is what the family lists merge.  The pops are
-counted by a ``prune`` that prunes nothing, which the walker asks about
+outnumber skeletons; merged is what the family lists merge.  Both pop
+counts come from a ``prune`` that prunes nothing, which a walker asks about
 every path it pops.  A search lists the families of each candidate it
 verifies; the walks of its light-walk cuts are not counted.  Standard
 library, the package and the benchmark's ``workloads.grid_text`` only::
@@ -40,13 +43,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import oracle_unbounded_walker  # noqa: E402
 import starweight.weights as weights  # noqa: E402
 from starweight.scenario import parse_scenario  # noqa: E402
 from starweight.search import search_weights  # noqa: E402
 from workloads import grid_text  # noqa: E402
 
 EXTRA_CELLS = [(6, 4)]  # outside the benchmark grid; 2 795 families
-SUMMED = ("pops", "skeletons", "families", "keyed", "merged")
+SUMMED = ("pops", "unbounded", "skeletons", "families", "keyed", "merged")
 GREATEST = ("longest", "marked")
 
 
@@ -61,11 +65,15 @@ def counted(counts: Counter):
     walk, family_list, key = weights._closed_walks, weights.enumerate_light_cycles, weights._dedup_key
 
     def counted_walk(g, wf, threshold, zsub, max_len, budget):
-        def count(path):
-            counts["pops"] += 1
-            return False
+        def counter(column):
+            def count(path):
+                counts[column] += 1
+                return False
 
-        out = walk(g, wf, threshold, zsub, max_len, budget, count)
+            return count
+
+        out = walk(g, wf, threshold, zsub, max_len, budget, counter("pops"))
+        oracle_unbounded_walker._closed_walks(g, wf, threshold, zsub, max_len, budget, counter("unbounded"))
         counts["skeletons"] += len(out)
         counts["longest"] = max([counts["longest"], *(len(path) for path, _, _ in out)])
         counts["marked"] = max([counts["marked"], *(len(marked) for _, marked, _ in out)])
