@@ -224,8 +224,9 @@ class FactBase:
         raise RewriteCapError("eq rewrite step cap exceeded")
 
     def _word_factor_or_mixed(self, w: Codes) -> str:
-        f = self._word_factor({self.order[c >> 1] for c in w})
-        return "mixed" if f is None else f
+        """The factor of the nonempty word w, or "mixed" when it spans two."""
+        fs = {self._factor_at[c] for c in w}
+        return fs.pop() if len(fs) == 1 else "mixed"
 
     def as_power_of(self, w: Codes, g: int) -> int | None:
         """Exponent k with w = g^k provable from the Eq facts, if any; g is
@@ -397,36 +398,50 @@ class FactBase:
         return v
 
     def _refute_cyclic(self, w: Codes) -> Verdict:
-        """Decide w through its cyclic normal form n.  When n's first and
-        last syllables lie in one factor they meet across the seam, and
-        merge into one syllable, which is never empty; a syllable of another
-        factor remains.
-
-        Adjacent syllables lie in different factors, so such an n has at
-        least three.  Each rule rewrites a word of one factor to a word of
-        that factor no longer than it, so a rewrite step acts inside one
-        syllable and lengthens none, and only a syllable rewritten to the
-        empty word lets its neighbours meet.  Say the seam syllable L F
-        normalised to the empty word.  L F is the first syllable of the
-        rotation L F M of n, so a step of ``normalize_any`` on L F M that
-        touches L F is the step ``_rewrite_once`` takes on L F alone.  So
-        normalising L F M empties some other syllable first or takes L F
-        down to the empty word; either way its normal form, and the core of
-        that, is shorter than n.  But ``_cyclic_normalize`` returns n only
-        when no rotation's normal form has a core shorter than n, or when no
-        rule pattern occurs in n cyclically, and then L F is reduced and no
-        rule rewrites it."""
+        """Decide w through its cyclic normal form n: by FP when n has
+        syllables of both factors, else by R2-R4."""
         n, occurs = self._cyclic_normalize(w)
         if not n:
             return UNKNOWN
         sylls = self.syllables(n)
-        if len(sylls) > 1 and sylls[0][0] == sylls[-1][0]:
-            f0, w0 = sylls.pop(0)
-            sylls[-1] = (f0, self.normalize_any(join(sylls[-1][1], w0)))
         if len(sylls) > 1:
-            sub = [self.refute_trivial(s) for _, s in sylls]
-            return Verdict("FP") if all(sub) else UNKNOWN
+            return self._refute_alternating(sylls)
         return self._refute_power(n, occurs) or self._refute_notincyclic(n)
+
+    def _refute_alternating(self, items: list[tuple[str, Codes | None]]) -> Verdict:
+        """FP: refute a cyclic sequence of (factor, word) syllables and
+        (factor, None) pumps, each pump standing for every power c^m,
+        m >= 1, of a core c proved nontrivial.
+
+        Neighbouring words of one factor merge into their normal form, the
+        last and the first too, and a merge that normalises to the empty
+        word drops out, so that its neighbours may meet in turn.  Then every
+        instance alternates cyclically over the factors, and so is not 1 in
+        the free product, when at least two items remain, no pump borders
+        an item of its own factor (which could absorb its powers) and every
+        word is refuted nontrivial."""
+        out: list[tuple[str, Codes | None]] = []
+
+        def meets(a: tuple[str, Codes | None], b: tuple[str, Codes | None]) -> bool:
+            return a[1] is not None and b[1] is not None and a[0] == b[0]
+
+        def push(item: tuple[str, Codes | None]):
+            if out and meets(out[-1], item):
+                item = (item[0], self.normalize_any(join(out.pop()[1], item[1])))
+                if not item[1]:
+                    return
+            out.append(item)
+
+        for item in items:
+            push(item)
+        while len(out) > 1 and meets(out[-1], out[0]):
+            push(out.pop(0))
+        # merged words of one factor never neighbour, so such a pair holds a pump
+        if len(out) < 2 or any(f == fn for (f, _), (fn, _) in zip(out, out[1:] + out[:1])):
+            return UNKNOWN
+        if all(wrd is None or self.refute_trivial(wrd) for _, wrd in out):
+            return Verdict("FP")
+        return UNKNOWN
 
     def refute_template(self, segments: Sequence[Codes], pumps: Sequence[Codes]) -> Verdict:
         """Refute the cyclic template w0 p0^m0 w1 p1^m1 ... for all mi >= 1.
@@ -467,9 +482,7 @@ class FactBase:
                 new_segs[0] = self.normalize_any(join(carry, new_segs[0]))
             segs, cores = new_segs, new_cores
 
-        factors = {self._word_factor_or_mixed(w) for w in segs if w}
-        factors |= {self._word_factor_or_mixed(c) for c in cores}
-        if "mixed" not in factors and len(factors) == 1:
+        if len({self._factor_at[c] for w in (*segs, *cores) for c in w}) == 1:
             return self._refute_template_single(segs, cores)
         return self._refute_template_alternating(segs, cores)
 
@@ -519,44 +532,11 @@ class FactBase:
         """Mixed template: refute via free-product alternation when forced."""
         if not all(self._refute_power(*self._cyclic_normalize(c)) for c in cores):
             return UNKNOWN  # a pump instance could vanish
-        items: list[tuple[str, Codes | None]] = []  # (factor, word or None for a pump)
+        items: list[tuple[str, Codes | None]] = []
         for s, c in zip(segs, cores):
-            if s:
-                items.extend(self.syllables(s))
+            items += self.syllables(s)
             items.append((self._word_factor_or_mixed(c), None))
-        merged: list[tuple[str, Codes | None]] = []
-        for f, wrd in items:
-            if wrd is not None and merged and merged[-1][1] is not None and merged[-1][0] == f:
-                combined = self.normalize_any(join(merged[-1][1], wrd))
-                merged.pop()
-                if combined:
-                    merged.append((f, combined))
-            else:
-                merged.append((f, wrd))
-        while (
-            len(merged) > 1
-            and merged[0][1] is not None
-            and merged[-1][1] is not None
-            and merged[0][0] == merged[-1][0]
-        ):
-            f0, w0 = merged.pop(0)
-            combined = self.normalize_any(join(merged[-1][1], w0))
-            merged.pop()
-            if combined:
-                merged.append((f0, combined))
-        if len(merged) < 2:
-            return UNKNOWN
-        n = len(merged)
-        for i in range(n):
-            f, wrd = merged[i]
-            fn, wn = merged[(i + 1) % n]
-            if f == fn and not (wrd is not None and wn is not None):
-                # a pump bordering same-factor material could be absorbed
-                return UNKNOWN
-        for f, wrd in merged:
-            if wrd is not None and not self.refute_trivial(wrd):
-                return UNKNOWN
-        return Verdict("FP")
+        return self._refute_alternating(items)
 
 
 def _exponent_sums(w: Codes) -> dict[int, int]:

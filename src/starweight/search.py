@@ -13,9 +13,9 @@ These cuts are necessary: every weight function the verifier accepts gives
 each unrefuted closed walk of at most ``CUT_WALK_LEN`` edges weight >= 2.
 Such a walk is cyclically reduced.  Were it lighter than 2 under that
 function, it would lie in a family of the function's list: the
-``weights`` module docstring proves the list complete for every light
-reduced closed path that the ``MAX_MARKED`` cap of its walker does not
-cut, and shows that it cuts none of at most 6 edges.  The verifier accepts
+``weights`` module docstring proves the list complete whenever its walk
+returns, and a walk that meets a path over its ``MAX_MARKED`` cap raises
+``WalkBudgetError``, which ends the search as gave-up.  The verifier accepts
 only when every listed family is refuted, and a refuted family's short
 expansions are then refuted on their own, so the walk would be refuted;
 that last step is checked, not proved, by
@@ -70,7 +70,6 @@ search as gave-up, and so does a round that finds no new cut.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -90,9 +89,9 @@ CUT_WALK_BUDGET = 400_000  # walker steps per level of that walk; exhausting it 
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[tuple[str, Fraction], ...]
+    coeffs: tuple[tuple[str, int], ...]
     sense: str  # "<=" | ">="
-    rhs: Fraction
+    rhs: int
     label: str
 
     def satisfied(self, values: dict[str, Fraction]) -> bool:
@@ -127,7 +126,7 @@ def solve_feasible(
     variables: list[str], constraints: list[Constraint]
 ) -> dict[str, Fraction] | None:
     """Phase-1 simplex with Bland's rule, pivoting on integers; None when
-    infeasible.
+    infeasible.  Every coefficient and rhs the search builds is an int.
 
     Each row is negated where needed so that its rhs is nonnegative and it
     is ``>=`` only when the rhs is positive; exactly those rows get an
@@ -138,18 +137,9 @@ def solve_feasible(
     basic column's reduced cost is exactly 0, so Bland's rule enters the
     first negative one.
 
-    Integers: every structural entry and rhs is multiplied by one common
-    lcm D of their denominators, while slack and artificial entries stay
-    +-1 and 1.  That is every row, cost row included, scaled by D, with each
-    slack and artificial variable renamed to D times itself: a scaling of
-    those columns by the positive constant 1/D.  A positive column scaling
-    keeps the sign of every reduced cost, which is all Bland's rule reads,
-    and scales every ratio of one ratio test by one positive constant, so
-    its argmin and its ties are unchanged: the pivots are those of the same
-    simplex over the unscaled Fractions, and the structural values are
-    unchanged.  The tableau is then kept as integers T over one common
-    denominator d > 0 (the true entries are T/d), starting at d = 1 with the
-    identity basis.  Pivoting on T[r][c] = p replaces every other row i by
+    The tableau is kept as integers T over one common denominator d > 0
+    (the true entries are T/d), starting at d = 1 with the identity basis.
+    Pivoting on T[r][c] = p replaces every other row i by
     (p*T[i] - T[i][c]*T[r]) // d, which divides exactly (each entry is a
     minor of the starting tableau), keeps row r and sets d = p.  The ratio
     test only takes p > 0, so d stays positive: T and T/d have the same
@@ -158,16 +148,12 @@ def solve_feasible(
     """
     var_index = {v: i for i, v in enumerate(variables)}
     n, m = len(variables), len(constraints)
-    scale = math.lcm(
-        *(c.rhs.denominator for c in constraints),
-        *(coef.denominator for c in constraints for _, coef in c.coeffs),
-    )
     rows = []
     for c in constraints:
         row = [0] * n
         for v, coef in c.coeffs:
-            row[var_index[v]] += coef.numerator * (scale // coef.denominator)
-        rhs, geq = c.rhs.numerator * (scale // c.rhs.denominator), c.sense == ">="
+            row[var_index[v]] += coef
+        rhs, geq = c.rhs, c.sense == ">="
         if rhs < 0 or (geq and rhs == 0):
             row, rhs, geq = [-x for x in row], -rhs, not geq
         rows.append((row, rhs, geq))
@@ -307,8 +293,7 @@ def _implied(counts: dict[str, int], kept: list[dict[str, int]]) -> bool:
 
 
 def _cut(counts: dict[str, int], label: str) -> Constraint:
-    coeffs = tuple(sorted((e, Fraction(c)) for e, c in counts.items()))
-    return Constraint(coeffs, ">=", Fraction(2), label)
+    return Constraint(tuple(sorted(counts.items())), ">=", 2, label)
 
 
 def _snap(values: dict[str, Fraction]) -> dict[str, Fraction]:
@@ -326,14 +311,14 @@ def _snap(values: dict[str, Fraction]) -> dict[str, Fraction]:
 def _base_constraints(g: StarGraph, relator_count: int) -> list[Constraint]:
     """w(e) <= 1 per edge and the relator condition per relator."""
     constraints = [
-        Constraint(((e.edge_id, Fraction(1)),), "<=", Fraction(1), f"bound {e.edge_id} <= 1")
+        Constraint(((e.edge_id, 1),), "<=", 1, f"bound {e.edge_id} <= 1")
         for e in g.edges
     ]
     for ri in range(relator_count):
         # corner edge ids are distinct, so each has coefficient 1
-        coeffs = tuple(sorted((e.edge_id, Fraction(1)) for e in g.edges if e.relator == ri))
+        coeffs = tuple(sorted((e.edge_id, 1) for e in g.edges if e.relator == ri))
         constraints.append(
-            Constraint(coeffs, "<=", Fraction(len(coeffs) - 2), f"relator {ri} condition")
+            Constraint(coeffs, "<=", len(coeffs) - 2, f"relator {ri} condition")
         )
     return constraints
 
@@ -341,7 +326,7 @@ def _base_constraints(g: StarGraph, relator_count: int) -> list[Constraint]:
 def search_weights(s: Scenario, cfg: SearchConfig | None = None) -> SearchOutcome:
     cfg = cfg or SearchConfig()
     g = build_star_graph(s.presentation) if s.presentation.relators else None
-    if g is None or not g.edges:
+    if g is None:
         return SearchOutcome("found", {}, 0, [])
     variables = [e.edge_id for e in g.edges]
     constraints = _base_constraints(g, len(s.presentation.relators))

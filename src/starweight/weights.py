@@ -86,13 +86,11 @@ Every other candidate is keyed: a pumped one (a symmetric base can give
 two pump choices one key), a power family (two zero cycles can share a
 key) and a walk touching a shared label.
 
-Every light reduced closed path P lies in exactly one family, within the
-walker's one cap, ``MAX_MARKED`` marked junctions.  That cap cuts no P of
-at most 6 traversals, the length of the search's cut walks: a base with j
-marked junctions has n >= j traversals, and each mandatory pump adds at
-least one, so its instances have at least 2j traversals: j <= 3 <
-``MAX_MARKED`` (4).  A P that runs only over zero edges is a power of a
-zero cycle, which that cycle's power family spells.  Otherwise P's nonzero
+Every light reduced closed path P lies in exactly one family whenever the
+walk returns: a base about to be listed with more than ``MAX_MARKED``
+marked junctions ends the walk with ``WalkBudgetError`` instead of being
+dropped.  A P that runs only over zero edges is a power of a zero cycle,
+which that cycle's power family spells.  Otherwise P's nonzero
 traversals cut it into zero runs; a run R from a to b is reduced, stays in
 one zero component and meets its two nonzero neighbours on other edges.  In
 a component with a cycle C, let r(x) be the tree path from x to C, landing
@@ -187,7 +185,9 @@ class WeightError(ValueError):
 
 
 class WalkBudgetError(WeightError):
-    """``_closed_walks`` ran out of steps: a resource limit, not bad input."""
+    """``_closed_walks`` ran out of steps, or met a light closed path with
+    more than ``MAX_MARKED`` marked junctions: a resource limit, not bad
+    input."""
 
 
 class DegenerateZeroCycleError(ValueError):
@@ -487,7 +487,7 @@ def zero_cycle_families(g: StarGraph, wf: WeightFunction) -> tuple[_ZeroSubgraph
     return zsub, families
 
 
-MAX_MARKED = 4  # backtrack junctions per skeleton, each mended by a mandatory pump
+MAX_MARKED = 4  # marked junctions per listed path; a path with more ends the walk
 FAMILY_WALK_BUDGET = 2_000_000  # walker pops of enumerate_light_cycles
 REDUCED_WALK_BUDGET = 5_000_000  # walker pops of reduced_closed_walks, by default
 
@@ -586,11 +586,13 @@ def _closed_walks(
     the seam too) only over an edge outside the zero subgraph, and only
     where the turn can be mended: some pump p at the turning vertex makes
     ``t p t^-1`` reduced for the arriving traversal t.  marked holds those
-    junctions, where a pump insertion is mandatory.  A walk with an
-    unmendable turn has no reduced instance, so it yields no family, and
-    neither does any walk through it: its subtree is skipped.  A zero run
-    never turns back, as it is vertex-simple; the module docstring proves
-    that no family is lost.
+    junctions, where a pump insertion is mandatory; a path about to be
+    listed with more than ``MAX_MARKED`` of them raises ``WalkBudgetError``,
+    as its candidates multiply with each.  A walk with an unmendable turn
+    has no reduced instance, so it yields no family, and neither does any
+    walk through it: its subtree is skipped.  A zero run never turns back,
+    as it is vertex-simple; the module docstring proves that no family is
+    lost.
 
     ``prune``, when given, is asked about each path as it is popped, before
     its step is counted; a path it answers true for is dropped with its
@@ -704,10 +706,12 @@ def _closed_walks(
             cur = ends[last]
             if cur == home and (not (ties or mirrors) or _found_first(keys, ties, mirrors)):
                 # internal junctions are reduced-or-marked by construction
-                if last != back:
-                    results.append((path, marked, used))
-                elif len(marked) < MAX_MARKED and mends(path[-1]):
-                    results.append((path, marked | {n - 1}, used))
+                seam = last == back  # the path turns back at its seam
+                if not seam or mends(path[-1]):
+                    closed = marked | {n - 1} if seam else marked
+                    if len(closed) > MAX_MARKED:
+                        raise WalkBudgetError(f"closed path with more than {MAX_MARKED} marked junctions")
+                    results.append((path, closed, used))
             if n >= max_len:
                 if leaves is not None:
                     leaves.append((path, used, run_seen, marked, keys, ties, mirrors))
@@ -724,7 +728,7 @@ def _closed_walks(
                     continue
                 elif k != turn:
                     u, seen, m = used + w, alone[end], marked
-                elif turnable and len(marked) < MAX_MARKED:
+                elif turnable:
                     u, seen, m = used + w, alone[end], marked | {n - 1}
                 else:
                     continue

@@ -14,7 +14,10 @@ from collections.abc import Callable
 from fractions import Fraction
 
 from starweight.stargraph import StarGraph, Traversal
-from starweight.weights import MAX_MARKED, WalkBudgetError, WeightFunction, _weight_scale, _ZeroSubgraph
+from starweight.weights import WalkBudgetError, WeightFunction, _weight_scale, _ZeroSubgraph
+
+
+MAX_MARKED = 4  # backtrack junctions per skeleton, each mended by a mandatory pump
 
 
 def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _ZeroSubgraph) -> tuple:

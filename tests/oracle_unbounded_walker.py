@@ -3,7 +3,10 @@ its start, verbatim: the differential oracle for
 ``starweight.weights._closed_walks`` and ``_walk_tables``.
 
 It stops a path only once the weight it has spent reaches the threshold,
-so it also pops the prefixes that no light closed path extends.
+so it also pops the prefixes that no light closed path extends.  It drops
+every path with more than its own ``MAX_MARKED`` marked junctions, as the
+walker then did; the program's walker raises ``WalkBudgetError`` on such a
+path when it would list it, and a test lifts the cap here to see it do so.
 ``tests/test_weights.py`` checks that the program's walker lists the same
 paths, with the same marked sets and weights, in the same order, and pops
 no more of them.  The necklace helpers did not change and come from the
@@ -18,7 +21,6 @@ from fractions import Fraction
 
 from starweight.stargraph import StarGraph, Traversal
 from starweight.weights import (
-    MAX_MARKED,
     WalkBudgetError,
     WeightFunction,
     _found_first,
@@ -26,6 +28,8 @@ from starweight.weights import (
     _weight_scale,
     _ZeroSubgraph,
 )
+
+MAX_MARKED = 4  # backtrack junctions per skeleton, each mended by a mandatory pump
 
 
 def _walk_tables(g: StarGraph, wf: WeightFunction, threshold: Fraction, zsub: _ZeroSubgraph) -> tuple:

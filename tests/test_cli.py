@@ -258,6 +258,22 @@ def test_walk_budget_is_a_resource_limit_not_an_input_error(argv, monkeypatch, t
     assert captured.err == "error: closed-walk enumeration budget exceeded\n"
 
 
+def test_a_light_path_over_the_marked_cap_is_a_resource_limit(tmp_path, capsys):
+    # at threshold 3 random graph 77 of tests/test_weights.py has light closed
+    # paths with 6 and 8 marked junctions, each needing a mandatory pump,
+    # where the cap allows 4; they end the run instead of being dropped
+    (tmp_path / "g77.scn").write_text(
+        "factor A noncyclic nontrivial\nfactor B noncyclic nontrivial\n"
+        "gens A: a1\ngens B: b1 b2\nindet: t\n"
+        "relator: b1 t b2 b1 t^-1 b1 t^-1\n"
+        "weight: 0.0 = 0\nweight: 0.1 = 1/3\nweight: 0.2 = 0\n"
+    )
+    assert main(["cycles", str(tmp_path / "g77.scn"), "--threshold", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: closed path with more than 4 marked junctions\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

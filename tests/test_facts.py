@@ -131,6 +131,15 @@ def test_refute_family_mixed_alternation():
     assert v2.refuted
 
 
+def test_refute_family_pump_beside_its_own_factor_is_unknown():
+    # every syllable and both pump cores are refuted nontrivial, but each
+    # pump of A borders a syllable of A: with a2 = a1^-1 and a4 = a3^-1, which
+    # meet every fact, the instance m = n = 1 reads b1 b1^-1 = 1
+    fb = fb_from(["neq a1 1", "neq a2 1", "neq a3 1", "neq a4 1", "neq b1 1"], gens_b="b1")
+    v = fb.refute_template([C(fb, "b1 a1"), C(fb, "b1^-1 a3")], [C(fb, "a2"), C(fb, "a4")])
+    assert not v.refuted
+
+
 def test_refute_family_degenerate_to_trivial():
     fb = fb_from(["neq b1 1"], gens="a1", gens_b="b1")
     # every pump rewrites away and the base itself is trivial: no refutation

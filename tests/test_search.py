@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import zlib
 from fractions import Fraction
@@ -68,8 +69,8 @@ fact: notincyclic a1 a3
 
 def test_simplex_basic_feasible():
     cons = [
-        Constraint((("x", Fraction(1)), ("y", Fraction(1))), "<=", Fraction(1), "sum"),
-        Constraint((("x", Fraction(1)),), ">=", Fraction(1, 2), "xmin"),
+        Constraint((("x", 1), ("y", 1)), "<=", 1, "sum"),
+        Constraint((("x", 2),), ">=", 1, "xmin"),
     ]
     sol = solve_feasible(["x", "y"], cons)
     assert sol is not None
@@ -78,8 +79,8 @@ def test_simplex_basic_feasible():
 
 def test_simplex_infeasible():
     cons = [
-        Constraint((("x", Fraction(1)),), "<=", Fraction(0), "hi"),
-        Constraint((("x", Fraction(1)),), ">=", Fraction(2), "lo"),
+        Constraint((("x", 1),), "<=", 0, "hi"),
+        Constraint((("x", 1),), ">=", 2, "lo"),
     ]
     assert solve_feasible(["x"], cons) is None
 
@@ -180,6 +181,31 @@ def _reference_solve_feasible(
             values[variables[b]] = tab[i][width]
     return values
 
+
+def _integral(constraints: list[Constraint]) -> list[Constraint]:
+    """The rows with rational entries times one common lcm D of their
+    denominators, as ints, for ``solve_feasible``, which takes integer rows
+    as the search builds them.  Slack and artificial entries stay +-1 and 1,
+    so this is every row, cost row included, scaled by D, with each slack
+    and artificial variable renamed to D times itself: a scaling of those
+    columns by the positive constant 1/D.  A positive column scaling keeps
+    the sign of every reduced cost, which is all Bland's rule reads, and
+    scales every ratio of one ratio test by one positive constant, so its
+    argmin and its ties are unchanged: the pivots, and the structural
+    values, are those of the Fraction simplex on the unscaled rows, which
+    the tests compare against ``_reference_solve_feasible``."""
+    scale = math.lcm(
+        *(c.rhs.denominator for c in constraints),
+        *(coef.denominator for c in constraints for _, coef in c.coeffs),
+    )
+    return [
+        Constraint(
+            tuple((v, int(coef * scale)) for v, coef in c.coeffs), c.sense, int(c.rhs * scale), c.label
+        )
+        for c in constraints
+    ]
+
+
 def _random_lp(rng):
     variables = [f"x{i}" for i in range(rng.randint(1, 5))]
     constraints = [
@@ -202,7 +228,7 @@ def test_simplex_matches_reference_on_random_lps():
     for _ in range(2000):
         variables, constraints = _random_lp(rng)
         expected = _reference_solve_feasible(variables, constraints)
-        got = solve_feasible(variables, constraints)
+        got = solve_feasible(variables, _integral(constraints))
         if expected is None:
             infeasible += 1
             assert got is None, (variables, constraints)
@@ -238,14 +264,14 @@ def _random_rational_lp(rng):
 
 
 def test_simplex_matches_reference_on_large_rational_lps():
-    # the integer tableau scales rows by the lcm of their denominators; the
-    # pivots, and so the answers, must stay those of the Fraction simplex
+    # rows scaled by the lcm of their denominators (``_integral``) must pivot,
+    # and so answer, as the Fraction simplex does on the rows as they are
     rng = random.Random(1968)
     infeasible = large = 0
     for _ in range(200):
         variables, constraints = _random_rational_lp(rng)
         expected = _reference_solve_feasible(variables, constraints)
-        got = solve_feasible(variables, constraints)
+        got = solve_feasible(variables, _integral(constraints))
         infeasible += expected is None
         large += len(constraints) > 20
         if expected is None:
@@ -288,6 +314,7 @@ def test_certificate_matches_the_restart_loop_on_random_infeasible_lps(monkeypat
     checked = shrunk = reference_calls = one_pass_calls = 0
     while checked < 2000:
         variables, constraints = _random_lp(rng)
+        constraints = _integral(constraints)
         if solve_feasible(variables, constraints) is not None:
             continue
         calls[0] = 0
@@ -306,6 +333,7 @@ def test_certificate_matches_the_restart_loop_on_large_rational_lps():
     checked = shrunk = 0
     while checked < 50:
         variables, constraints = _random_rational_lp(rng)
+        constraints = _integral(constraints)
         if solve_feasible(variables, constraints) is not None:
             continue
         want = _reference_infeasible_certificate(variables, constraints)

@@ -36,6 +36,7 @@ from starweight.stargraph import (
     path_label,
 )
 from starweight.weights import (
+    MAX_MARKED,
     DegenerateZeroCycleError,
     EntangledZeroSubgraphError,
     Pump,
@@ -44,6 +45,7 @@ from starweight.weights import (
     WeightFunction,
     _ZeroSubgraph,
     _closed_walks,
+    _walk_tables,
     _weight_scale,
     canonical_atom_edge_cycle,
     check_relator_condition,
@@ -1357,11 +1359,20 @@ def _random_scenario(g, wf, facts="fact: neq a1 a2\nfact: neq b1 1\n", gens_a="a
 GUARD_SLOW = {271, 273}
 
 
-@pytest.mark.parametrize("max_marked", [4, 0], ids=["as-is", "no-mandatory-pumps"])
-def test_guard_reports_what_the_eager_coverage_set_reports(monkeypatch, max_marked):
+def _unmended_walk_tables(*args):
+    """``_walk_tables`` whose mend test mends no turn, so that the walker
+    lists no path with a mandatory pump."""
+    limit, _, alone, ends, steps_at, roots, dist = _walk_tables(*args)
+    steps_at = {v: [(t, end, w, k, False) for t, end, w, k, _ in steps] for v, steps in steps_at.items()}
+    return limit, lambda t: False, alone, ends, steps_at, roots, dist
+
+
+@pytest.mark.parametrize("mended", [True, False], ids=["as-is", "no-mandatory-pumps"])
+def test_guard_reports_what_the_eager_coverage_set_reports(monkeypatch, mended):
     # with no mandatory pumps the families miss every walk that needs one,
     # and only the guard can report those
-    monkeypatch.setattr(weights_module, "MAX_MARKED", max_marked)
+    if not mended:
+        monkeypatch.setattr(weights_module, "_walk_tables", _unmended_walk_tables)
     scenarios = [s for s, _ in _corpus() if s.weights]
     scenarios += [parse_scenario(_grid_text(k, q)) for k, q in ((4, 3), (4, 4), (4, 5), (5, 4))]
     scenarios += [
@@ -1377,7 +1388,7 @@ def test_guard_reports_what_the_eager_coverage_set_reports(monkeypatch, max_mark
         checked += 1
         reported += len(got)
     assert checked >= 320
-    assert reported > 0 if max_marked == 0 else reported == 0
+    assert reported == 0 if mended else reported > 0
 
 
 def _guard_cases():
@@ -1784,14 +1795,16 @@ def _walk_graphs():
     return out
 
 
-def test_bounded_walker_lists_what_the_unbounded_oracle_lists():
+def test_bounded_walker_lists_what_the_unbounded_oracle_lists(monkeypatch):
     # the walker before, kept in oracle_unbounded_walker, stopped a path only
     # once its weight reached the threshold; the walker also stops one whose
     # weight and least way back to its start reach it.  Both walks, the
     # family walk and the walk without a zero subgraph, list the same paths
     # with the same marked sets and weights in the same order, and pop no
-    # more, at thresholds 2, 3 and 5/2
-    walked = fewer = 0
+    # more, at thresholds 2, 3 and 5/2.  With the oracle's marked cap lifted,
+    # the walker raises where the oracle lists a path over the cap
+    monkeypatch.setattr(oracle_unbounded_walker, "MAX_MARKED", math.inf)
+    walked = fewer = raised = 0
     pops = {"bounded": 0, "oracle": 0}
     for name, g, wf in _walk_graphs():
         try:
@@ -1804,15 +1817,20 @@ def test_bounded_walker_lists_what_the_unbounded_oracle_lists():
                 continue
             for walker, max_len in walks:
                 args = (g, wf, threshold, walker, max_len, 2_000_000)
-                got, popped = _counted_walk(_closed_walks, *args)
                 want, oracle_popped = _counted_walk(oracle_unbounded_walker._closed_walks, *args)
+                if any(len(marked) > MAX_MARKED for _, marked, _ in want):
+                    with pytest.raises(WalkBudgetError, match="marked junctions"):
+                        _closed_walks(*args)
+                    raised += 1
+                    continue
+                got, popped = _counted_walk(_closed_walks, *args)
                 assert got == want, (name, threshold, max_len)
                 assert popped <= oracle_popped, (name, threshold, max_len)
                 walked += 1
                 fewer += popped < oracle_popped
                 pops["bounded"] += popped
                 pops["oracle"] += oracle_popped
-    assert walked >= 1900 and fewer >= 500, (walked, fewer)
+    assert walked >= 1900 and fewer >= 500 and raised >= 1, (walked, fewer, raised)
     assert pops["bounded"] < pops["oracle"] * 3 // 4, pops
 
 
