@@ -2,8 +2,10 @@
 
 Exit codes: 0 = success / Aspherical / Solvable; 1 = verified negative
 (potential violations, Unknown verdict, corpus mismatch); 2 = usage or
-input error; 3 = a resource limit (the closed-walk budget or the eq rewrite
-cap) was reached and nothing is claimed.  All output is deterministic for golden-file regression.
+input error; 3 = a resource limit: the run ran out of closed-walk budget or
+met a light closed path with more than ``MAX_MARKED`` marked junctions, or a
+word needed more eq rewrites than the rewrite cap allows, and nothing is
+claimed.  All output is deterministic for golden-file regression.
 """
 
 from __future__ import annotations

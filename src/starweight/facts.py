@@ -18,7 +18,11 @@ frozen:
   R3  triviality would force v into <g> against a NotInCyclic fact
   R4  special case of R2: normal form g^m for a generator with neq g 1
   FP  a cyclic word alternating over both factors, all of whose syllables
-      are refuted-nontrivial, is nontrivial in the free product
+      are refuted-nontrivial, is nontrivial in the free product.  A
+      template is read as such a word in which each pump is a syllable too:
+      a core of one factor, refuted nontrivial and bordered by the other
+      factor.  A pump core whose letters span both factors leaves its
+      template Unknown
 
 Unknown is always safe; the verifier then reports a potential violation
 instead of claiming asphericity.
@@ -70,6 +74,9 @@ from .words import (
 # bounds time only, and exceeding it is a resource limit, not an input error
 _REWRITE_CAP = 10_000
 _POWER_LIMIT = 8  # as_power_of tries exponents -_POWER_LIMIT.._POWER_LIMIT
+
+# a syllable (factor, word) of a cyclic word or template, or a pump (factor, None)
+Item = tuple[str, Codes | None]
 
 
 class FactError(ValueError):
@@ -222,11 +229,6 @@ class FactBase:
                 return cur
             cur = free_reduce(nxt)
         raise RewriteCapError("eq rewrite step cap exceeded")
-
-    def _word_factor_or_mixed(self, w: Codes) -> str:
-        """The factor of the nonempty word w, or "mixed" when it spans two."""
-        fs = {self._factor_at[c] for c in w}
-        return fs.pop() if len(fs) == 1 else "mixed"
 
     def as_power_of(self, w: Codes, g: int) -> int | None:
         """Exponent k with w = g^k provable from the Eq facts, if any; g is
@@ -405,27 +407,22 @@ class FactBase:
             return UNKNOWN
         sylls = self.syllables(n)
         if len(sylls) > 1:
-            return self._refute_alternating(sylls)
+            return self._refute_alternating(self._merge(sylls))
         return self._refute_power(n, occurs) or self._refute_notincyclic(n)
 
-    def _refute_alternating(self, items: list[tuple[str, Codes | None]]) -> Verdict:
-        """FP: refute a cyclic sequence of (factor, word) syllables and
-        (factor, None) pumps, each pump standing for every power c^m,
-        m >= 1, of a core c proved nontrivial.
+    def _merge(self, items: list[Item]) -> list[Item]:
+        """Reduce a cyclic sequence of (factor, word) syllables and
+        (factor, None) pumps.  Neighbouring words of one factor merge into
+        their normal form, the last and the first too, and a merge that
+        normalises to the empty word drops out, so that its neighbours may
+        meet in turn.  Each word left equals in its factor the product of
+        the words it replaced, and no two words of one factor neighbour."""
+        out: list[Item] = []
 
-        Neighbouring words of one factor merge into their normal form, the
-        last and the first too, and a merge that normalises to the empty
-        word drops out, so that its neighbours may meet in turn.  Then every
-        instance alternates cyclically over the factors, and so is not 1 in
-        the free product, when at least two items remain, no pump borders
-        an item of its own factor (which could absorb its powers) and every
-        word is refuted nontrivial."""
-        out: list[tuple[str, Codes | None]] = []
-
-        def meets(a: tuple[str, Codes | None], b: tuple[str, Codes | None]) -> bool:
+        def meets(a: Item, b: Item) -> bool:
             return a[1] is not None and b[1] is not None and a[0] == b[0]
 
-        def push(item: tuple[str, Codes | None]):
+        def push(item: Item):
             if out and meets(out[-1], item):
                 item = (item[0], self.normalize_any(join(out.pop()[1], item[1])))
                 if not item[1]:
@@ -436,10 +433,19 @@ class FactBase:
             push(item)
         while len(out) > 1 and meets(out[-1], out[0]):
             push(out.pop(0))
+        return out
+
+    def _refute_alternating(self, items: list[Item]) -> Verdict:
+        """FP on a cyclic sequence that ``_merge`` returned, each pump
+        standing for every power c^m, m >= 1, of a core c proved nontrivial.
+        Every instance alternates cyclically over the factors, and so is not
+        1 in the free product, when at least two items remain, no pump
+        borders an item of its own factor (which could absorb its powers)
+        and every word is refuted nontrivial."""
         # merged words of one factor never neighbour, so such a pair holds a pump
-        if len(out) < 2 or any(f == fn for (f, _), (fn, _) in zip(out, out[1:] + out[:1])):
+        if len(items) < 2 or any(f == fn for (f, _), (fn, _) in zip(items, items[1:] + items[:1])):
             return UNKNOWN
-        if all(wrd is None or self.refute_trivial(wrd) for _, wrd in out):
+        if all(wrd is None or self.refute_trivial(wrd) for _, wrd in items):
             return Verdict("FP")
         return UNKNOWN
 
@@ -448,47 +454,49 @@ class FactBase:
 
         ``segments`` and ``pumps`` alternate cyclically, so they must have
         equal length; no pumps at all delegates to refute_trivial.
+
+        The template is one cyclic item list for ``_merge``: the syllables
+        of each segment's normal form, then for each pump, whose normal form
+        is h c h^-1 with c cyclically reduced, so that p^m = h c^m h^-1, the
+        syllables of h, a pump item for c and the syllables of h^-1.  A pump
+        with an empty core is 1 for every m and has no item.  With no pump
+        item every instance is the one word its items spell, which
+        refute_trivial decides.  When every merged item lies in one factor,
+        R2 and R3 read the merged words and the cores.  Otherwise FP reads
+        the merged list, once every core is refuted nontrivial.  A core
+        whose letters span both factors has no factor for its item, and the
+        template is Unknown.
         """
         if not pumps:
             return self.refute_trivial(segments[0] if segments else ())
         if len(segments) != len(pumps):
             raise ValueError("segments and pumps must alternate")
 
-        k = len(pumps)
-        segs = [self.normalize_any(s) for s in segments]
+        items: list[Item] = []
         cores: list[Codes] = []
-        for i, p in enumerate(pumps):
+        for s, p in zip(segments, pumps):
             h, c = strip_conjugation(self.normalize_any(p))
-            # absorb the conjugator into the neighbouring segments
-            segs[i] = self.normalize_any(join(segs[i], h))
-            segs[(i + 1) % k] = self.normalize_any(join(inverse(h), segs[(i + 1) % k]))
-            cores.append(c)
-        if any(not c for c in cores):
-            # pumps that rewrite to the identity drop out of the family
-            if not any(cores):
-                return self.refute_trivial(free_reduce(sum(segs, ())))
-            new_segs: list[Codes] = []
-            new_cores: list[Codes] = []
-            carry: Codes = ()
-            for i in range(k):
-                seg = self.normalize_any(join(carry, segs[i]))
-                carry = ()
-                if cores[i]:
-                    new_segs.append(seg)
-                    new_cores.append(cores[i])
-                else:
-                    carry = seg
-            if carry:
-                new_segs[0] = self.normalize_any(join(carry, new_segs[0]))
-            segs, cores = new_segs, new_cores
-
-        if len({self._factor_at[c] for w in (*segs, *cores) for c in w}) == 1:
-            return self._refute_template_single(segs, cores)
-        return self._refute_template_alternating(segs, cores)
+            items += self.syllables(self.normalize_any(s)) + self.syllables(h)
+            if c:
+                if len(self.syllables(c)) > 1:
+                    return UNKNOWN
+                items.append((self._factor_at[c[0]], None))
+                cores.append(c)
+            items += self.syllables(inverse(h))
+        if not cores:
+            return self.refute_trivial(free_reduce(sum((w for _, w in items), ())))
+        merged = self._merge(items)
+        if len({f for f, _ in merged}) == 1:
+            return self._refute_template_single([w for _, w in merged if w is not None], cores)
+        if not all(self._refute_power(*self._cyclic_normalize(c)) for c in cores):
+            return UNKNOWN  # a pump instance could vanish
+        return self._refute_alternating(merged)
 
     def _refute_template_single(self, segs: list[Codes], cores: list[Codes]) -> Verdict:
-        """All template material lies in one factor."""
-        if all(not s for s in segs) and len(cores) == 1:
+        """All template material lies in one factor: ``segs`` are the
+        nonempty words between the pumps, ``cores`` the pump cores.  An
+        empty segment adds nothing to R2 or R3."""
+        if not segs and len(cores) == 1:
             # pure pump power c^m: by torsion-freeness it suffices that the
             # root of the pump label is nontrivial
             v = self._refute_power(*self._cyclic_normalize(cores[0]))
@@ -508,7 +516,7 @@ class FactBase:
                 candidates.append((g, exps))  # every pump lies in <g>
 
         for g, exps in candidates:
-            seg_pows = [self.as_power_of(s, g) if s else 0 for s in segs]
+            seg_pows = [self.as_power_of(s, g) for s in segs]
             nonpow = [i for i, p in enumerate(seg_pows) if p is None]
             if not nonpow:
                 # the whole label is g^(const + sum exps[i]*mi)
@@ -527,16 +535,6 @@ class FactBase:
                         if gf == g and x and x in forms:
                             return Verdict("R3")
         return UNKNOWN
-
-    def _refute_template_alternating(self, segs: list[Codes], cores: list[Codes]) -> Verdict:
-        """Mixed template: refute via free-product alternation when forced."""
-        if not all(self._refute_power(*self._cyclic_normalize(c)) for c in cores):
-            return UNKNOWN  # a pump instance could vanish
-        items: list[tuple[str, Codes | None]] = []
-        for s, c in zip(segs, cores):
-            items += self.syllables(s)
-            items.append((self._word_factor_or_mixed(c), None))
-        return self._refute_alternating(items)
 
 
 def _exponent_sums(w: Codes) -> dict[int, int]:

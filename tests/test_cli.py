@@ -294,3 +294,20 @@ def test_rewrite_cap_is_a_resource_limit_not_an_input_error(argv, monkeypatch, t
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: eq rewrite step cap exceeded\n"
+
+
+def test_a_pump_whose_core_spans_both_factors_is_not_refuted_by_fp(tmp_path, capsys):
+    # 0.1 and 0.2 weigh 0 and form the zero cycle b1^-1 a1^-1; every family
+    # but its power family carries (b1^-1 a1^-1)^m or its reverse as a pump,
+    # whose core has no factor of its own, so FP refutes none of them
+    (tmp_path / "mixed_core.scn").write_text(
+        "factor A noncyclic nontrivial\nfactor B noncyclic nontrivial\n"
+        "gens A: a1 a2\ngens B: b1\nindet: t\n"
+        "relator: b1^-1 t^-1 b1 t^-1 a1^-1 t^-1\n"
+        "fact: neq a1 b1 = 1\nfact: neq a2 = 1\nfact: neq a1 = 1\nfact: neq b1 = 1\n"
+        "weight: 0.0 = 1/2\nweight: 0.1 = 0\nweight: 0.2 = 0\n"
+    )
+    assert main(["check-weights", str(tmp_path / "mixed_core.scn")]) == 1
+    out = capsys.readouterr().out
+    assert "light cycle families: 20\n" in out and out.count("  SURVIVES ") == 20
+    assert "refuted [" not in out and out.endswith("verdict: PotentialViolations\n")

@@ -10,6 +10,7 @@ import starweight
 import starweight.facts as facts_module
 import starweight.words as words
 from confluence import check_confluence
+from oracle_carry_template import CarryTemplateFactBase
 from oracle_facts import oracle_fact_base
 from oracle_oriented_facts import oriented_oracle_fact_base
 from oracle_words import (
@@ -146,6 +147,28 @@ def test_refute_family_degenerate_to_trivial():
     fb2 = fb_from(["eq b2 b1", "neq b1 1"], gens="a1", gens_b="b1 b2")
     v = fb2.refute_template([C(fb2, "b1 b2^-1")], [C(fb2, "b2 b1^-1")])
     assert not v.refuted
+
+
+def test_refute_family_of_both_factors_whose_pumps_all_rewrite_away():
+    # b2 b1^-1 and the conjugated a1 b1^-1 b2 a1^-1 rewrite to 1, so every
+    # instance is the base: a1 b1 a1 alternates over A and B with the
+    # syllables a1^2 and b1, while a1 b1 b1^-1 a1^-1 is 1
+    fb = fb_from(["eq b2 b1", "neq a1 1", "neq b1 1"], gens="a1", gens_b="b1 b2")
+    pumps = [C(fb, "b2 b1^-1"), C(fb, "a1 b1^-1 b2 a1^-1")]
+    v = fb.refute_template([C(fb, "a1 b1"), C(fb, "a1")], pumps)
+    assert v.rule == "FP" == fb.refute_trivial(C(fb, "a1 b1 a1")).rule
+    assert not fb.refute_template([C(fb, "a1 b1"), C(fb, "b1^-1 a1^-1")], pumps).refuted
+
+
+def test_refute_family_core_spanning_both_factors_is_unknown():
+    # a1 = x != 1, a2 = x^-1 and b1 = 1 meet both facts and make the instance
+    # m = 1, a2 a1 b1, trivial; the carry-loop oracle read the core a1 b1 as
+    # a syllable of a factor of its own and answered FP
+    fb = fb_from(["neq a1 b1 = 1", "neq a2 = 1"], gens="a1 a2", gens_b="b1")
+    segments, pumps = [C(fb, "a2")], [C(fb, "a1 b1")]
+    assert not fb.refute_template(segments, pumps).refuted
+    assert not fb.refute_trivial(C(fb, "a2 a1 b1")).refuted
+    assert CarryTemplateFactBase(fb.presentation, fb.decls).refute_template(segments, pumps).rule == "FP"
 
 
 def test_refute_trivial_stable_under_normalize():
@@ -707,3 +730,110 @@ def test_fact_base_answers_as_the_oracle_on_random_eq_fact_bases():
             queries.append(("refute_template", ([word() for _ in range(k)], [word() for _ in range(k)])))
         rules += _same_answers(fb, queries, oriented_oracle_fact_base)
     assert all(rules[r] for r in ("R2", "R3", "R4", "FP", "unknown")), rules
+
+
+# -- the template merge against the carry loop it replaced -----------------
+
+
+def _same_template_answers(fb, templates):
+    """Puts each (segments, pumps) template to a fresh fact base of fb's
+    facts and to the carry-loop oracle (``oracle_carry_template``), and
+    returns the rules given.  Both give the same rule, with two exceptions.
+    Where a pump core spans both factors the program answers Unknown, and
+    the oracle Unknown or FP ("spanning core").  Where ``check_confluence``
+    finds the rewrite system not confluent the two may differ ("join
+    order"): they join the same words in another order, and normal forms
+    then depend on it."""
+    program = FactBase(fb.presentation, fb.decls)
+    oracle = CarryTemplateFactBase(fb.presentation, fb.decls)
+    confluent = check_confluence(fb)
+    rules = Counter()
+    for segments, pumps in templates:
+        got, want = program.refute_template(segments, pumps), oracle.refute_template(segments, pumps)
+        cores = [words.strip_conjugation(fb.normalize_any(p))[1] for p in pumps]
+        if any(len(fb.syllables(c)) > 1 for c in cores):
+            assert not got.refuted and want.rule in ("", "FP"), (segments, pumps)
+            rules["spanning core"] += 1
+            rules["oracle FP on a spanning core"] += want.refuted
+        elif got.rule != want.rule and not confluent:
+            rules["join order"] += 1
+        else:
+            assert got.rule == want.rule, (fb.decls, segments, pumps)
+            rules[got.rule or "unknown"] += 1
+    return rules
+
+
+def test_template_answers_as_the_carry_loop_on_corpus_and_grid_templates(monkeypatch):
+    from test_weights import _grid_text
+    from starweight.weights import enumerate_light_cycles
+
+    by_fb = {}
+    for fb, args, _ in _record_corpus_queries(monkeypatch, "refute_template"):
+        by_fb.setdefault(fb, []).append(args)
+    for k, q in ((4, 3), (5, 3)):
+        s = parse_scenario(_grid_text(k, q))
+        g = build_star_graph(s.presentation)
+        fb = FactBase(s.presentation, s.fact_decls)
+        by_fb[fb] = [t for fam in enumerate_light_cycles(g, WeightFunction.from_scenario(s, g)) for t in fam.templates()]
+    rules = Counter()
+    for fb, templates in by_fb.items():
+        rules += _same_template_answers(fb, templates)
+    assert sum(rules.values()) > 900 and not rules["spanning core"] and not rules["join order"]
+    assert all(rules[r] for r in ("R2", "R3", "R4", "unknown")), rules
+
+
+def test_template_answers_as_the_carry_loop_on_random_templates():
+    # templates over a factor A and a factor B under random eq facts, with
+    # conjugated pumps, pumps that rewrite to 1 and segments of both factors
+    rng = random.Random(zlib.crc32(b"template merge against the carry loop"))
+    gens, gens_b = ["a1", "a2", "a3", "a4"], ["b1", "b2"]
+    rules, shapes = Counter(), Counter()
+    bases = 0
+    while bases < 150:
+        facts = _random_eq_facts(rng, gens)
+        facts += [f"neq {x} 1" for x in gens + gens_b if rng.random() < 0.6]
+        x, y = rng.sample(gens, 2)
+        facts.append(f"neq {x} {y}")
+        # a word of both factors proved nontrivial, which a pump core may be
+        facts.append(f"neq {rng.choice(gens)} {rng.choice(gens_b)} = 1")
+        if rng.random() < 0.5:
+            x, y = rng.sample(gens, 2)
+            facts.append(f"notincyclic {x} {y}")
+        try:
+            fb = fb_from(facts, gens=" ".join(gens), gens_b=" ".join(gens_b))
+        except FactError:
+            continue  # inconsistent facts
+        bases += 1
+        pieces = [W(g) for g in gens + gens_b] + [W(str(side)) for fd in fb.decls for side in (fd.lhs, fd.rhs)]
+        pieces_a = [p for p in pieces if all(n in gens for n, _ in p.letters)]
+        ones = [O(fb, C(fb, fd.lhs) + words.inverse(C(fb, fd.rhs))) for fd in fb.decls if fd.kind == "eq"]
+
+        def word(from_pieces):
+            w = Word()
+            for _ in range(rng.randint(0, 2)):
+                p = rng.choice(from_pieces)
+                w = w * (p if rng.random() < 0.5 else p.inverse())
+            return w
+
+        def pump(from_pieces):
+            h = word(pieces) if rng.random() < 0.5 else Word()
+            core = rng.choice(ones) if rng.random() < 0.3 else word(from_pieces) * rng.choice(from_pieces)
+            return C(fb, h * core * h.inverse())
+
+        templates = []
+        for _ in range(20):
+            k = rng.randint(1, 3)
+            from_pieces = pieces_a if rng.random() < 0.4 else pieces
+            templates.append(([C(fb, word(from_pieces)) for _ in range(k)], [pump(from_pieces) for _ in range(k)]))
+        for segments, pumps in templates:
+            normal = [fb.normalize_any(p) for p in pumps]
+            shapes["conjugated"] += any(words.strip_conjugation(p)[0] for p in normal)
+            shapes["rewrites to 1"] += any(not p and q for p, q in zip(normal, pumps))
+            shapes["all rewrite to 1"] += not any(normal)
+            shapes["segment of both factors"] += any(len(fb.syllables(s)) > 1 for s in segments)
+        rules += _same_template_answers(fb, templates)
+    assert all(rules[r] for r in ("R2", "R3", "R4", "FP", "unknown", "oracle FP on a spanning core")), rules
+    # one template of 3 000 here: a2 (1)^m (a2 b2 a2^-1)^n under a2^2 -> a1^2,
+    # where the carry loop cancels a2 against the conjugator's a2^-1 first
+    assert rules["join order"] * 500 < bases * 20, rules
+    assert all(shapes[s] > 50 for s in ("conjugated", "rewrites to 1", "all rewrite to 1", "segment of both factors")), shapes
