@@ -28,7 +28,8 @@ Unknown is always safe; the verifier then reports a potential violation
 instead of claiming asphericity.
 
 Words are tuples of letter codes (see ``words``): the queries take them,
-and the rules, ``neq1``, the notincyclic cores and both caches hold them.
+and the rules, ``neq1``, the notincyclic cores and the three caches of
+answers (``FactBase``) hold them.
 
 Rewriting terminates.  An eq fact u = v gives two rules, one from u = v and
 one from u^-1 = v^-1, and each is oriented on its own: its pattern is the
@@ -110,18 +111,23 @@ def _divisors(n: int) -> list[int]:
 class FactBase:
     """Immutable after construction; all queries are pure.
 
-    Because the facts never change, an instance caches two kinds of answer:
-    ``as_power_of`` per (word, g), and ``refute_trivial`` per word,
-    but only where it refuted.  Unknowns are not kept: they are the common
-    answer on large inputs (grid k=6, w=1/5 has 51 650 surviving labels),
-    and keeping them raised that cell's peak RSS from 81 MB to 116 MB.
+    Because the facts never change, an instance caches three kinds of
+    answer: ``as_power_of`` per (word, g); ``refute_trivial`` per word,
+    but only where it refuted; and, per word length n asked, R2 or R4 for
+    each power of length n of a ``neq1`` word (``_neq_powers``), which is
+    at most |neq1| entries a length.  Unknowns are not kept: they are the
+    common answer on large inputs (grid k=6, w=1/5 has 51 650 surviving
+    labels), and keeping them raised that cell's peak RSS from 81 MB to
+    116 MB.  The power table needs none either: a cyclic normal form of
+    length n in which no rule pattern occurs is Unknown under R2 and R4
+    when the table does not hold it.
 
     Rather than remember more, the queries skip normalisations whose answer
     is already known.  ``unbalanced`` holds the letters whose exponent sum
     some rule changes (a fact's two rules change the same letters); the
     exponent sum of every other letter is invariant under rewriting and free
     reduction, which rules out most exponents ``as_power_of`` would try.
-    ``_refute_power`` looks a power of a cyclic normal form up directly when
+    ``_refute_power`` looks a cyclic normal form up in the power table when
     no rule pattern occurs in it cyclically.  ``normalize_any`` returns its
     argument when there are no eq rules (as on the neq-only grid), since the
     rewrite loop would return it unchanged.  Each docstring carries its
@@ -141,6 +147,7 @@ class FactBase:
         self.notincyclic: list[tuple[set[Codes], int]] = []  # (g-trimmed core forms, index of g)
         self._power_cache: dict[tuple[Codes, int], int | None] = {}
         self._refuted: dict[Codes, Verdict] = {}
+        self._powers: dict[int, dict[Codes, Verdict]] = {}  # by length: each power of a neq1 word
         self._build_queries()
 
     # -- construction ------------------------------------------------
@@ -332,31 +339,58 @@ class FactBase:
         return self._cyclic_normalize(u)[0] in self.neq1
 
     def _refute_power(self, w: Codes, occurs: bool) -> Verdict:
-        """R2/R4: w (cyclic, nonempty) is u^d with u != 1 derivable.
+        """R2/R4: w is u^k, k >= 1, with u != 1 derivable.
 
         w must be a cyclic normal form, as ``_cyclic_normalize`` returns it:
         cyclically reduced and least among its rotations, with ``occurs``
-        the flag it returns beside w.  When no rule
-        pattern occurs in w cyclically, each u = root^e (e | d) is its own
-        cyclic normal form, so ``_neq1_match(u)`` is ``u in self.neq1``:
-        u's expansion is a prefix of w's, so no pattern occurs in u and u is
-        its own normal form; its first and last letters are w's, so it is
-        cyclically reduced; its doubled expansion is a prefix of w's, so no
-        pattern occurs in u cyclically and no seam rotation is tried; and a
-        rotation of root^e by i letters is (root rotated by i)^e, which
-        compares with root^e as the same rotation of root^d compares with
-        w, so u is least among its rotations because w is.  Where a pattern
-        occurs, u is looked up as it stands before it is normalised again:
-        neq1 holds only words proved != 1, and cyclic normalisation is not
-        idempotent, so a fact's own word w may lie in neq1 while its second
-        normal form does not.
+        the flag it returns beside w.  With w = root^d for its primitive
+        root, the loop below tries u = root^e for each e | d, shortest
+        first, and answers at the first u proved != 1: R4 when u has one
+        letter, else R2.  The empty word is root^1 of itself and not in
+        neq1, so it is Unknown.
+
+        When no rule pattern occurs in w cyclically, one lookup in
+        ``_neq_powers(len(w))`` gives that answer.  First, each u = root^e
+        is its own cyclic normal form, so ``_neq1_match(u)`` is
+        ``u in self.neq1``: u's expansion is a prefix of w's, so no pattern
+        occurs in u and u is its own normal form; its first and last letters
+        are w's, so it is cyclically reduced; its doubled expansion is a
+        prefix of w's, so no pattern occurs in u cyclically and no seam
+        rotation is tried; and a rotation of root^e by i letters is (root
+        rotated by i)^e, which compares with root^e as the same rotation of
+        root^d compares with w, so u is least among its rotations because w
+        is.  Second, a word u with u^k = w for some k >= 1 is a power of w's
+        primitive root, so the v in neq1 with v^k = w, k |v| = |w|, are
+        exactly the root^e in neq1, and the table answers by the shortest,
+        where the loop stops.  It has no entry for the empty word, as
+        k >= 1.
+
+        Where a pattern occurs, the loop runs, and u is looked up as it
+        stands before it is normalised again: neq1 holds only words proved
+        != 1, and cyclic normalisation is not idempotent, so a fact's own
+        word w may lie in neq1 while its second normal form does not.
         """
+        if not occurs:
+            return self._neq_powers(len(w)).get(w, UNKNOWN)
         root, d = max_root(w)
         for e in _divisors(d):
             u = root * e
             if u in self.neq1 or occurs and self._neq1_match(u):
                 return Verdict("R4" if len(u) == 1 else "R2")
         return UNKNOWN
+
+    def _neq_powers(self, n: int) -> dict[Codes, Verdict]:
+        """v^k for each v in neq1 and k >= 1 with k |v| = n, mapped to R4
+        when the shortest such v has one letter and to R2 otherwise; built
+        once per length asked, with at most |neq1| entries."""
+        table = self._powers.get(n)
+        if table is None:
+            table = self._powers[n] = {}
+            for v in sorted(self.neq1, key=len):
+                k, r = divmod(n, len(v))
+                if k and not r:
+                    table.setdefault(v * k, Verdict("R4" if len(v) == 1 else "R2"))
+        return table
 
     def _refute_notincyclic(self, w: Codes) -> Verdict:
         """R3: some rotation of w, with letters provably in <g> rewritten as
@@ -400,14 +434,14 @@ class FactBase:
         return v
 
     def _refute_cyclic(self, w: Codes) -> Verdict:
-        """Decide w through its cyclic normal form n: by FP when n has
-        syllables of both factors, else by R2-R4."""
+        """Decide w through its cyclic normal form n: by FP on its
+        syllables when letters of both factors occur in n, else by R2-R4,
+        without splitting n."""
         n, occurs = self._cyclic_normalize(w)
         if not n:
             return UNKNOWN
-        sylls = self.syllables(n)
-        if len(sylls) > 1:
-            return self._refute_alternating(self._merge(sylls))
+        if len(set(map(self._factor_at.__getitem__, n))) > 1:
+            return self._refute_alternating(self._merge(self.syllables(n)))
         return self._refute_power(n, occurs) or self._refute_notincyclic(n)
 
     def _merge(self, items: list[Item]) -> list[Item]:

@@ -13,6 +13,7 @@ from confluence import check_confluence
 from oracle_carry_template import CarryTemplateFactBase
 from oracle_facts import oracle_fact_base
 from oracle_oriented_facts import oriented_oracle_fact_base
+from oracle_power_loop import PowerLoopFactBase
 from oracle_words import (
     Word,
     canonical_cyclic_class,
@@ -622,6 +623,119 @@ def test_neq_lookup_matches_canonical_class_lookup_on_corpus_queries(monkeypatch
         settled += not occurs
     assert len(queries) > 1000 and 0 < hits < len(queries)
     assert 0 < settled < len(queries)  # both the direct lookup and the full one were taken
+
+
+# -- the power table against the root loop it replaced (oracle_power_loop) --
+
+
+def test_the_empty_word_has_no_power_entry():
+    fb = fb_from(["neq a1 1", "neq a2 a3"])
+    assert fb._refute_power((), False) == facts_module.UNKNOWN
+    assert fb._powers[0] == {}
+
+
+def test_the_shortest_neq_root_names_the_rule():
+    # a1^4 is a1^4 and (a1^2)^2: the loop answers at a1, so R4, where a table
+    # that kept the longest root would read R2
+    fb = fb_from(["neq a1 1", "neq a1^2 1"])
+    assert fb.refute_trivial(C(fb, "a1^4")).rule == "R4"
+    assert fb.refute_trivial(C(fb, "a1^2")).rule == "R4"
+    fb = fb_from(["neq a1^2 1"])
+    assert fb.refute_trivial(C(fb, "a1^4")).rule == "R2"
+    assert not fb.refute_trivial(C(fb, "a1^3"))
+
+
+def test_a_neq_power_refutes_its_powers_and_rotations_only():
+    fb = fb_from(["neq a1 a2 a1 a2 = 1"])
+    assert fb.refute_trivial(C(fb, "a1 a2 a1 a2 a1 a2 a1 a2")).rule == "R2"
+    assert fb.refute_trivial(C(fb, "a2 a1 a2 a1")).rule == "R2"
+    assert fb.refute_trivial(C(fb, "a1^-1 a2^-1 a1^-1 a2^-1")).rule == "R2"
+    assert not fb.refute_trivial(C(fb, "a1 a2 a1 a2 a1 a2"))
+    assert not fb.refute_trivial(C(fb, "a1 a2"))
+
+
+def test_the_power_table_holds_only_refutations_of_neq_words_on_k6_q4():
+    from test_weights import _grid_text
+    from starweight.weights import verify_weight_test
+
+    s = parse_scenario(_grid_text(6, 4))
+    fb = FactBase(s.presentation, s.fact_decls)
+    assert len(verify_weight_test(s, fb).families) == 2795
+    assert sorted(fb._powers) == [2, 4, 6]  # the label lengths of its families
+    for n, table in fb._powers.items():
+        assert len(table) <= len(fb.neq1), n
+        assert all(len(w) == n and v.refuted for w, v in table.items()), n
+
+
+def _same_power_answers(queries):
+    """Each (fact base, (w, occurs)) query put to the fact base and to the
+    root-loop oracle of the same facts; returns how many took the table."""
+    oracles = {}
+    looked_up = 0
+    for fb, (w, occurs) in queries:
+        if fb not in oracles:
+            oracles[fb] = PowerLoopFactBase(fb.presentation, fb.decls)
+        got, want = fb._refute_power(w, occurs), oracles[fb]._refute_power(w, occurs)
+        assert (got.refuted, got.rule) == (want.refuted, want.rule), (fb.decls, w, occurs)
+        looked_up += not occurs
+    return looked_up
+
+
+def test_power_table_answers_as_the_root_loop(monkeypatch):
+    from test_weights import _grid_text
+    from starweight.weights import verify_weight_test
+
+    # every query of a corpus run and of trivial-cycles --length 1..4
+    corpus = [(fb, args) for fb, args, _ in _record_corpus_queries(
+        monkeypatch, "_refute_power", trivial_lengths=(1, 2, 3, 4))]
+    looked_up = _same_power_answers(corpus)
+    assert 0 < looked_up < len(corpus) and len(corpus) > 1000
+
+    # every query of the bench grid cells and k6_q4, all without eq rules
+    grid = []
+    program = FactBase._refute_power
+
+    def record(self, w, occurs):
+        grid.append((self, (w, occurs)))
+        return program(self, w, occurs)
+
+    monkeypatch.setattr(FactBase, "_refute_power", record)
+    for k, q in ((4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (6, 3), (6, 4)):
+        verify_weight_test(parse_scenario(_grid_text(k, q)))
+    monkeypatch.setattr(FactBase, "_refute_power", program)
+    assert _same_power_answers(grid) == len(grid) > 4000
+
+    # random fact bases whose neq words are often powers of one another,
+    # asked about the powers of each neq1 word, their inverses and random
+    # words, some of which reduce to the empty word
+    rng = random.Random(zlib.crc32(b"power table against the root loop"))
+    gens = ["a1", "a2", "a3", "a4"]
+    rules = Counter()
+    bases = 0
+    while bases < 300:
+        facts = _random_eq_facts(rng, gens) if rng.random() < 0.7 else []
+        roots = [" ".join(rng.choice(gens) + rng.choice(("", "^-1")) for _ in range(rng.randint(1, 2)))
+                 for _ in range(2)]
+        facts += [f"neq {' '.join([rng.choice(roots)] * rng.randint(1, 3))} = 1" for _ in range(rng.randint(1, 3))]
+        try:
+            fb = fb_from(facts)
+        except FactError:
+            continue  # inconsistent facts
+        bases += 1
+        pieces = [C(fb, g) for g in gens] + sorted(fb.neq1)
+        asked = [v * k for v in sorted(fb.neq1) for k in range(1, 5)]
+        asked += [words.inverse(w) for w in asked]
+        for _ in range(10):
+            w = ()
+            for _ in range(rng.randint(0, 4)):
+                p = rng.choice(pieces)
+                w += p if rng.random() < 0.5 else words.inverse(p)
+            asked.append(w)
+            asked.append(w + words.inverse(w))
+        queries = [(fb, fb._cyclic_normalize(w)) for w in asked]
+        _same_power_answers(queries)
+        rules.update(fb._refute_power(*args).rule or "unknown" for _, args in queries)
+    assert all(rules[r] > 100 for r in ("R2", "R4", "unknown")), rules
 
 
 def test_remembered_refutations_match_a_fresh_fact_base(monkeypatch):
